@@ -18,19 +18,18 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from . import evaluation as ev
 from . import generation as gen
 from . import model as mdl
 from . import objectives as obj
 from . import training as tr
-from .numerics import NonFiniteError, Rng
-from .smiles import TokenizeError, build_vocabulary, validate
-from .training import Checkpoint, Dataset, TrainConfig
+from .numerics import NonFiniteError
+from .smiles import TokenizeError, build_vocabulary
+from .training import Checkpoint, TrainConfig
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -49,10 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _seed_default() -> int:
-    return int(os.environ.get("JT_SEED", "0"))
-
-
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None, help="seed (fallback: JT_SEED env, then 0)")
     p.add_argument("--out-dir", default=None, help="output directory (default: runs/<timestamp>-<cmd>)")
@@ -65,52 +60,57 @@ def _add_model_flags(p: argparse.ArgumentParser):
     g.add_argument("--n-layers", type=int, default=6)
     g.add_argument("--n-heads", type=int, default=8)
     g.add_argument("--ff-dim", type=int, default=1024)
-    g.add_argument("--dropout-rate", type=float, default=0.1)
     g.add_argument("--predictor-hidden-dim", type=int, default=100)
     g.add_argument("--predictor-layers", type=int, default=1)
 
 
-_TRAIN_FLAGS = [f.name for f in fields(TrainConfig)]
+_TRAIN_FLAG_ALIASES = {"dropout": ["--dropout-rate"]}
+_TRAIN_FLAG_HELP = {"eval_interval": "checkpoint interval in iterations (0 = save only at the end)"}
 
 
 def _add_train_flags(p: argparse.ArgumentParser, finetune: bool):
+    """One flag per TrainConfig field; the field's default gives its type."""
     defaults = TrainConfig.finetune_defaults() if finetune else TrainConfig()
     g = p.add_argument_group("training")
     for f in fields(TrainConfig):
-        if f.name in ("seed",):
+        if f.name == "seed":
             continue
-        flag = "--" + f.name.replace("_", "-")
+        flags = ["--" + f.name.replace("_", "-"), *_TRAIN_FLAG_ALIASES.get(f.name, [])]
         default = getattr(defaults, f.name)
-        if f.name in ("decay_lr", "encoder_term", "generation_task"):
-            g.add_argument(flag, type=lambda v: v.lower() in ("1", "true", "yes"),
-                           default=default, metavar="BOOL")
-        elif f.name == "decay_iters":
-            g.add_argument(flag, type=int, default=None)
-        else:
-            g.add_argument(flag, type=type(default), default=default)
+        if isinstance(default, bool):
+            kind = dict(type=lambda v: v.lower() in ("1", "true", "yes"), metavar="BOOL")
+        else:  # a None default (decay_iters) stands for an optional int
+            kind = dict(type=int if default is None else type(default))
+        g.add_argument(*flags, default=default, help=_TRAIN_FLAG_HELP.get(f.name), **kind)
 
 
-def _train_config(args, seed: int) -> TrainConfig:
-    kwargs = {name: getattr(args, name) for name in _TRAIN_FLAGS if name != "seed"}
-    return TrainConfig(seed=seed, **kwargs)
+def _train_config(args) -> TrainConfig:
+    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
-def _resolve_out_dir(args, command: str) -> Path:
+def _start_run(args, resolved: dict) -> Path:
+    """Create the output directory and write config_echo.json into it."""
     if args.out_dir:
         out = Path(args.out_dir)
     else:
-        out = Path("runs") / f"{time.strftime('%Y%m%d-%H%M%S')}-{command}"
+        out = Path("runs") / f"{time.strftime('%Y%m%d-%H%M%S')}-{args.command}"
     out.mkdir(parents=True, exist_ok=True)
+    doc = {"command": args.command, "seed": args.seed, **resolved}
+    (out / "config_echo.json").write_text(json.dumps(doc, indent=1, sort_keys=True, default=str))
     return out
 
 
-def _echo_config(out_dir: Path, command: str, seed: int, resolved: dict) -> None:
-    doc = {"command": command, "seed": seed, **resolved}
-    (out_dir / "config_echo.json").write_text(json.dumps(doc, indent=1, sort_keys=True, default=str))
-
-
 def _write_manifest(out_dir: Path, entries: list[str]) -> None:
-    (out_dir / "manifest.json").write_text(json.dumps({"outputs": sorted(entries)}, indent=1))
+    outputs = sorted(["config_echo.json", *entries])
+    (out_dir / "manifest.json").write_text(json.dumps({"outputs": outputs}, indent=1))
+
+
+@contextmanager
+def _loss_log(out_dir: Path):
+    """Open loss.log and yield the training loop's per-step log callback."""
+    with (out_dir / "loss.log").open("w") as fh:
+        fh.write("iter\ttask\tloss\n")
+        yield lambda it, loss, task: fh.write(f"{it}\t{task.value}\t{loss:.6f}\n")
 
 
 def _config_hash(doc: dict) -> str:
@@ -133,9 +133,7 @@ def _load_checkpoint(path: str) -> Checkpoint:
 
 
 def cmd_pretrain(args) -> int:
-    seed = args.seed if args.seed is not None else _seed_default()
     data_path = _require_path(args.data, "data")
-    out_dir = _resolve_out_dir(args, "pretrain")
     lines = tr.read_smiles_lines(data_path)
     if not lines:
         raise DataError(f"no usable lines in {data_path}")
@@ -147,28 +145,21 @@ def cmd_pretrain(args) -> int:
     mcfg = mdl.ModelConfig(
         vocab_size=len(vocab), max_len=args.max_len, embed_dim=args.embed_dim,
         n_layers=args.n_layers, n_heads=args.n_heads, ff_dim=args.ff_dim,
-        dropout_rate=args.dropout_rate, predictor_hidden_dim=args.predictor_hidden_dim,
-        predictor_layers=args.predictor_layers,
+        predictor_hidden_dim=args.predictor_hidden_dim, predictor_layers=args.predictor_layers,
     )
-    tcfg = _train_config(args, seed)
-    _echo_config(out_dir, "pretrain", seed, {
+    tcfg = _train_config(args)
+    out_dir = _start_run(args, {
         "data": str(data_path), "model": mcfg.to_dict(), "train": tcfg.to_dict(),
     })
-    loss_log = (out_dir / "loss.log").open("w")
-    loss_log.write("iter\ttask\tloss\n")
-
-    def log_cb(it, loss, task):
-        loss_log.write(f"{it}\t{task.value}\t{loss:.6f}\n")
-
     ckpt_dir = out_dir / "checkpoint"
-    state = tr.pretrain(dataset, vocab, mcfg, tcfg, log_cb=log_cb, checkpoint_dir=ckpt_dir)
-    loss_log.close()
+    with _loss_log(out_dir) as log_cb:
+        state = tr.pretrain(dataset, vocab, mcfg, tcfg, log_cb=log_cb, checkpoint_dir=ckpt_dir)
     report = ev.MetricsReport(sample_count=0, metadata={
-        "seed": seed, "checkpoint": str(ckpt_dir), "iterations": state.iteration,
+        "seed": args.seed, "checkpoint": str(ckpt_dir), "iterations": state.iteration,
         "config_hash": _config_hash(tcfg.to_dict() | mcfg.to_dict()),
     })
     (out_dir / "metrics.json").write_text(report.to_json())
-    _write_manifest(out_dir, ["config_echo.json", "loss.log", "checkpoint", "metrics.json"])
+    _write_manifest(out_dir, ["loss.log", "checkpoint", "metrics.json"])
     print(f"pretrained {state.iteration} iterations -> {ckpt_dir}")
     return EXIT_OK
 
@@ -179,87 +170,67 @@ def _sampled_strings(state: Checkpoint, n: int, seed: int) -> list[str]:
 
 
 def cmd_finetune(args) -> int:
-    seed = args.seed if args.seed is not None else _seed_default()
     base = _load_checkpoint(args.checkpoint)
-    out_dir = _resolve_out_dir(args, "finetune")
-    if args.data is None and args.objective is None:
-        raise ConfigError("finetune needs --data (SMILES<TAB>y) or --objective for auto-labeling")
-
+    data_path = _require_path(args.data, "data")
     objective = obj.make_objective(args.objective, args.objective_params) if args.objective else None
     try:
-        if args.data is not None:
-            data_path = _require_path(args.data, "data")
-            if objective is not None:
-                lines = tr.read_smiles_lines(data_path)
-                dataset = tr.encode_corpus(lines, base.vocab, base.model_config.max_len)
-                dataset = obj.label_dataset(dataset, objective, base.vocab)
-            else:
-                lines, ys = tr.read_labeled_lines(data_path)
-                dataset = tr.encode_corpus(lines, base.vocab, base.model_config.max_len, targets=ys)
+        if objective is not None:
+            lines = tr.read_smiles_lines(data_path)
+            dataset = tr.encode_corpus(lines, base.vocab, base.model_config.max_len)
+            dataset = obj.label_dataset(dataset, objective, base.vocab)
         else:
-            raise ConfigError("--objective without --data has nothing to label")
+            lines, ys = tr.read_labeled_lines(data_path)
+            dataset = tr.encode_corpus(lines, base.vocab, base.model_config.max_len, targets=ys)
     except (TokenizeError, ValueError) as e:
         raise DataError(str(e)) from None
 
-    tcfg = _train_config(args, seed)
-    _echo_config(out_dir, "finetune", seed, {
+    tcfg = _train_config(args)
+    out_dir = _start_run(args, {
         "checkpoint": args.checkpoint, "data": args.data,
         "objective": objective.params_dict() if objective else None,
         "train": tcfg.to_dict(),
     })
 
     eval_n = args.eval_samples
-    before = _sampled_strings(base, eval_n, seed) if eval_n else []
-    loss_log = (out_dir / "loss.log").open("w")
-    loss_log.write("iter\ttask\tloss\n")
-
-    def log_cb(it, loss, task):
-        loss_log.write(f"{it}\t{task.value}\t{loss:.6f}\n")
-
+    before = _sampled_strings(base, eval_n, args.seed) if eval_n else []
     ckpt_dir = out_dir / "checkpoint"
-    state = tr.finetune(base, dataset, tcfg, log_cb=log_cb, checkpoint_dir=ckpt_dir)
-    loss_log.close()
+    with _loss_log(out_dir) as log_cb:
+        state = tr.finetune(base, dataset, tcfg, log_cb=log_cb, checkpoint_dir=ckpt_dir)
 
-    metrics = {"seed": seed, "config_hash": _config_hash(tcfg.to_dict())}
+    metrics = {"seed": args.seed, "config_hash": _config_hash(tcfg.to_dict())}
     if eval_n:
-        after = _sampled_strings(state, eval_n, seed)
+        after = _sampled_strings(state, eval_n, args.seed)
         metrics["validity_before"] = ev.validity(before)
         metrics["validity_after"] = ev.validity(after)
     (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=1, sort_keys=True))
-    _write_manifest(out_dir, ["config_echo.json", "loss.log", "checkpoint", "metrics.json"])
+    _write_manifest(out_dir, ["loss.log", "checkpoint", "metrics.json"])
     print(f"finetuned {state.iteration} iterations -> {ckpt_dir}")
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    seed = args.seed if args.seed is not None else _seed_default()
     state = _load_checkpoint(args.checkpoint)
-    out_dir = _resolve_out_dir(args, "sample")
     cfg = gen.SamplerConfig(
         temperature=args.temperature, top_k=args.top_k,
-        max_new_tokens=args.max_new_tokens, seed=seed, sample_y=args.sample_y,
+        max_new_tokens=args.max_new_tokens, seed=args.seed, sample_y=args.sample_y,
     )
-    _echo_config(out_dir, "sample", seed, {
-        "checkpoint": args.checkpoint, "n": args.n, "sampler": vars(cfg).copy(),
-    })
+    out_dir = _start_run(args, {"checkpoint": args.checkpoint, "n": args.n, "sampler": vars(cfg).copy()})
     samples = gen.sample_batch(state.params, state.vocab, cfg, args.n)
     out_file = out_dir / "samples.tsv"
     with out_file.open("w") as fh:
         for s in samples:
             fh.write(f"{s.smiles}\t{s.y:.6f}\n")
-    _write_manifest(out_dir, ["config_echo.json", "samples.tsv"])
+    _write_manifest(out_dir, ["samples.tsv"])
     print(f"wrote {len(samples)} samples -> {out_file}")
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
-    seed = args.seed if args.seed is not None else _seed_default()
     state = _load_checkpoint(args.checkpoint)
-    out_dir = _resolve_out_dir(args, "optimize")
     objective = obj.make_objective(args.objective, args.objective_params) if args.objective else None
     pcfg = gen.PbboConfig(y_c=args.y_c, eval_budget=args.eval_budget, sample_budget=args.sample_budget)
-    scfg = gen.SamplerConfig(temperature=args.temperature, top_k=args.top_k, seed=seed)
-    _echo_config(out_dir, "optimize", seed, {
+    scfg = gen.SamplerConfig(temperature=args.temperature, top_k=args.top_k, seed=args.seed)
+    out_dir = _start_run(args, {
         "checkpoint": args.checkpoint, "y_c": pcfg.y_c,
         "eval_budget": pcfg.eval_budget, "sample_budget": pcfg.sample_budget,
         "objective": objective.params_dict() if objective else None,
@@ -272,7 +243,7 @@ def cmd_optimize(args) -> int:
         for rec in result.trace:
             fh.write(json.dumps(vars(rec)) + "\n")
     summary = {
-        "seed": seed,
+        "seed": args.seed,
         "y_c": pcfg.y_c,
         "eval_budget": pcfg.eval_budget,
         "sample_budget": pcfg.sample_budget,
@@ -283,16 +254,16 @@ def cmd_optimize(args) -> int:
                           if result.accepted else None),
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True))
-    _write_manifest(out_dir, ["config_echo.json", "trace.jsonl", "summary.json"])
+    _write_manifest(out_dir, ["trace.jsonl", "summary.json"])
     print(f"{result.accepted_count} accepted in {result.draws_used} draws; top1 = {result.top1()}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    seed = args.seed if args.seed is not None else _seed_default()
-    out_dir = _resolve_out_dir(args, "evaluate")
     if args.samples is None and args.checkpoint is None:
         raise ConfigError("evaluate needs --samples and/or --checkpoint")
+    resolved = {k: v for k, v in vars(args).items() if k != "func"}
+    out_dir = _start_run(args, resolved)
 
     state = _load_checkpoint(args.checkpoint) if args.checkpoint else None
     if args.samples is not None:
@@ -300,13 +271,12 @@ def cmd_evaluate(args) -> int:
         if not sample_lines:
             raise DataError(f"no usable lines in {args.samples}")
     elif args.n_samples > 0:
-        sample_lines = _sampled_strings(state, args.n_samples, seed)
+        sample_lines = _sampled_strings(state, args.n_samples, args.seed)
     else:
         sample_lines = []
 
-    resolved = {k: v for k, v in vars(args).items() if k != "func"}
     report = ev.MetricsReport(sample_count=len(sample_lines))
-    report.metadata = {"seed": seed, "checkpoint": args.checkpoint,
+    report.metadata = {"seed": args.seed, "checkpoint": args.checkpoint,
                        "config_hash": _config_hash(resolved)}
     if sample_lines:
         report.validity = ev.validity(sample_lines)
@@ -327,11 +297,11 @@ def cmd_evaluate(args) -> int:
     if args.objective is not None and state is not None:
         objective = obj.make_objective(args.objective, args.objective_params)
         m, kept = ev.mae_sampled(state.params, state.vocab, objective,
-                                 max(args.n_samples, 1), gen.SamplerConfig(seed=seed))
+                                 max(args.n_samples, 1), gen.SamplerConfig(seed=args.seed))
         report.mae_sampled = m
         report.mae_sampled_retained = kept
 
-    outputs = ["config_echo.json", "metrics.json"]
+    outputs = ["metrics.json"]
     if args.histograms and sample_lines and reference:
         rows = ev.feature_histograms(sample_lines, reference)
         with (out_dir / "histograms.csv").open("w", newline="") as fh:
@@ -340,7 +310,6 @@ def cmd_evaluate(args) -> int:
             writer.writerows(rows)
         outputs.append("histograms.csv")
 
-    _echo_config(out_dir, "evaluate", seed, resolved)
     (out_dir / "metrics.json").write_text(report.to_json())
     _write_manifest(out_dir, outputs)
     print(report.to_json())
@@ -361,7 +330,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("finetune", help="supervised training from a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", help="SMILES<TAB>float file, or plain SMILES with --objective")
+    p.add_argument("--data", required=True,
+                   help="SMILES<TAB>float file, or plain SMILES with --objective")
     p.add_argument("--objective", help="auto-label --data with this objective")
     p.add_argument("--objective-params", default="", help="key=value,... objective parameters")
     p.add_argument("--eval-samples", type=int, default=0,
@@ -410,6 +380,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed is None:
+            args.seed = int(os.environ.get("JT_SEED", "0"))
         return args.func(args)
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)

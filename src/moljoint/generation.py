@@ -76,7 +76,13 @@ def _next_token_ids(logits: np.ndarray, cfg: SamplerConfig, rng: Rng) -> np.ndar
     p = np.exp(z)
     p /= p.sum(axis=-1, keepdims=True)
     u = rng.random(z.shape[0])
-    return (p.cumsum(axis=-1) < u[:, None]).sum(axis=-1)
+    ids = (p.cumsum(axis=-1) < u[:, None]).sum(axis=-1)
+    # rounding can leave the summed mass below u (id V or a zero-mass tail
+    # id) and u = 0 picks id 0; clamp each row to its nonzero-mass span
+    nonzero = p > 0
+    first = nonzero.argmax(axis=-1)
+    last = p.shape[-1] - 1 - nonzero[:, ::-1].argmax(axis=-1)
+    return np.clip(ids, first, last)
 
 
 def _decode_chunk(

@@ -38,7 +38,6 @@ class ModelConfig:
     n_layers: int = 6
     n_heads: int = 8
     ff_dim: int = 1024
-    dropout_rate: float = 0.1
     predictor_hidden_dim: int = 100
     predictor_layers: int = 1
     ln_eps: float = 1e-5
@@ -115,9 +114,6 @@ class JointModelParams:
 
     def names(self) -> list[str]:
         return list(self.tensors)
-
-    def trunk_names(self) -> list[str]:
-        return [n for n in self.tensors if not n.startswith("pred.")]
 
     def predictor_names(self) -> list[str]:
         return [n for n in self.tensors if n.startswith("pred.")]

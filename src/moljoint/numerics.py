@@ -159,7 +159,8 @@ class Tape:
         """Populate d(loss)/d(tensor) for every tensor on the tape.
 
         ``loss`` must be a scalar produced while this tape was recording.
-        Tensors the loss never touched keep their zero gradient buffers.
+        Tensors the loss never reached are left as they were: one whose
+        ``grad`` was None before the call still has ``grad is None``.
         """
         if loss.data.size != 1:
             raise ValueError(f"backward root must be scalar, got shape {loss.shape}")

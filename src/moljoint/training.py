@@ -9,9 +9,10 @@ conventionally with a prediction-heavy switch (p_task = 0.1).
 
 The optimizer is Adam with decoupled weight decay: decay applies to
 matrix weights only, never to biases, gains, or embeddings. Each step
-updates only the parameters that participate in that step's loss, so
-generation steps never move the predictor head and unsupervised
-prediction steps never move it either.
+updates only the parameters that backward reached from that step's loss,
+so generation steps never move the predictor head, unsupervised
+prediction steps never move it either, and labeled prediction steps
+without a masked-token term never move the token head.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class TrainConfig:
     grad_clip: float = 1.0
     dropout: float = 0.1
     seed: int = 0
-    eval_interval: int = 500
+    eval_interval: int = 500  # checkpoint interval in iterations (0 = only at the end)
     # ablation switches
     encoder_term: bool = True      # drop the masked-token penalty when False
     generation_task: bool = True   # drop the generation branch entirely when False
@@ -214,19 +215,6 @@ def clip_gradients(params: JointModelParams, names: list[str], clip: float) -> f
     return norm
 
 
-def _active_names(params: JointModelParams, task: Task, labeled: bool, encoder_term: bool) -> list[str]:
-    """Parameters participating in this step's loss."""
-    if task is Task.GENERATION:
-        return params.trunk_names()
-    names: list[str] = []
-    if encoder_term:
-        names += params.trunk_names()
-    if labeled:
-        names += [n for n in params.trunk_names() if n != "head.w" and n not in names]
-        names += params.predictor_names()
-    return names
-
-
 def train_step(
     params: JointModelParams,
     opt: AdamW,
@@ -247,7 +235,8 @@ def train_step(
         # disabled masked-token term): the step is a no-op
         return 0.0, task
 
-    params.zero_grads()
+    for t in params.tensors.values():
+        t.grad = None
     try:
         with Tape() as tape:
             loss = mdl.loss_joint(
@@ -261,7 +250,8 @@ def train_step(
     except NonFiniteError as e:
         raise NonFiniteError(f"training aborted at iter {it} ({task.value} step): {e}") from None
 
-    names = _active_names(params, task, labeled=y is not None, encoder_term=cfg.encoder_term)
+    # a tensor the loss never reached keeps grad None and sits this step out
+    names = [n for n, t in params.tensors.items() if t.grad is not None]
     clip_gradients(params, names, cfg.grad_clip)
     opt.step(params, lr_at(it, cfg), names)
     return value, task
@@ -294,7 +284,9 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         bundle = ckpt_io.load_bundle(path)
-        model_config = ModelConfig(**bundle["config"]["model"])
+        model_doc = dict(bundle["config"]["model"])
+        model_doc.pop("dropout_rate", None)  # unused knob written by older bundles
+        model_config = ModelConfig(**model_doc)
         train_config = TrainConfig(**bundle["config"]["train"])
         vocab = Vocabulary.from_lines(bundle["vocab_lines"])
         params = JointModelParams(model_config)

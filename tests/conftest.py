@@ -24,7 +24,7 @@ def memorized():
 
     vocab = build_vocabulary([MEMORIZED_STRING])
     mcfg = ModelConfig(vocab_size=len(vocab), max_len=20, embed_dim=32, n_layers=2,
-                       n_heads=2, ff_dim=64, predictor_hidden_dim=16, dropout_rate=0.0)
+                       n_heads=2, ff_dim=64, predictor_hidden_dim=16)
     dataset = T.encode_corpus([MEMORIZED_STRING], vocab, 20, targets=[MEMORIZED_TARGET])
     cfg = T.TrainConfig(p_task=0.5, batch_size=4, max_iters=600, warmup_iters=10,
                         lr_max=3e-3, lr_min=3e-4, decay_iters=600, dropout=0.0,

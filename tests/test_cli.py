@@ -1,6 +1,7 @@
 """Command-line surface tests: wiring, exit codes, reproducibility."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,29 @@ def test_jt_seed_env_fallback(workdir, tmp_path, monkeypatch):
     main(["sample", "--checkpoint", str(workdir / "pre" / "checkpoint"),
           "-n", "10", "--seed", "11", "--out-dir", str(out_flag)])
     assert (out_env / "samples.tsv").read_bytes() == (out_flag / "samples.tsv").read_bytes()
+
+
+def test_sample_loads_bundle_with_legacy_dropout_rate(workdir, tmp_path):
+    ckpt = tmp_path / "legacy"
+    shutil.copytree(workdir / "pre" / "checkpoint", ckpt)
+    doc = json.loads((ckpt / "config.json").read_text())
+    doc["model"]["dropout_rate"] = 0.15
+    (ckpt / "config.json").write_text(json.dumps(doc))
+    out = tmp_path / "s"
+    code = main(["sample", "--checkpoint", str(ckpt), "-n", "5", "--seed", "1",
+                 "--out-dir", str(out)])
+    assert code == 0
+    assert len((out / "samples.tsv").read_text().splitlines()) == 5
+
+
+def test_dropout_rate_is_a_second_spelling_of_dropout(workdir, tmp_path):
+    out = tmp_path / "run"
+    code = main(["pretrain", "--data", str(workdir / "corpus.txt"), "--max-iters", "0",
+                 *TRAIN_ARGS, "--dropout-rate", "0.3", "--out-dir", str(out)])
+    assert code == 0
+    doc = json.loads((out / "config_echo.json").read_text())
+    assert doc["train"]["dropout"] == 0.3
+    assert "dropout_rate" not in doc["model"]
 
 
 def test_finetune_autolabel_equals_prelabeled(workdir, tmp_path):

@@ -12,7 +12,7 @@ from moljoint.generation import (
     sample_unconditional, trials_to_acceptance,
 )
 from moljoint.numerics import Rng
-from moljoint.smiles import validate
+from moljoint.smiles import BOS_ID, MASK_ID, PAD_ID, validate
 
 
 # ----------------------------------------------------------------- conditions
@@ -171,6 +171,32 @@ def test_truncation_flagged(memorized):
     s = sample_unconditional(params, vocab, cfg)
     assert s.truncated
     assert s.smiles == string[:4]
+
+
+class _ConstantRng:
+    """Stands in for Rng: every uniform draw returns the same value."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape, dtype=np.float64):
+        return np.full(shape, self.u, dtype=dtype)
+
+
+@pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+@pytest.mark.parametrize("top_k", [0, 3])
+def test_extreme_uniform_draws_pick_an_in_vocabulary_id_with_mass(u, top_k):
+    # equal logits over V = 10 leave 7 sampleable ids whose summed mass
+    # rounds to 1 - 2**-52, below the largest uniform draw
+    rows = np.vstack([np.zeros(10), Rng(5).normal((7, 10), std=3.0)])
+    ids = G._next_token_ids(rows, SamplerConfig(top_k=top_k), _ConstantRng(u))
+    for row, i in zip(rows, ids):
+        assert 0 <= i < 10
+        allowed = row.copy()
+        allowed[[BOS_ID, PAD_ID, MASK_ID]] = -np.inf
+        assert np.isfinite(allowed[i])
+        if top_k:
+            assert allowed[i] >= np.sort(allowed)[-top_k]
 
 
 def test_sample_conditional_contract(memorized):

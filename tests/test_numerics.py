@@ -1,5 +1,7 @@
 """Array-op unit tests: worked examples plus randomized finite-difference checks."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -190,12 +192,12 @@ def _check(build_out, tensors, proj, case_tag):
 
 
 @pytest.mark.parametrize("op_name", [
-    "add", "sub", "mul", "matmul", "softmax_rows", "layer_norm",
+    "add", "sub", "mul", "matmul", "softmax_rows", "layer_norm", "layer_norm_extent2",
     "gelu", "embedding", "reshape", "transpose", "take", "mean_all",
     "cross_entropy",
 ])
 def test_randomized_gradients(op_name):
-    rng = Rng(hash(op_name) % 2**31)
+    rng = Rng(zlib.crc32(op_name.encode()))
     with nm.using_dtype(np.float64):
         for case in range(N_RANDOM_CASES):
             if op_name in ("add", "sub", "mul"):
@@ -218,8 +220,11 @@ def test_randomized_gradients(op_name):
                 a = Tensor(rng.normal(_random_shape(rng), std=3.0))
                 out = lambda: nm.softmax_rows(a)
                 tensors = [a]
-            elif op_name == "layer_norm":
+            elif op_name in ("layer_norm", "layer_norm_extent2"):
                 shape = _random_shape(rng)
+                if op_name == "layer_norm_extent2":
+                    # the output barely depends on the input here: d/da is ~eps-sized
+                    shape = shape[:-1] + (2,)
                 a = Tensor(rng.normal(shape))
                 g = Tensor(rng.normal((shape[-1],)))
                 b = Tensor(rng.normal((shape[-1],)))

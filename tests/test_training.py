@@ -1,5 +1,7 @@
 """Training-loop tests: schedule, task switch, clipping, checkpoint roundtrip."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,39 @@ def test_supervised_steps_move_predictor(setup):
     assert np.abs(params["pred.l0.w"].data - phi_before).max() > 0
 
 
+def test_labeled_step_with_empty_mask_leaves_token_head_alone(setup):
+    """No masked positions: the loss never reaches head.w, so AdamW skips it."""
+    _, _, mcfg, dataset = setup
+    sup = Dataset(dataset.sequences, np.linspace(0.1, 0.9, len(dataset)))
+    cfg = _cfg(p_task=0.0, mask_rate=0.0)
+    rng = Rng(4)
+    params = JointModelParams(mcfg, rng)
+    opt = AdamW(params, cfg)
+    head_before = params["head.w"].data.copy()
+    phi_before = params["pred.l0.w"].data.copy()
+    _, task = T.train_step(params, opt, T._batch(sup, rng, cfg), cfg, rng, 5)
+    assert task is Task.PREDICTION
+    np.testing.assert_array_equal(params["head.w"].data, head_before)
+    np.testing.assert_array_equal(opt.m["head.w"], 0.0)
+    np.testing.assert_array_equal(opt.v["head.w"], 0.0)
+    assert opt.steps["head.w"] == 0
+    assert np.abs(params["pred.l0.w"].data - phi_before).max() > 0
+
+
+def test_generation_step_leaves_predictor_grads_none(setup):
+    _, _, mcfg, dataset = setup
+    cfg = _cfg(p_task=1.0)
+    rng = Rng(5)
+    params = JointModelParams(mcfg, rng)
+    opt = AdamW(params, cfg)
+    _, task = T.train_step(params, opt, T._batch(dataset, rng, cfg), cfg, rng, 5)
+    assert task is Task.GENERATION
+    for n in params.predictor_names():
+        assert params[n].grad is None
+        assert opt.steps[n] == 0
+    assert opt.steps["head.w"] == 1
+
+
 # -------------------------------------------------------------------- clipping
 
 def test_gradient_clipping_bounds_global_norm(setup):
@@ -197,6 +232,21 @@ def test_checkpoint_format_tag(tmp_path, setup):
     assert "jtckpt-v1" in meta
     vocab_lines = (tmp_path / "ck" / "vocab.txt").read_text().splitlines()
     assert vocab_lines == list(vocab.tokens)
+
+
+def test_checkpoint_load_drops_legacy_dropout_rate(tmp_path, setup):
+    """Older bundles carry the unused model key dropout_rate; they still load."""
+    _, vocab, mcfg, dataset = setup
+    ck = T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=1))
+    ck.save(tmp_path / "ck")
+    config_path = tmp_path / "ck" / "config.json"
+    doc = json.loads(config_path.read_text())
+    doc["model"]["dropout_rate"] = 0.15
+    config_path.write_text(json.dumps(doc))
+    loaded = Checkpoint.load(tmp_path / "ck")
+    assert loaded.model_config == mcfg
+    for n in ck.params.names():
+        assert ck.params[n].data.tobytes() == loaded.params[n].data.tobytes()
 
 
 def test_finetune_leaves_base_checkpoint_untouched(setup):
