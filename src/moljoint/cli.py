@@ -53,15 +53,25 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out-dir", default=None, help="output directory (default: runs/<timestamp>-<cmd>)")
 
 
+# ModelConfig fields with a flag; the field's default gives its type
+_MODEL_FLAGS = ("max_len", "embed_dim", "n_layers", "n_heads", "ff_dim",
+                "predictor_hidden_dim", "predictor_layers")
+
+
 def _add_model_flags(p: argparse.ArgumentParser):
     g = p.add_argument_group("model")
-    g.add_argument("--max-len", type=int, default=128)
-    g.add_argument("--embed-dim", type=int, default=256)
-    g.add_argument("--n-layers", type=int, default=6)
-    g.add_argument("--n-heads", type=int, default=8)
-    g.add_argument("--ff-dim", type=int, default=1024)
-    g.add_argument("--predictor-hidden-dim", type=int, default=100)
-    g.add_argument("--predictor-layers", type=int, default=1)
+    for f in fields(mdl.ModelConfig):
+        if f.name in _MODEL_FLAGS:
+            g.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+
+
+def _add_objective_flags(p: argparse.ArgumentParser, help_text: str):
+    p.add_argument("--objective", help=help_text)
+    p.add_argument("--objective-params", default="", help="key=value,... objective parameters")
+
+
+def _objective(args) -> obj.ObjectiveSpec | None:
+    return obj.make_objective(args.objective, args.objective_params) if args.objective else None
 
 
 _TRAIN_FLAG_ALIASES = {"dropout": ["--dropout-rate"]}
@@ -142,11 +152,7 @@ def cmd_pretrain(args) -> int:
         dataset = tr.encode_corpus(lines, vocab, args.max_len)
     except TokenizeError as e:
         raise DataError(str(e)) from None
-    mcfg = mdl.ModelConfig(
-        vocab_size=len(vocab), max_len=args.max_len, embed_dim=args.embed_dim,
-        n_layers=args.n_layers, n_heads=args.n_heads, ff_dim=args.ff_dim,
-        predictor_hidden_dim=args.predictor_hidden_dim, predictor_layers=args.predictor_layers,
-    )
+    mcfg = mdl.ModelConfig(vocab_size=len(vocab), **{n: getattr(args, n) for n in _MODEL_FLAGS})
     tcfg = _train_config(args)
     out_dir = _start_run(args, {
         "data": str(data_path), "model": mcfg.to_dict(), "train": tcfg.to_dict(),
@@ -172,7 +178,7 @@ def _sampled_strings(state: Checkpoint, n: int, seed: int) -> list[str]:
 def cmd_finetune(args) -> int:
     base = _load_checkpoint(args.checkpoint)
     data_path = _require_path(args.data, "data")
-    objective = obj.make_objective(args.objective, args.objective_params) if args.objective else None
+    objective = _objective(args)
     try:
         if objective is not None:
             lines = tr.read_smiles_lines(data_path)
@@ -227,7 +233,7 @@ def cmd_sample(args) -> int:
 
 def cmd_optimize(args) -> int:
     state = _load_checkpoint(args.checkpoint)
-    objective = obj.make_objective(args.objective, args.objective_params) if args.objective else None
+    objective = _objective(args)
     pcfg = gen.PbboConfig(y_c=args.y_c, eval_budget=args.eval_budget, sample_budget=args.sample_budget)
     scfg = gen.SamplerConfig(temperature=args.temperature, top_k=args.top_k, seed=args.seed)
     out_dir = _start_run(args, {
@@ -262,6 +268,8 @@ def cmd_optimize(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.samples is None and args.checkpoint is None:
         raise ConfigError("evaluate needs --samples and/or --checkpoint")
+    if (args.test is not None or args.objective is not None) and args.checkpoint is None:
+        raise ConfigError("evaluate --test and --objective need --checkpoint")
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
     out_dir = _start_run(args, resolved)
 
@@ -287,15 +295,15 @@ def cmd_evaluate(args) -> int:
         if sample_lines:
             report.novelty = ev.novelty(sample_lines, reference)
             report.feature_kl = ev.feature_kl(sample_lines, reference)
-    if args.test is not None and state is not None:
+    if args.test is not None:
         try:
             lines, ys = tr.read_labeled_lines(_require_path(args.test, "test data"))
             test_set = tr.encode_corpus(lines, state.vocab, state.model_config.max_len, targets=ys)
         except (TokenizeError, ValueError) as e:
             raise DataError(str(e)) from None
         report.mae = ev.mae(state.params, test_set)
-    if args.objective is not None and state is not None:
-        objective = obj.make_objective(args.objective, args.objective_params)
+    objective = _objective(args)
+    if objective is not None:
         m, kept = ev.mae_sampled(state.params, state.vocab, objective,
                                  max(args.n_samples, 1), gen.SamplerConfig(seed=args.seed))
         report.mae_sampled = m
@@ -332,8 +340,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True,
                    help="SMILES<TAB>float file, or plain SMILES with --objective")
-    p.add_argument("--objective", help="auto-label --data with this objective")
-    p.add_argument("--objective-params", default="", help="key=value,... objective parameters")
+    _add_objective_flags(p, "auto-label --data with this objective")
     p.add_argument("--eval-samples", type=int, default=0,
                    help="sample count for before/after validity (0 = skip)")
     _add_train_flags(p, finetune=True)
@@ -355,8 +362,7 @@ def build_parser() -> _Parser:
     p.add_argument("--y-c", type=float, required=True, help="acceptance threshold on predicted y")
     p.add_argument("--eval-budget", type=int, required=True)
     p.add_argument("--sample-budget", type=int, required=True)
-    p.add_argument("--objective", help="re-score accepted samples with this objective")
-    p.add_argument("--objective-params", default="")
+    _add_objective_flags(p, "re-score accepted samples with this objective")
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--top-k", type=int, default=0)
     _add_common(p)
@@ -368,8 +374,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n-samples", type=int, default=500)
     p.add_argument("--data", help="training corpus for novelty/feature-distribution metrics")
     p.add_argument("--test", help="held-out SMILES<TAB>float file for MAE")
-    p.add_argument("--objective", help="objective for MAE on sampled molecules")
-    p.add_argument("--objective-params", default="")
+    _add_objective_flags(p, "objective for MAE on sampled molecules")
     p.add_argument("--histograms", action="store_true", help="emit feature histogram CSV")
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)

@@ -27,6 +27,8 @@ from .model import JointModelParams
 from .numerics import Rng
 from .smiles import BOS_ID, EOS_ID, MASK_ID, PAD_ID, Vocabulary, detokenize, validate
 
+DRAW_CHUNK = 64  # rows decoded together by sample_batch, and draws per optimization round
+
 
 @dataclass
 class SamplerConfig:
@@ -120,12 +122,9 @@ def sample_batch(
     """Draw n independent (string, predicted target) samples."""
     if rng is None:
         rng = Rng(cfg.seed)
-    if n == 0:
-        return []
     out: list[Sample] = []
-    chunk = 64
-    for start in range(0, n, chunk):
-        m = min(chunk, n - start)
+    for start in range(0, n, DRAW_CHUNK):
+        m = min(DRAW_CHUNK, n - start)
         ids, truncated = _decode_chunk(params, cfg, m, rng)
         ys = mdl.predict_target(params, ids)
         if params.config.n_classes > 0:
@@ -211,7 +210,6 @@ class PbboConfig:
     y_c: float
     eval_budget: int
     sample_budget: int
-    draw_batch: int = 64
 
     def __post_init__(self):
         if self.eval_budget < 1 or self.sample_budget < 1:
@@ -266,9 +264,9 @@ def pbbo_optimize(
     accepted: list[DrawRecord] = []
     draws = 0
     while draws < cfg.sample_budget and len(accepted) < cfg.eval_budget:
-        chunk = min(cfg.draw_batch, cfg.sample_budget - draws)
+        chunk = min(DRAW_CHUNK, cfg.sample_budget - draws)
         for s in sample_batch(params, vocab, sampler, chunk, rng):
-            if draws >= cfg.sample_budget or len(accepted) >= cfg.eval_budget:
+            if len(accepted) >= cfg.eval_budget:
                 break
             draws += 1
             ok = s.y >= cfg.y_c and bool(validate(s.smiles))
@@ -311,9 +309,6 @@ class ToyJointDistribution:
             raise ValueError("negative probabilities")
         if abs(self.probs.sum() - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1")
-
-    def marginal_y(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
 
     def conditional_x(self, cond: Condition) -> np.ndarray:
         """Exact p(x | y in condition set), by enumeration."""

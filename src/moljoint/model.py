@@ -121,10 +121,6 @@ class JointModelParams:
     def n_params(self) -> int:
         return sum(t.size for t in self.tensors.values())
 
-    def zero_grads(self) -> None:
-        for t in self.tensors.values():
-            t.zero_grad()
-
 
 def pad_batch(seqs: list[TokenSequence], length: int | None = None) -> np.ndarray:
     """Stack sequences into a (B, S) id array, padding to the longest."""

@@ -1,10 +1,15 @@
 """Dense float arrays with reverse-mode autodiff, plus a seeded RNG.
 
 Numpy supplies the raw buffer arithmetic; the gradient bookkeeping lives
-here. A ``Tape`` records every differentiable op in execution order and
-replays the records in exact reverse order, accumulating into per-tensor
-gradient buffers. Storage is float32 by default; gradient tests that need
-headroom can switch to float64 with ``using_dtype``.
+here. A ``Tape`` records every differentiable op in execution order as an
+(output, backward) pair and replays the pairs in exact reverse order.
+Storage is float32 by default; gradient tests that need headroom can
+switch to float64 with ``using_dtype``.
+
+Backward protocol: the tape calls an op's backward with its output's
+gradient, and only when that output received one, so a tensor the loss
+never reached keeps ``grad is None``. Every deposit, scatter-adds
+included, goes through ``Tensor.accum_grad``.
 
 Every op validates its output: NaN or Inf anywhere is a hard error
 (``NonFiniteError``), never silently propagated.
@@ -85,8 +90,7 @@ class Tensor:
     """A contiguous row-major float array plus its gradient buffer.
 
     Gradient buffers are allocated lazily: ``grad`` stays None until
-    backward deposits into it (or ``zero_grad`` is called), so pure
-    inference never pays for them.
+    backward deposits into it, so pure inference never pays for them.
     """
 
     __slots__ = ("data", "grad", "name")
@@ -96,8 +100,13 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.name = name
 
-    def accum_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
+    def accum_grad(self, g: np.ndarray, at=None) -> None:
+        """Add ``g`` to ``grad``, or scatter-add it into ``grad[at]`` (np.add.at)."""
+        if at is not None:
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            np.add.at(self.grad, at, g)
+        elif self.grad is None:
             self.grad = np.empty_like(self.data)
             np.copyto(self.grad, g)
         else:
@@ -118,19 +127,13 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def zero_grad(self) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad[...] = 0.0
-
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor{tag}(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
 class Tape:
-    """Execution-ordered record of differentiable ops.
+    """Execution-ordered record of differentiable ops as (output, backward) pairs.
 
     Use as a context manager around the forward pass; ``backward`` then
     replays the recorded ops in exact reverse execution order. Tapes do
@@ -165,15 +168,16 @@ class Tape:
         if loss.data.size != 1:
             raise ValueError(f"backward root must be scalar, got shape {loss.shape}")
         loss.grad = np.ones_like(loss.data)
-        for fn in reversed(self._ops):
-            fn()
+        for out, bwd in reversed(self._ops):
+            if out.grad is not None:
+                bwd(out.grad)
 
 
 def _record(out: Tensor, backward_fn) -> Tensor:
     if not np.isfinite(out.data).all():
         raise NonFiniteError(f"non-finite values in op output {out.name or '<unnamed>'}")
     if _TAPE is not None:
-        _TAPE._ops.append(backward_fn)
+        _TAPE._ops.append((out, backward_fn))
     return out
 
 
@@ -197,10 +201,7 @@ def add(a: Tensor, b) -> Tensor:
     bdata = _as_data(b, a)
     out = Tensor(a.data + bdata, name="add")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         a.accum_grad(_unbroadcast(g, a.shape))
         if isinstance(b, Tensor):
             b.accum_grad(_unbroadcast(g, b.shape))
@@ -212,10 +213,7 @@ def sub(a: Tensor, b) -> Tensor:
     bdata = _as_data(b, a)
     out = Tensor(a.data - bdata, name="sub")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         a.accum_grad(_unbroadcast(g, a.shape))
         if isinstance(b, Tensor):
             b.accum_grad(-_unbroadcast(g, b.shape))
@@ -228,10 +226,7 @@ def mul(a: Tensor, b) -> Tensor:
     bdata = _as_data(b, a)
     out = Tensor(a.data * bdata, name="mul")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         a.accum_grad(_unbroadcast(g * bdata, a.shape))
         if isinstance(b, Tensor):
             b.accum_grad(_unbroadcast(g * a.data, b.shape))
@@ -251,10 +246,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out = Tensor((a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (b.shape[-1],)),
                      name="matmul")
 
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def bwd(g):
             g2 = g.reshape(-1, b.shape[-1])
             a.accum_grad((g2 @ b.data.T).reshape(a.shape))
             b.accum_grad(a.data.reshape(-1, k).T @ g2)
@@ -263,10 +255,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     out = Tensor(a.data @ b.data, name="matmul")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         a.accum_grad(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         b.accum_grad(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
@@ -278,13 +267,8 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     out = Tensor(table.data[ids], name="embedding")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
+    def bwd(g):
+        table.accum_grad(g.reshape(-1, table.shape[-1]), at=ids.reshape(-1))
 
     return _record(out, bwd)
 
@@ -292,9 +276,8 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape), name="reshape")
 
-    def bwd():
-        if out.grad is not None:
-            a.accum_grad(out.grad.reshape(a.shape))
+    def bwd(g):
+        a.accum_grad(g.reshape(a.shape))
 
     return _record(out, bwd)
 
@@ -304,9 +287,8 @@ def transpose(a: Tensor, axes) -> Tensor:
     inv = tuple(np.argsort(axes))
     out = Tensor(np.transpose(a.data, axes), name="transpose")
 
-    def bwd():
-        if out.grad is not None:
-            a.accum_grad(np.transpose(out.grad, inv))
+    def bwd(g):
+        a.accum_grad(np.transpose(g, inv))
 
     return _record(out, bwd)
 
@@ -314,16 +296,10 @@ def transpose(a: Tensor, axes) -> Tensor:
 def take(a: Tensor, index: int, axis: int) -> Tensor:
     """Select one slice along `axis`, dropping that axis."""
     out = Tensor(np.take(a.data, index, axis=axis), name="take")
-    sel = [slice(None)] * a.ndim
-    sel[axis] = index
-    sel = tuple(sel)
+    sel = (slice(None),) * (axis % a.ndim) + (index,)
 
-    def bwd():
-        if out.grad is None:
-            return
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[sel] += out.grad
+    def bwd(g):
+        a.accum_grad(g, at=sel)
 
     return _record(out, bwd)
 
@@ -338,9 +314,8 @@ def pad_cols(a: Tensor, total: int) -> Tensor:
     data[:, : a.shape[1]] = a.data
     out = Tensor(data, name="pad_cols")
 
-    def bwd():
-        if out.grad is not None:
-            a.accum_grad(out.grad[:, : a.shape[1]])
+    def bwd(g):
+        a.accum_grad(g[:, : a.shape[1]])
 
     return _record(out, bwd)
 
@@ -352,10 +327,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y, name="softmax_rows")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         a.accum_grad((g - (g * out.data).sum(axis=-1, keepdims=True)) * out.data)
 
     return _record(out, bwd)
@@ -369,10 +341,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = (a.data - mu) * inv
     out = Tensor(xhat * gain.data + bias.data, name="layer_norm")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         red = tuple(range(g.ndim - 1))
         gain.accum_grad((g * xhat).sum(axis=red))
         bias.accum_grad(g.sum(axis=red))
@@ -397,10 +366,7 @@ def gelu(a: Tensor) -> Tensor:
     t = np.tanh(_GELU_C * x * (1.0 + _GELU_A * x2))
     out = Tensor(0.5 * x * (1.0 + t), name="gelu")
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         dt = (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
         a.accum_grad(g * (0.5 * (1.0 + t) + 0.5 * x * dt))
 
@@ -410,9 +376,8 @@ def gelu(a: Tensor) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(), name="sum_all")
 
-    def bwd():
-        if out.grad is not None:
-            a.accum_grad(out.grad)
+    def bwd(g):
+        a.accum_grad(g)
 
     return _record(out, bwd)
 
@@ -420,9 +385,8 @@ def sum_all(a: Tensor) -> Tensor:
 def mean_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.mean(), name="mean_all")
 
-    def bwd():
-        if out.grad is not None:
-            a.accum_grad(out.grad / a.size)
+    def bwd(g):
+        a.accum_grad(g / a.size)
 
     return _record(out, bwd)
 
@@ -447,10 +411,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, select: np.ndarray) -> Te
     out = Tensor(-(picked[select].astype(np.float64).sum() / count), name="cross_entropy")
     probs = np.exp(logp)
 
-    def bwd():
-        g = out.grad
-        if g is None:
-            return
+    def bwd(g):
         d = probs.copy()
         idx = targets[..., None]
         np.put_along_axis(d, idx, np.take_along_axis(d, idx, axis=-1) - 1.0, axis=-1)

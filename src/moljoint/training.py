@@ -324,7 +324,9 @@ def _run_loop(
         state.iteration = it + 1
         if log_cb is not None:
             log_cb(it, loss, task)
-        if checkpoint_dir is not None and cfg.eval_interval > 0 and state.iteration % cfg.eval_interval == 0:
+        periodic = cfg.eval_interval > 0 and state.iteration % cfg.eval_interval == 0
+        # the last iteration is saved once, by the final save below
+        if checkpoint_dir is not None and periodic and state.iteration < cfg.max_iters:
             state.save(checkpoint_dir)
     if checkpoint_dir is not None:
         state.save(checkpoint_dir)

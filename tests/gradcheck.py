@@ -43,10 +43,14 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def tape_grads(build, tensors):
-    """Run build() under a fresh tape, backprop, return grads per tensor."""
+    """Run build() under a fresh tape, backprop, return grads per tensor.
+
+    Grads start as None, as in training; a tensor the loss never reached
+    keeps None, which reads as a zero gradient.
+    """
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     with Tape() as tape:
         loss = build()
     tape.backward(loss)
-    return [t.grad.copy() for t in tensors]
+    return [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]

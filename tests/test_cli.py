@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from moljoint import datagen
-from moljoint.cli import main
+from moljoint.cli import build_parser, main
+from moljoint.model import ModelConfig
 
 TRAIN_ARGS = [
     "--embed-dim", "16", "--n-layers", "1", "--n-heads", "2", "--ff-dim", "32",
@@ -224,3 +225,21 @@ def test_evaluate_histogram_csv_rows_match_bins(workdir, tmp_path):
 
 def test_evaluate_requires_some_input(tmp_path):
     assert main(["evaluate", "--out-dir", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("flag", [["--test", "held_out.tsv"], ["--objective", "toy_mpo"]])
+def test_evaluate_test_and_objective_need_a_checkpoint(tmp_path, capsys, flag):
+    hand = tmp_path / "hand.txt"
+    hand.write_text("CCO\n")
+    out = tmp_path / "ev"
+    assert main(["evaluate", "--samples", str(hand), *flag, "--out-dir", str(out)]) == 1
+    assert "--checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_model_flag_defaults_are_model_config_defaults():
+    args = build_parser().parse_args(["pretrain", "--data", "corpus.txt"])
+    want = ModelConfig(vocab_size=1)
+    for name in ("max_len", "embed_dim", "n_layers", "n_heads", "ff_dim",
+                 "predictor_hidden_dim", "predictor_layers"):
+        assert getattr(args, name) == getattr(want, name), name

@@ -86,18 +86,16 @@ def test_gelu_worked_values():
 
 def test_backward_sum_gives_ones_and_constant_gives_zeros():
     p = Tensor(np.arange(6.0).reshape(2, 3))
-    p.zero_grad()
     with Tape() as tape:
         loss = nm.sum_all(p)
     tape.backward(loss)
     np.testing.assert_allclose(p.grad, 1.0)
 
     q = Tensor(np.arange(6.0).reshape(2, 3))
-    q.zero_grad()
     with Tape() as tape:
         loss = Tensor(3.0)  # constant: q is untouched
     tape.backward(loss)
-    np.testing.assert_allclose(q.grad, 0.0)
+    assert q.grad is None  # no gradient reached q: it reads as zero
 
 
 def test_backward_rejects_non_scalar_root():

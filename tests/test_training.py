@@ -159,9 +159,8 @@ def test_generation_step_leaves_predictor_grads_none(setup):
 def test_gradient_clipping_bounds_global_norm(setup):
     _, _, mcfg, _ = setup
     params = JointModelParams(mcfg, Rng(3))
-    params.zero_grads()
     for t in params.tensors.values():
-        t.grad[...] = 100.0
+        t.grad = np.full_like(t.data, 100.0)
     names = params.names()
     norm = T.clip_gradients(params, names, clip=1.0)
     assert norm > 1.0
@@ -222,6 +221,16 @@ def test_checkpoint_roundtrip_and_resume_identical(tmp_path, setup):
     resumed = T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=30, decay_iters=30), resume=reloaded)
     for n in unbroken.params.names():
         assert unbroken.params[n].data.tobytes() == resumed.params[n].data.tobytes(), n
+
+
+@pytest.mark.parametrize("max_iters, saved_at", [(4, [2, 4]), (5, [2, 4, 5]), (0, [0])])
+def test_each_checkpoint_is_written_once(tmp_path, setup, monkeypatch, max_iters, saved_at):
+    _, vocab, mcfg, dataset = setup
+    saves = []
+    monkeypatch.setattr(Checkpoint, "save", lambda self, path: saves.append(self.iteration))
+    T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=max_iters, eval_interval=2),
+               checkpoint_dir=tmp_path / "ck")
+    assert saves == saved_at
 
 
 def test_checkpoint_format_tag(tmp_path, setup):
