@@ -9,6 +9,13 @@ enough samples have been accepted, accepting on predicted target >=
 threshold; accepted samples can be re-scored with the true objective
 afterwards.
 
+Decoding is incremental: a ``model.KVCache`` holds every layer's keys
+and values, so each step runs only the newest column through the trunk.
+Rows that emit EOS leave both the step input and the cache (batch
+shrinking), so a step costs one trunk row per molecule still being
+decoded. The predictor then makes one all-visible pass over the
+finished strings.
+
 The toy-distribution harnesses at the bottom check the two guarantees the
 filtering scheme relies on against exact enumeration: (i) accept/reject
 on the joint reproduces the conditional distribution, and (ii) the trial
@@ -98,18 +105,21 @@ def _decode_chunk(
         raise ValueError("max_new_tokens exceeds the model's max_len")
     ids = np.full((n, max_new + 1), PAD_ID, dtype=np.int64)
     ids[:, 0] = BOS_ID
-    done = np.zeros(n, dtype=bool)
+    live = np.arange(n)  # rows still decoding, in cache order
+    cache = mdl.KVCache()
     length = 1
-    while length <= max_new and not done.all():
-        logits = mdl.forward_decoder(params, ids[:, :length]).data[:, -1, :]
-        active = ~done
-        nxt = _next_token_ids(logits[active], cfg, rng)
-        col = np.full(n, PAD_ID, dtype=np.int64)
-        col[active] = nxt
-        ids[:, length] = col
-        done |= col == EOS_ID
+    while length <= max_new and live.size:
+        logits = mdl.forward_decoder(params, ids[live, length - 1 : length], cache=cache).data[:, -1, :]
+        nxt = _next_token_ids(logits, cfg, rng)
+        ids[live, length] = nxt
+        going = nxt != EOS_ID
+        if not going.all():
+            live = live[going]
+            cache.keep(going)
         length += 1
-    return ids[:, :length], ~done
+    truncated = np.zeros(n, dtype=bool)
+    truncated[live] = True
+    return ids[:, :length], truncated
 
 
 def sample_batch(

@@ -160,28 +160,68 @@ def _dropout(x: Tensor, rate: float, rng: Rng | None) -> Tensor:
     return nm.mul(x, keep)
 
 
+class KVCache:
+    """Each layer's keys and values for the columns decoded so far.
+
+    Inference only: the cached arrays are constants to the tape. Layer i
+    holds (B, n_heads, t, head_dim) keys and values; ``keep`` drops rows
+    that stopped decoding.
+    """
+
+    def __init__(self):
+        self.layers: list[tuple[np.ndarray, np.ndarray]] = []
+
+    @property
+    def length(self) -> int:
+        return self.layers[0][0].shape[2] if self.layers else 0
+
+    def extend(self, i: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Append layer i's new columns; returns its keys and values over all columns."""
+        if i == len(self.layers):
+            self.layers.append((k.data, v.data))
+        else:
+            ck, cv = self.layers[i]
+            self.layers[i] = (np.concatenate([ck, k.data], axis=2), np.concatenate([cv, v.data], axis=2))
+        return Tensor(self.layers[i][0]), Tensor(self.layers[i][1])
+
+    def keep(self, rows: np.ndarray) -> None:
+        self.layers = [(k[rows], v[rows]) for k, v in self.layers]
+
+
 def _transformer(
     params: JointModelParams,
     ids: np.ndarray,
     causal: bool,
     dropout: float = 0.0,
     rng: Rng | None = None,
+    cache: KVCache | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """Run the trunk; returns (token logits, final hidden states)."""
+    """Run the trunk; returns (token logits, final hidden states).
+
+    With a ``cache`` (causal only), ``ids`` holds just the new columns of
+    rows whose cached columns hold no PAD: positions start at the cached
+    length, and every new query attends to all cached keys.
+    """
     cfg = params.config
     B, S_in = ids.shape
-    if S_in > cfg.max_len:
-        raise ValueError(f"sequence length {S_in} exceeds max_len {cfg.max_len}")
+    t0 = 0 if cache is None else cache.length
+    if t0 + S_in > cfg.max_len:
+        raise ValueError(f"sequence length {t0 + S_in} exceeds max_len {cfg.max_len}")
+    if cache is not None and nm.recording():
+        raise RuntimeError("a KV cache is inference only: its keys and values carry no gradient")
     # trailing all-PAD columns are dropped so that appending PAD after EOS
     # leaves every pre-PAD output bit-identical
     S = max(int((ids != PAD_ID).sum(axis=1).max()), 1)
     ids = ids[:, :S]
     eps = cfg.ln_eps
     nh, hd = cfg.n_heads, cfg.embed_dim // cfg.n_heads
-    bias = attention_bias(ids, causal)
+    if cache is None:
+        bias = attention_bias(ids, causal)
+    else:  # causal among the new columns, all of which see every cached key
+        bias = np.triu(np.full((S, t0 + S), NEG_BIAS, dtype=nm.current_dtype()), k=t0 + 1)
 
     tok = nm.embedding(params["tok_emb"], ids)
-    pos = nm.embedding(params["pos_emb"], np.arange(S))
+    pos = nm.embedding(params["pos_emb"], np.arange(t0, t0 + S))
     x = _dropout(nm.add(tok, pos), dropout, rng)
 
     for i in range(cfg.n_layers):
@@ -193,6 +233,8 @@ def _transformer(
         q = nm.transpose(nm.reshape(q, (B, S, nh, hd)), (0, 2, 1, 3))
         k = nm.transpose(nm.reshape(k, (B, S, nh, hd)), (0, 2, 1, 3))
         v = nm.transpose(nm.reshape(v, (B, S, nh, hd)), (0, 2, 1, 3))
+        if cache is not None:
+            k, v = cache.extend(i, k, v)
         att = nm.mul(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
         att = nm.softmax_rows(nm.add(att, bias))
         att = _dropout(att, dropout, rng)
@@ -214,9 +256,14 @@ def forward_decoder(
     ids: np.ndarray,
     dropout: float = 0.0,
     rng: Rng | None = None,
+    cache: KVCache | None = None,
 ) -> Tensor:
-    """Causally masked forward; logits[i] depends only on tokens 0..i."""
-    logits, _ = _transformer(params, ids, causal=True, dropout=dropout, rng=rng)
+    """Causally masked forward; logits[i] depends only on tokens 0..i.
+
+    With a ``cache``, ``ids`` are the columns after the cached ones and
+    their keys and values are appended to it (see ``KVCache``).
+    """
+    logits, _ = _transformer(params, ids, causal=True, dropout=dropout, rng=rng, cache=cache)
     return logits
 
 

@@ -9,7 +9,8 @@ switch to float64 with ``using_dtype``.
 Backward protocol: the tape calls an op's backward with its output's
 gradient, and only when that output received one, so a tensor the loss
 never reached keeps ``grad is None``. Every deposit, scatter-adds
-included, goes through ``Tensor.accum_grad``.
+included, goes through ``Tensor.accum_grad``. An op output's gradient is
+released once its backward has run; leaves keep theirs.
 
 Every op validates its output: NaN or Inf anywhere is a hard error
 (``NonFiniteError``), never silently propagated.
@@ -163,7 +164,9 @@ class Tape:
 
         ``loss`` must be a scalar produced while this tape was recording.
         Tensors the loss never reached are left as they were: one whose
-        ``grad`` was None before the call still has ``grad is None``.
+        ``grad`` was None before the call still has ``grad is None``. Op
+        outputs, the loss included, hand their gradient on and release it,
+        so only leaves (parameters and inputs) keep a ``grad``.
         """
         if loss.data.size != 1:
             raise ValueError(f"backward root must be scalar, got shape {loss.shape}")
@@ -171,6 +174,12 @@ class Tape:
         for out, bwd in reversed(self._ops):
             if out.grad is not None:
                 bwd(out.grad)
+                out.grad = None  # every consumer ran before this op: the buffer is dead
+
+
+def recording() -> bool:
+    """Whether a tape is recording ops right now."""
+    return _TAPE is not None
 
 
 def _record(out: Tensor, backward_fn) -> Tensor:

@@ -8,7 +8,7 @@ from moljoint import numerics as nm
 from moljoint import training as T
 from moljoint.model import ModelConfig, JointModelParams, Task
 from moljoint.numerics import Rng, Tape
-from moljoint.smiles import EOS_ID, PAD_ID, build_vocabulary, tokenize
+from moljoint.smiles import EOS_ID, MASK_ID, PAD_ID, build_vocabulary, tokenize
 
 from gradcheck import rel_error
 
@@ -136,6 +136,26 @@ def test_overlength_input_rejected(params, vocab):
     ids[0, 1] = EOS_ID
     with pytest.raises(ValueError):
         M.forward_decoder(params, ids)
+    # cached calls: cached length plus new columns must fit too
+    cols = lambda n: np.full((1, n), MASK_ID + 1, dtype=np.int64)  # noqa: E731
+    cache = M.KVCache()
+    M.forward_decoder(params, cols(20), cache=cache)
+    with pytest.raises(ValueError, match="sequence length 25 exceeds max_len 24"):
+        M.forward_decoder(params, cols(5), cache=cache)
+    M.forward_decoder(params, cols(4), cache=cache)
+    assert cache.length == 24
+    with pytest.raises(ValueError, match="sequence length 25 exceeds max_len 24"):
+        M.forward_decoder(params, cols(1), cache=cache)
+
+
+def test_kv_cache_rejected_while_a_tape_records(params, batch):
+    """Cached keys and values are constants: gradients would stop at earlier steps."""
+    cache = M.KVCache()
+    M.forward_decoder(params, batch[:, :1], cache=cache)
+    with Tape():
+        with pytest.raises(RuntimeError, match="inference only"):
+            M.forward_decoder(params, batch[:, 1:2], cache=cache)
+    assert cache.length == 1
 
 
 def test_loss_encoder_empty_mask_is_zero(params, batch):
@@ -227,6 +247,9 @@ def test_generation_branch_never_touches_predictor(params, batch):
         assert params[name].grad is None
     # trunk received signal
     assert np.abs(params["tok_emb"].grad).max() > 0
+    # every trunk parameter keeps its grad; op outputs released theirs
+    assert all(params[n].grad is not None for n in params.names() if not n.startswith("pred."))
+    assert all(out.grad is None for out, _ in tape._ops)
 
 
 def test_encoder_loss_has_zero_predictor_gradient(params, batch):

@@ -98,6 +98,18 @@ def test_backward_sum_gives_ones_and_constant_gives_zeros():
     assert q.grad is None  # no gradient reached q: it reads as zero
 
 
+def test_backward_releases_op_output_grads_and_keeps_leaf_grads():
+    w = Tensor(np.arange(6.0).reshape(3, 2) / 10)
+    x = Tensor(np.ones((4, 3)))
+    with Tape() as tape:
+        h = nm.gelu(nm.matmul(x, w))
+        loss = nm.mean_all(nm.mul(h, h))
+    tape.backward(loss)
+    assert w.grad is not None and x.grad is not None
+    assert [out.grad for out, _ in tape._ops] == [None] * len(tape)
+    assert loss.grad is None and h.grad is None
+
+
 def test_backward_rejects_non_scalar_root():
     p = Tensor(np.ones(3))
     with Tape() as tape:
