@@ -11,12 +11,16 @@ A bundle is a directory holding:
   rng.json        bit-generator state
 
 Everything round-trips bit-exactly so a resumed run reproduces an
-unbroken one.
+unbroken one. A save writes a sibling ``<name>.tmp`` directory and swaps
+it into place, so a process killed mid-save leaves the previous bundle
+whole; the next save clears what it left.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -67,14 +71,24 @@ def save_bundle(
     optim_extra: dict,
     rng_state: dict,
 ) -> None:
-    dirpath = Path(path)
-    dirpath.mkdir(parents=True, exist_ok=True)
-    (dirpath / "meta.json").write_text(json.dumps({"format": FORMAT_TAG, "iteration": iteration}))
-    (dirpath / "config.json").write_text(json.dumps(config, indent=1))
-    (dirpath / "vocab.txt").write_text("\n".join(vocab_lines) + "\n")
-    _write_blobs(dirpath, "params", params)
-    _write_blobs(dirpath, "optim", optim_arrays, extra=optim_extra)
-    (dirpath / "rng.json").write_text(json.dumps(rng_state))
+    final = Path(path)
+    tmp, old = final.with_name(final.name + ".tmp"), final.with_name(final.name + ".old")
+    if old.exists() and not final.exists():  # killed between the two renames below
+        os.replace(old, final)
+    for leftover in (tmp, old):
+        shutil.rmtree(leftover, ignore_errors=True)
+    tmp.mkdir(parents=True)
+    (tmp / "meta.json").write_text(json.dumps({"format": FORMAT_TAG, "iteration": iteration}))
+    (tmp / "config.json").write_text(json.dumps(config, indent=1))
+    (tmp / "vocab.txt").write_text("\n".join(vocab_lines) + "\n")
+    _write_blobs(tmp, "params", params)
+    _write_blobs(tmp, "optim", optim_arrays, extra=optim_extra)
+    (tmp / "rng.json").write_text(json.dumps(rng_state))
+    # a directory cannot be renamed over a non-empty one: move the old bundle aside first
+    if final.exists():
+        os.replace(final, old)
+    os.replace(tmp, final)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 def load_bundle(path) -> dict:

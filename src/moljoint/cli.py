@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
 import os
@@ -381,7 +382,35 @@ def build_parser() -> _Parser:
     return parser
 
 
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> bool:
+    """Keep freed numpy buffers in this process; returns whether it could.
+
+    A training step's tape grows the heap by ~80 MB of temporaries. Under
+    glibc's dynamic thresholds that memory goes back to the kernel during
+    backward and the next forward pass faults all of it in again. Here
+    arrays under 64 MiB come from the heap, and the heap keeps up to
+    256 MiB of free memory at its top. Allocator settings are process-wide, so
+    only the CLI, which owns its process, makes them. Without mallopt
+    (macOS, other libcs) nothing changes.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # the mmap threshold goes first: a trim threshold set alone would switch
+    # off the dynamic mmap threshold and pin it at its 128 KiB default
+    if mallopt(_M_MMAP_THRESHOLD, 64 << 20) != 1:
+        return False
+    return mallopt(_M_TRIM_THRESHOLD, 256 << 20) == 1
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

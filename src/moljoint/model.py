@@ -195,8 +195,11 @@ def _transformer(
     dropout: float = 0.0,
     rng: Rng | None = None,
     cache: KVCache | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Run the trunk; returns (token logits, final hidden states).
+) -> Tensor:
+    """Run the trunk; returns the final hidden states (B, S, E).
+
+    S drops the trailing all-PAD columns of ``ids``: the token heads pad
+    their logits back to the input width, the predictor reads position 0.
 
     With a ``cache`` (causal only), ``ids`` holds just the new columns of
     rows whose cached columns hold no PAD: positions start at the cached
@@ -246,9 +249,7 @@ def _transformer(
         f = nm.matmul(nm.gelu(nm.matmul(f, params[p + "ff.w1"])), params[p + "ff.w2"])
         x = nm.add(x, _dropout(f, dropout, rng))
 
-    h = nm.layer_norm(x, params["ln_f.g"], params["ln_f.b"], eps)
-    logits = nm.matmul(h, params["head.w"])
-    return nm.pad_cols(logits, S_in), nm.pad_cols(h, S_in)
+    return nm.layer_norm(x, params["ln_f.g"], params["ln_f.b"], eps)
 
 
 def forward_decoder(
@@ -263,8 +264,8 @@ def forward_decoder(
     With a ``cache``, ``ids`` are the columns after the cached ones and
     their keys and values are appended to it (see ``KVCache``).
     """
-    logits, _ = _transformer(params, ids, causal=True, dropout=dropout, rng=rng, cache=cache)
-    return logits
+    h = _transformer(params, ids, causal=True, dropout=dropout, rng=rng, cache=cache)
+    return nm.pad_cols(nm.matmul(h, params["head.w"]), ids.shape[1])
 
 
 def forward_encoder(
@@ -276,8 +277,8 @@ def forward_encoder(
 ) -> Tensor:
     """Bidirectional forward with MASK-token substitution at hidden positions."""
     masked_ids = np.where(mask, MASK_ID, ids)
-    logits, _ = _transformer(params, masked_ids, causal=False, dropout=dropout, rng=rng)
-    return logits
+    h = _transformer(params, masked_ids, causal=False, dropout=dropout, rng=rng)
+    return nm.pad_cols(nm.matmul(h, params["head.w"]), ids.shape[1])
 
 
 def _predictor_head(params: JointModelParams, h: Tensor) -> Tensor:
@@ -301,8 +302,7 @@ def forward_predictor(
     Regression: raw means, shape (B, 1). Classification: class logits
     (B, n_classes).
     """
-    masked_ids = ids  # all-visible mask: nothing hidden
-    _, h = _transformer(params, masked_ids, causal=False, dropout=dropout, rng=rng)
+    h = _transformer(params, ids, causal=False, dropout=dropout, rng=rng)  # all visible
     return _predictor_head(params, h)
 
 

@@ -1,13 +1,19 @@
 """Command-line surface tests: wiring, exit codes, reproducibility."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from moljoint import datagen
+import moljoint
+from moljoint import cli, datagen
 from moljoint.cli import build_parser, main
 from moljoint.model import ModelConfig
 
@@ -243,3 +249,47 @@ def test_model_flag_defaults_are_model_config_defaults():
     for name in ("max_len", "embed_dim", "n_layers", "n_heads", "ff_dim",
                  "predictor_hidden_dim", "predictor_layers"):
         assert getattr(args, name) == getattr(want, name), name
+
+
+# README model size, batch 64, generation steps only
+_FAULTS_PER_STEP = textwrap.dedent("""
+    import json, resource
+    from moljoint import cli, datagen, training as T
+    from moljoint.model import JointModelParams, ModelConfig
+    from moljoint.numerics import Rng
+    from moljoint.smiles import build_vocabulary
+
+    applied = cli._keep_freed_memory()
+    lines = datagen.toy_corpus(200, seed=7, min_atoms=6)
+    vocab = build_vocabulary(lines)
+    dataset = T.encode_corpus(lines, vocab, 32)
+    mcfg = ModelConfig(vocab_size=len(vocab), max_len=32, embed_dim=64, n_layers=2,
+                       n_heads=4, ff_dim=192)
+    cfg = T.TrainConfig(p_task=1.0, batch_size=64, dropout=0.15, seed=0)
+    params, rng = JointModelParams(mcfg, Rng(0)), Rng(0)
+    opt = T.AdamW(params, cfg)
+    for it in range(8):
+        if it == 3:  # after warm-up
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        T.train_step(params, opt, T._batch(dataset, rng, cfg), cfg, rng, it)
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5
+    print(json.dumps({"applied": applied, "faults_per_step": faults}))
+""")
+
+
+def test_cli_allocator_keeps_training_steps_free_of_page_faults():
+    """Freed step memory stays in the process, so later steps fault nothing in."""
+    src = str(Path(moljoint.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    result = json.loads(out.stdout.splitlines()[-1])
+    if not result["applied"]:
+        pytest.skip("this libc has no mallopt taking these thresholds")
+    assert result["faults_per_step"] < 1000
+
+
+def test_allocator_setup_is_a_no_op_without_mallopt(monkeypatch, capsys):
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace())
+    assert cli._keep_freed_memory() is False
+    assert capsys.readouterr() == ("", "")

@@ -263,6 +263,22 @@ def test_encoder_loss_has_zero_predictor_gradient(params, batch):
         assert params[name].grad is None
 
 
+def test_predictor_pass_skips_the_token_head(params, batch, monkeypatch):
+    """The predictor reads position 0 of the hidden states: no token logits."""
+    weights = []
+    matmul = nm.matmul
+
+    def spy(a, b):
+        weights.append(b)
+        return matmul(a, b)
+
+    monkeypatch.setattr(nm, "matmul", spy)
+    M.forward_predictor(params, batch)
+    assert weights and not any(w is params["head.w"] for w in weights)
+    M.forward_decoder(params, batch)
+    assert weights[-1] is params["head.w"]
+
+
 def test_all_losses_non_negative(params, batch):
     rng = Rng(4)
     mask = M.sample_mask_vector(batch, 0.3, rng)

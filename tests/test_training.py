@@ -233,6 +233,41 @@ def test_each_checkpoint_is_written_once(tmp_path, setup, monkeypatch, max_iters
     assert saves == saved_at
 
 
+def test_checkpoint_save_killed_midway_keeps_previous_bundle(tmp_path, setup, monkeypatch):
+    """A save that dies after meta.json leaves the last complete bundle in place."""
+    from moljoint import checkpoint as ckpt_io
+
+    _, vocab, mcfg, dataset = setup
+    first = T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=1))
+    first.save(tmp_path / "ck")
+    saved = {n: first.params[n].data.tobytes() for n in first.params.names()}
+    second = T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=3))
+    write_blobs = ckpt_io._write_blobs
+
+    def killed_at_optim(dirpath, stem, *args, **kwargs):
+        if stem == "optim":
+            raise KeyboardInterrupt("killed mid-save")
+        return write_blobs(dirpath, stem, *args, **kwargs)
+
+    monkeypatch.setattr(ckpt_io, "_write_blobs", killed_at_optim)
+    with pytest.raises(KeyboardInterrupt):
+        second.save(tmp_path / "ck")
+    loaded = Checkpoint.load(tmp_path / "ck")
+    assert loaded.iteration == 1
+    assert {n: loaded.params[n].data.tobytes() for n in loaded.params.names()} == saved
+
+    # killed between moving the old bundle aside and renaming the new one in
+    (tmp_path / "ck").rename(tmp_path / "ck.old")
+    with pytest.raises(KeyboardInterrupt):
+        second.save(tmp_path / "ck")
+    assert Checkpoint.load(tmp_path / "ck").iteration == 1
+
+    monkeypatch.setattr(ckpt_io, "_write_blobs", write_blobs)
+    second.save(tmp_path / "ck")  # also clears what the killed save left
+    assert Checkpoint.load(tmp_path / "ck").iteration == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+
+
 def test_checkpoint_format_tag(tmp_path, setup):
     _, vocab, mcfg, dataset = setup
     ck = T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=1))
