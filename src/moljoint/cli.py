@@ -276,7 +276,10 @@ def cmd_evaluate(args) -> int:
 
     state = _load_checkpoint(args.checkpoint) if args.checkpoint else None
     if args.samples is not None:
-        sample_lines = tr.read_smiles_lines(_require_path(args.samples, "samples"))
+        # the first tab field, so ``sample``'s "SMILES<TAB>y" lines read as
+        # their SMILES; an empty draw ("<TAB>y") is dropped like a blank line
+        text = _require_path(args.samples, "samples").read_text()
+        sample_lines = [s for s in (ln.split("\t", 1)[0].strip() for ln in text.splitlines()) if s]
         if not sample_lines:
             raise DataError(f"no usable lines in {args.samples}")
     elif args.n_samples > 0:
@@ -371,7 +374,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", help="metrics over a sample file or checkpoint")
     p.add_argument("--checkpoint")
-    p.add_argument("--samples", help="sample file (one SMILES per line); default: sample fresh")
+    p.add_argument("--samples", help="sample file: one SMILES per line, or the samples.tsv "
+                   "that `sample` writes; default: sample fresh")
     p.add_argument("--n-samples", type=int, default=500)
     p.add_argument("--data", help="training corpus for novelty/feature-distribution metrics")
     p.add_argument("--test", help="held-out SMILES<TAB>float file for MAE")

@@ -66,7 +66,7 @@ def label_dataset(dataset: Dataset, obj: ObjectiveSpec, vocab: Vocabulary) -> Da
     if dataset.supervised:
         raise ValueError("dataset already has targets")
     ys = np.array([evaluate(obj, detokenize(seq, vocab)) for seq in dataset.sequences])
-    return Dataset(dataset.sequences, ys, target_range=dataset.target_range)
+    return Dataset(dataset.sequences, ys)
 
 
 def make_objective(name: str, params: str = "") -> ObjectiveSpec:

@@ -161,15 +161,12 @@ def detokenize(t: "TokenSequence | Sequence[int]", vocab: Vocabulary) -> str:
     return "".join(vocab.token_of(i) for i in ids if i > MASK_ID)
 
 
-def build_vocabulary(corpus: Iterable[str], on_error: str = "fatal") -> Vocabulary:
+def build_vocabulary(corpus: Iterable[str]) -> Vocabulary:
     """Collect every token observed in the corpus (plus specials).
 
-    `on_error` is "fatal" (raise on the first untokenizable line) or
-    "skip" (drop bad lines). Either way the offending line number is
-    part of the message.
+    The first untokenizable line raises, with its line number in the
+    message.
     """
-    if on_error not in ("fatal", "skip"):
-        raise ValueError(f"on_error must be 'fatal' or 'skip', got {on_error!r}")
     seen: set[str] = set()
     any_line = False
     for lineno, line in enumerate(corpus, start=1):
@@ -180,8 +177,7 @@ def build_vocabulary(corpus: Iterable[str], on_error: str = "fatal") -> Vocabula
         try:
             seen.update(split_tokens(line))
         except TokenizeError as e:
-            if on_error == "fatal":
-                raise UnknownTokenError(f"line {lineno}: {e}") from None
+            raise UnknownTokenError(f"line {lineno}: {e}") from None
     if not any_line:
         raise ValueError("empty corpus")
     return Vocabulary.from_chemical_tokens(seen)

@@ -73,22 +73,25 @@ class TrainConfig:
         return asdict(self)
 
 
+TARGET_RANGE = (0.0, 1.0)  # every supervised target lies in [lo, hi]
+
+
 @dataclass
 class Dataset:
     """Token sequences with optional aligned scalar targets."""
 
     sequences: list[TokenSequence]
     targets: np.ndarray | None = None
-    target_range: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self):
         if self.targets is not None:
             self.targets = np.asarray(self.targets, dtype=np.float64)
             if len(self.targets) != len(self.sequences):
                 raise ValueError("targets must align 1:1 with sequences")
-            lo, hi = self.target_range
-            if self.targets.size and (self.targets.min() < lo or self.targets.max() > hi):
-                raise ValueError(f"targets outside declared range [{lo}, {hi}]")
+            lo, hi = TARGET_RANGE
+            # nan compares false, so it fails this test as well
+            if not ((self.targets >= lo) & (self.targets <= hi)).all():
+                raise ValueError(f"targets must be finite and lie in [{lo}, {hi}]")
 
     def __len__(self) -> int:
         return len(self.sequences)

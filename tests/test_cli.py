@@ -213,6 +213,37 @@ def test_evaluate_hand_file_reproduces_hand_counts(workdir, tmp_path):
     assert "config_hash" in doc["metadata"]
 
 
+def test_evaluate_samples_reads_the_tsv_that_sample_writes(tmp_path):
+    samples = tmp_path / "samples.tsv"
+    samples.write_text("CCO\t0.500000\nCCN\t0.200000\n\t0.300000\n")  # the last draw is empty
+    ref = tmp_path / "ref.txt"
+    ref.write_text("CCO\nNCN\n")
+    out = tmp_path / "ev"
+    code = main(["evaluate", "--samples", str(samples), "--data", str(ref),
+                 "--seed", "0", "--out-dir", str(out)])
+    assert code == 0
+    doc = json.loads((out / "metrics.json").read_text())
+    assert doc["sample_count"] == 2
+    assert doc["validity"] == 1.0
+    assert doc["novelty"] == pytest.approx(1 / 2)
+
+
+@pytest.mark.parametrize("command", ["finetune", "evaluate"])
+def test_non_finite_label_is_a_data_error(workdir, tmp_path, capsys, command):
+    smiles = (workdir / "corpus.txt").read_text().splitlines()[:2]
+    labeled = tmp_path / "labeled.tsv"
+    labeled.write_text(f"{smiles[0]}\t0.5\n{smiles[1]}\tnan\n")
+    ckpt = str(workdir / "pre" / "checkpoint")
+    out = tmp_path / "o"
+    if command == "finetune":
+        argv = ["finetune", "--checkpoint", ckpt, "--data", str(labeled), "--max-iters", "2"]
+    else:
+        argv = ["evaluate", "--checkpoint", ckpt, "--test", str(labeled), "--n-samples", "0"]
+    assert main([*argv, "--seed", "0", "--out-dir", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "loss.log").exists() and not (out / "metrics.json").exists()
+
+
 def test_evaluate_histogram_csv_rows_match_bins(workdir, tmp_path):
     from moljoint.evaluation import feature_histograms
 
@@ -293,3 +324,53 @@ def test_allocator_setup_is_a_no_op_without_mallopt(monkeypatch, capsys):
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace())
     assert cli._keep_freed_memory() is False
     assert capsys.readouterr() == ("", "")
+
+
+_CLI_WITHOUT_SCIPY = textwrap.dedent("""
+    import json, sys
+    sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+    from moljoint.cli import main
+
+    for argv in json.loads(sys.argv[1]):
+        code = main(argv)
+        if code:
+            sys.exit(f"{argv[0]} exited {code}")
+""")
+
+
+def test_library_and_cli_run_without_scipy(tmp_path):
+    """scipy is a test dependency only: no library module imports it, and
+    every CLI command runs with it blocked."""
+    import ast
+
+    src = Path(moljoint.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), f"{path.name} imports scipy"
+
+    corpus = datagen.toy_corpus(40, seed=31)
+    (tmp_path / "corpus.txt").write_text("\n".join(corpus) + "\n")
+    (tmp_path / "test.tsv").write_text("".join(f"{s}\t0.5\n" for s in corpus[:8]))
+    ckpt = str(tmp_path / "pre" / "checkpoint")
+    runs = [
+        ["pretrain", "--data", str(tmp_path / "corpus.txt"), "--max-iters", "2", *TRAIN_ARGS,
+         "--out-dir", str(tmp_path / "pre")],
+        ["sample", "--checkpoint", ckpt, "-n", "64", "--out-dir", str(tmp_path / "s")],
+        ["optimize", "--checkpoint", ckpt, "--y-c", "0", "--eval-budget", "4",
+         "--sample-budget", "16", "--objective", "toy_mpo", "--out-dir", str(tmp_path / "opt")],
+        ["evaluate", "--checkpoint", ckpt, "--samples", str(tmp_path / "s" / "samples.tsv"),
+         "--data", str(tmp_path / "corpus.txt"), "--test", str(tmp_path / "test.tsv"),
+         "--objective", "toy_mpo", "--n-samples", "16", "--histograms",
+         "--out-dir", str(tmp_path / "ev")],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(src.parent), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _CLI_WITHOUT_SCIPY, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "ev" / "histograms.csv").exists()

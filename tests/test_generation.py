@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from moljoint import generation as G
-from moljoint import model as M
-from moljoint.generation import (
-    Condition, PbboConfig, Sample, SamplerConfig, ToyJointDistribution,
-    ZeroProbabilityCondition, filtering_tv_distance, geometric_chisquare_pvalue,
-    pbbo_optimize, rank_by_prediction, sample_batch, sample_conditional,
-    sample_unconditional, trials_to_acceptance,
-)
+from moljoint.generation import PbboConfig, SamplerConfig, pbbo_optimize, sample_batch
 from moljoint.numerics import Rng
 from moljoint.smiles import BOS_ID, MASK_ID, PAD_ID, validate
+from pbbo_theory import (
+    Condition, ToyJointDistribution, ZeroProbabilityCondition, filtering_tv_distance,
+    geometric_chisquare_pvalue, trials_to_acceptance,
+)
 
 
 # ----------------------------------------------------------------- conditions
@@ -20,32 +18,10 @@ from moljoint.smiles import BOS_ID, MASK_ID, PAD_ID, validate
 def test_condition_contains_and_distance():
     c = Condition.at_least(0.5)
     assert c.contains(0.5) and c.contains(0.9) and not c.contains(0.49)
-    assert c.distance(0.3) == pytest.approx(0.2)
-    assert c.distance(0.9) == 0.0
-    iv = Condition.interval(0.2, 0.4)
+    iv = Condition(0.2, 0.4)
     assert iv.contains(0.3) and not iv.contains(0.5)
-    assert iv.distance(0.5) == pytest.approx(0.1)
-    assert iv.distance(0.1) == pytest.approx(0.1)
     with pytest.raises(ValueError):
-        Condition.interval(0.4, 0.2)
-
-
-# -------------------------------------------------------------------- ranking
-
-def test_rank_by_prediction_matches_reference_sort():
-    rng = Rng(0)
-    items = [(f"s{i}", float(v)) for i, v in enumerate(rng.random(50))]
-    got = rank_by_prediction(items, 10)
-    want = sorted(items, key=lambda p: p[1], reverse=True)[:10]
-    assert got == want
-    assert rank_by_prediction(items, len(items)) == sorted(items, key=lambda p: p[1], reverse=True)
-
-
-def test_rank_by_prediction_stable_on_ties():
-    items = [("a", 0.5), ("b", 0.5), ("c", 0.5)]
-    assert rank_by_prediction(items, 3) == items
-    with pytest.raises(ValueError):
-        rank_by_prediction(items, 4)
+        Condition(0.4, 0.2)
 
 
 # --------------------------------------------------- toy joint + proposition 1
@@ -70,7 +46,7 @@ def test_toy_distribution_validation():
 
 def test_exact_conditional_enumeration():
     toy = _table_4x2()
-    cond = Condition.interval(1.0, 1.0)
+    cond = Condition(1.0, 1.0)
     want = np.array([0.20, 0.05, 0.05, 0.20]) / 0.5
     np.testing.assert_allclose(toy.conditional_x(cond), want)
 
@@ -79,19 +55,19 @@ def test_filtering_matches_conditional_point_mass():
     # each x has a unique y: conditioning pins x exactly
     probs = np.diag([0.25, 0.25, 0.5]).astype(float)
     toy = ToyJointDistribution(("a", "b", "c"), np.array([0.0, 1.0, 2.0]), probs)
-    tv = filtering_tv_distance(toy, Condition.interval(1.0, 1.0), 20_000, Rng(0))
+    tv = filtering_tv_distance(toy, Condition(1.0, 1.0), 20_000, Rng(0))
     assert tv == 0.0
 
 
 def test_filtering_tv_small_at_1e5():
     toy = _table_4x2()
-    tv = filtering_tv_distance(toy, Condition.interval(1.0, 1.0), 100_000, Rng(7))
+    tv = filtering_tv_distance(toy, Condition(1.0, 1.0), 100_000, Rng(7))
     assert tv < 0.02
 
 
 def test_filtering_tv_shrinks_with_n():
     toy = _table_4x2()
-    cond = Condition.interval(1.0, 1.0)
+    cond = Condition(1.0, 1.0)
     tvs = {n: np.mean([filtering_tv_distance(toy, cond, n, Rng(s)) for s in range(5)])
            for n in (1_000, 10_000, 100_000)}
     assert tvs[10_000] < tvs[1_000]
@@ -107,7 +83,7 @@ def test_filtering_supports_at_least_form():
 def test_zero_probability_condition_is_error():
     toy = _table_4x2()
     with pytest.raises(ZeroProbabilityCondition):
-        filtering_tv_distance(toy, Condition.interval(5.0, 5.0), 100, Rng(0))
+        filtering_tv_distance(toy, Condition(5.0, 5.0), 100, Rng(0))
 
 
 # ------------------------------------------------------------- proposition 2
@@ -143,8 +119,8 @@ def test_unreachable_threshold_guarded():
 def test_argmax_decoding_deterministic_and_memorized(memorized):
     params, vocab, _, string, target = memorized
     cfg = SamplerConfig(temperature=0.0, seed=9)
-    a = sample_unconditional(params, vocab, cfg)
-    b = sample_unconditional(params, vocab, cfg)
+    a = sample_batch(params, vocab, cfg, 1)[0]
+    b = sample_batch(params, vocab, cfg, 1)[0]
     assert a == b
     assert a.smiles == string
     assert abs(a.y - target) < 0.05
@@ -160,15 +136,15 @@ def test_fixed_seed_reproduces_sample_sequence(memorized):
 
 def test_sample_y_gaussian_draw_flag(memorized):
     params, vocab, _, _, _ = memorized
-    mean = sample_unconditional(params, vocab, SamplerConfig(temperature=0.0, seed=1)).y
-    drawn = sample_unconditional(params, vocab, SamplerConfig(temperature=0.0, seed=1, sample_y=True)).y
+    mean = sample_batch(params, vocab, SamplerConfig(temperature=0.0, seed=1), 1)[0].y
+    drawn = sample_batch(params, vocab, SamplerConfig(temperature=0.0, seed=1, sample_y=True), 1)[0].y
     assert drawn != mean  # unit-variance noise applied
 
 
 def test_truncation_flagged(memorized):
     params, vocab, _, string, _ = memorized
     cfg = SamplerConfig(temperature=0.0, max_new_tokens=4, seed=0)
-    s = sample_unconditional(params, vocab, cfg)
+    s = sample_batch(params, vocab, cfg, 1)[0]
     assert s.truncated
     assert s.smiles == string[:4]
 
@@ -197,18 +173,6 @@ def test_extreme_uniform_draws_pick_an_in_vocabulary_id_with_mass(u, top_k):
         assert np.isfinite(allowed[i])
         if top_k:
             assert allowed[i] >= np.sort(allowed)[-top_k]
-
-
-def test_sample_conditional_contract(memorized):
-    params, vocab, _, _, target = memorized
-    cfg = SamplerConfig(temperature=1.0, seed=5)
-    # condition satisfied by essentially every draw -> returned y satisfies it
-    got = sample_conditional(params, vocab, Condition.at_least(-np.inf), 16, cfg)
-    draws = sample_batch(params, vocab, SamplerConfig(temperature=1.0, seed=5), 16)
-    assert got.y == max(s.y for s in draws)  # AtLeast(-inf): max-y sample
-    # unsatisfiable condition -> closest sample wins
-    got = sample_conditional(params, vocab, Condition.at_least(99.0), 16, cfg)
-    assert got.y == max(s.y for s in draws)
 
 
 def test_pbbo_impossible_threshold_empties(memorized):

@@ -318,6 +318,8 @@ def test_dataset_target_validation(setup):
         Dataset(dataset.sequences, np.ones(3))  # misaligned
     with pytest.raises(ValueError):
         Dataset(dataset.sequences, np.full(len(dataset), 1.5))  # out of range
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(dataset.sequences, np.full(len(dataset), np.nan))
 
 
 def test_weight_decay_partition(setup):
