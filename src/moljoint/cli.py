@@ -54,9 +54,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out-dir", default=None, help="output directory (default: runs/<timestamp>-<cmd>)")
 
 
-# ModelConfig fields with a flag; the field's default gives its type
-_MODEL_FLAGS = ("max_len", "embed_dim", "n_layers", "n_heads", "ff_dim",
-                "predictor_hidden_dim", "predictor_layers")
+# ModelConfig fields with a flag (the corpus sets vocab_size); a field's default gives its type
+_MODEL_FLAGS = [f.name for f in fields(mdl.ModelConfig) if f.name != "vocab_size"]
 
 
 def _add_model_flags(p: argparse.ArgumentParser):
@@ -271,15 +270,16 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate needs --samples and/or --checkpoint")
     if (args.test is not None or args.objective is not None) and args.checkpoint is None:
         raise ConfigError("evaluate --test and --objective need --checkpoint")
+    objective = _objective(args)
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
     out_dir = _start_run(args, resolved)
 
     state = _load_checkpoint(args.checkpoint) if args.checkpoint else None
     if args.samples is not None:
-        # the first tab field, so ``sample``'s "SMILES<TAB>y" lines read as
-        # their SMILES; an empty draw ("<TAB>y") is dropped like a blank line
+        # the first tab field, so ``sample``'s "SMILES<TAB>y" lines read as their
+        # SMILES and an empty draw ("<TAB>y") as an invalid sample; blank lines drop
         text = _require_path(args.samples, "samples").read_text()
-        sample_lines = [s for s in (ln.split("\t", 1)[0].strip() for ln in text.splitlines()) if s]
+        sample_lines = [ln.split("\t", 1)[0].strip() for ln in text.splitlines() if ln.strip()]
         if not sample_lines:
             raise DataError(f"no usable lines in {args.samples}")
     elif args.n_samples > 0:
@@ -306,7 +306,6 @@ def cmd_evaluate(args) -> int:
         except (TokenizeError, ValueError) as e:
             raise DataError(str(e)) from None
         report.mae = ev.mae(state.params, test_set)
-    objective = _objective(args)
     if objective is not None:
         m, kept = ev.mae_sampled(state.params, state.vocab, objective,
                                  max(args.n_samples, 1), gen.SamplerConfig(seed=args.seed))
@@ -375,7 +374,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="metrics over a sample file or checkpoint")
     p.add_argument("--checkpoint")
     p.add_argument("--samples", help="sample file: one SMILES per line, or the samples.tsv "
-                   "that `sample` writes; default: sample fresh")
+                   "that `sample` writes (empty draws count as invalid); default: sample fresh")
     p.add_argument("--n-samples", type=int, default=500)
     p.add_argument("--data", help="training corpus for novelty/feature-distribution metrics")
     p.add_argument("--test", help="held-out SMILES<TAB>float file for MAE")

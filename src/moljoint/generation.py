@@ -129,8 +129,6 @@ def sample_batch(
         m = min(DRAW_CHUNK, n - start)
         ids, truncated = _decode_chunk(params, cfg, m, rng)
         ys = mdl.predict_target(params, ids)
-        if params.config.n_classes > 0:
-            ys = ys.argmax(axis=-1).astype(np.float64)
         if cfg.sample_y:
             ys = ys + rng.normal(m)
         for i in range(m):

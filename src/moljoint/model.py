@@ -3,14 +3,14 @@
 One set of trunk weights serves two modes: causal masking for next-token
 generation and bidirectional masking (with MASK-token substitution at
 hidden positions) for masked-token reconstruction. A small MLP head on
-the first output position predicts the scalar target; only that head has
+the first output position regresses the scalar target; only that head has
 its own weights, everything else is shared between the modes.
 
 Losses:
   * ``loss_decoder``    mean next-token NLL under causal masking (PAD excluded)
   * ``loss_encoder``    mean NLL of the hidden tokens at masked positions
-  * ``loss_prediction`` 0.5 * (mean - y)^2 for regression, cross-entropy
-                        for classification
+  * ``loss_prediction`` 0.5 * (mean - y)^2, the unit-variance Gaussian NLL
+                        up to a constant
   * ``loss_joint``      per-step branch: generation -> decoder loss,
                         prediction -> encoder (+ prediction when labeled)
 """
@@ -40,22 +40,16 @@ class ModelConfig:
     ff_dim: int = 1024
     predictor_hidden_dim: int = 100
     predictor_layers: int = 1
-    ln_eps: float = 1e-5
-    n_classes: int = 0  # 0 = regression head
 
     def __post_init__(self):
-        if self.embed_dim % self.n_heads != 0:
-            raise ValueError("embed_dim must be divisible by n_heads")
         for name in ("vocab_size", "max_len", "embed_dim", "n_layers", "n_heads", "ff_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.embed_dim % self.n_heads != 0:
+            raise ValueError("embed_dim must be divisible by n_heads")
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @property
-    def predictor_out_dim(self) -> int:
-        return self.n_classes if self.n_classes > 0 else 1
 
 
 class Task(enum.Enum):
@@ -104,7 +98,7 @@ class JointModelParams:
         zeros("ln_f.b", E)
         w("head.w", E, V)
 
-        dims = [E] + [H] * config.predictor_layers + [config.predictor_out_dim]
+        dims = [E] + [H] * config.predictor_layers + [1]
         for i in range(len(dims) - 1):
             w(f"pred.l{i}.w", dims[i], dims[i + 1])
             zeros(f"pred.l{i}.b", dims[i + 1])
@@ -216,7 +210,6 @@ def _transformer(
     # leaves every pre-PAD output bit-identical
     S = max(int((ids != PAD_ID).sum(axis=1).max()), 1)
     ids = ids[:, :S]
-    eps = cfg.ln_eps
     nh, hd = cfg.n_heads, cfg.embed_dim // cfg.n_heads
     if cache is None:
         bias = attention_bias(ids, causal)
@@ -229,7 +222,7 @@ def _transformer(
 
     for i in range(cfg.n_layers):
         p = f"h{i}."
-        a = nm.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"], eps)
+        a = nm.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"])
         q = nm.add(nm.matmul(a, params[p + "attn.wq"]), params[p + "attn.bq"])
         k = nm.add(nm.matmul(a, params[p + "attn.wk"]), params[p + "attn.bk"])
         v = nm.add(nm.matmul(a, params[p + "attn.wv"]), params[p + "attn.bv"])
@@ -245,11 +238,11 @@ def _transformer(
         y = nm.add(nm.matmul(y, params[p + "attn.wo"]), params[p + "attn.bo"])
         x = nm.add(x, _dropout(y, dropout, rng))
 
-        f = nm.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"], eps)
+        f = nm.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"])
         f = nm.matmul(nm.gelu(nm.matmul(f, params[p + "ff.w1"])), params[p + "ff.w2"])
         x = nm.add(x, _dropout(f, dropout, rng))
 
-    return nm.layer_norm(x, params["ln_f.g"], params["ln_f.b"], eps)
+    return nm.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
 
 
 def forward_decoder(
@@ -297,26 +290,14 @@ def forward_predictor(
     dropout: float = 0.0,
     rng: Rng | None = None,
 ) -> Tensor:
-    """Predictor output on an all-visible bidirectional pass.
-
-    Regression: raw means, shape (B, 1). Classification: class logits
-    (B, n_classes).
-    """
+    """Predicted means, shape (B, 1), from an all-visible bidirectional pass."""
     h = _transformer(params, ids, causal=False, dropout=dropout, rng=rng)  # all visible
     return _predictor_head(params, h)
 
 
 def predict_target(params: JointModelParams, ids: np.ndarray) -> np.ndarray:
-    """Deterministic predictive distribution parameters per example.
-
-    Returns means (B,) for regression (unit-variance Gaussian likelihood)
-    or class probabilities (B, n_classes) for classification. Dropout is
-    always off here.
-    """
-    out = forward_predictor(params, ids)
-    if params.config.n_classes > 0:
-        return nm.softmax_rows(out).data.copy()
-    return out.data[:, 0].copy()
+    """Predicted target means (B,); dropout is always off here."""
+    return forward_predictor(params, ids).data[:, 0].copy()
 
 
 def loss_decoder(
@@ -354,11 +335,8 @@ def loss_prediction(
     dropout: float = 0.0,
     rng: Rng | None = None,
 ) -> Tensor:
-    """Target NLL: 0.5*(mean - y)^2 for regression, CE for classification."""
+    """Target NLL up to a constant: mean 0.5*(mean - y)^2."""
     out = forward_predictor(params, ids, dropout=dropout, rng=rng)
-    if params.config.n_classes > 0:
-        labels = np.asarray(y, dtype=np.int64)
-        return nm.cross_entropy(out, labels, np.ones(labels.shape, dtype=bool))
     diff = nm.sub(nm.reshape(out, (out.shape[0],)), np.asarray(y))
     return nm.mul(nm.mean_all(nm.mul(diff, diff)), 0.5)
 
@@ -371,26 +349,17 @@ def loss_joint(
     task: Task,
     dropout: float = 0.0,
     rng: Rng | None = None,
-    encoder_term: bool = True,
 ) -> Tensor:
     """Per-step loss for the chosen branch.
 
     Generation: decoder NLL (never touches the predictor head).
-    Prediction: encoder loss plus the prediction term when targets exist;
-    with ``encoder_term=False`` (ablation) only the prediction term.
+    Prediction: encoder loss plus the prediction term when targets exist.
     """
     if task is Task.GENERATION:
         return loss_decoder(params, ids, dropout=dropout, rng=rng)
-    parts = []
-    if encoder_term:
-        if mask is None:
-            raise ValueError("prediction branch needs a mask vector")
-        parts.append(loss_encoder(params, ids, mask, dropout=dropout, rng=rng))
+    if mask is None:
+        raise ValueError("prediction branch needs a mask vector")
+    loss = loss_encoder(params, ids, mask, dropout=dropout, rng=rng)
     if y is not None:
-        parts.append(loss_prediction(params, ids, y, dropout=dropout, rng=rng))
-    if not parts:
-        raise ValueError("prediction branch has no loss terms (unlabeled data with encoder_term=False)")
-    total = parts[0]
-    for p in parts[1:]:
-        total = nm.add(total, p)
-    return total
+        loss = nm.add(loss, loss_prediction(params, ids, y, dropout=dropout, rng=rng))
+    return loss

@@ -2,8 +2,8 @@
 
 The default "toy_mpo" scores a molecule by how closely three cheap
 structural features (token length, ring count, heteroatom fraction) match
-configured targets, one Gaussian kernel per feature, combined as a
-weighted geometric mean. Syntactically invalid strings score 0 by
+configured targets, one Gaussian kernel per feature, combined as their
+geometric mean. Syntactically invalid strings score 0 by
 convention. Pure functions of the input string, so they double as
 dataset labelers and as the oracle for re-scoring optimization output.
 """
@@ -11,7 +11,7 @@ dataset labelers and as the oracle for re-scoring optimization output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .training import Dataset
 class ObjectiveSpec:
     """Closed form: geometric mean of per-feature Gaussian kernels.
 
-    score = prod_i exp(-(f_i - target_i)^2 / (2 sigma_i^2))^(w_i / sum w)
+    score = (prod_i exp(-(f_i - target_i)^2 / (2 sigma_i^2)))^(1/3)
     over features (token length, ring pairs, heteroatom fraction).
     """
 
@@ -34,12 +34,9 @@ class ObjectiveSpec:
     sigma_length: float = 4.0
     sigma_rings: float = 0.8
     sigma_hetero: float = 0.1
-    weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def params_dict(self) -> dict:
-        d = asdict(self)
-        d["weights"] = list(self.weights)
-        return d
+        return asdict(self)
 
 
 def _kernel(value: float, target: float, sigma: float) -> float:
@@ -56,9 +53,8 @@ def evaluate(obj: ObjectiveSpec, s: str) -> float:
         _kernel(feats.ring_pairs, obj.target_rings, obj.sigma_rings),
         _kernel(feats.hetero_fraction, obj.target_hetero, obj.sigma_hetero),
     ]
-    total_w = sum(obj.weights)
-    log_score = sum(w * math.log(max(s_, 1e-300)) for w, s_ in zip(obj.weights, scores))
-    return math.exp(log_score / total_w)
+    log_score = sum(math.log(max(s_, 1e-300)) for s_ in scores)
+    return math.exp(log_score / len(scores))
 
 
 def label_dataset(dataset: Dataset, obj: ObjectiveSpec, vocab: Vocabulary) -> Dataset:
@@ -73,11 +69,14 @@ def make_objective(name: str, params: str = "") -> ObjectiveSpec:
     """Objective from a CLI-style spec: name plus "key=value,key=value"."""
     if name != "toy_mpo":
         raise ValueError(f"unknown objective {name!r} (available: toy_mpo)")
+    allowed = [f.name for f in fields(ObjectiveSpec) if isinstance(f.default, float)]
     kwargs = {}
     if params:
         for part in params.split(","):
-            key, _, value = part.partition("=")
-            if not _:
-                raise ValueError(f"bad objective parameter {part!r} (want key=value)")
+            key, sep, value = part.partition("=")
+            if not sep or key.strip() not in allowed:
+                raise ValueError(f"bad objective parameter {part!r} (want key=value, key in {allowed})")
             kwargs[key.strip()] = float(value)
+    if not all(v > 0 for k, v in kwargs.items() if k.startswith("sigma_")):
+        raise ValueError("sigma_length, sigma_rings and sigma_hetero must be > 0")
     return ObjectiveSpec(name=name, **kwargs)

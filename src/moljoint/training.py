@@ -5,7 +5,8 @@ the step trains the generation mode (causal next-token loss), otherwise
 the prediction mode (masked-token loss, plus the target term when the
 batch is labeled). Unsupervised corpora therefore pretrain with the
 prediction term absent; fine-tuning is the same loop on labeled data,
-conventionally with a prediction-heavy switch (p_task = 0.1).
+conventionally with a prediction-heavy switch (p_task = 0.1). Ablate the
+generation branch with p_task = 0 and the masked-token term with mask_rate = 0.
 
 The optimizer is Adam with decoupled weight decay: decay applies to
 matrix weights only, never to biases, gains, or embeddings. Each step
@@ -50,13 +51,12 @@ class TrainConfig:
     dropout: float = 0.1
     seed: int = 0
     eval_interval: int = 500  # checkpoint interval in iterations (0 = only at the end)
-    # ablation switches
-    encoder_term: bool = True      # drop the masked-token penalty when False
-    generation_task: bool = True   # drop the generation branch entirely when False
 
     def __post_init__(self):
         if not 0.0 <= self.p_task <= 1.0:
             raise ValueError("p_task must lie in [0, 1]")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.lr_min > self.lr_max:
             raise ValueError("lr_min must not exceed lr_max")
         if self.decay_iters is not None and self.warmup_iters > self.decay_iters:
@@ -228,24 +228,20 @@ def train_step(
 ) -> tuple[float, Task]:
     """One optimization step; returns (loss value, branch taken)."""
     ids, y = batch
-    take_generation = cfg.generation_task and rng.random() < cfg.p_task
-    task = Task.GENERATION if take_generation else Task.PREDICTION
+    task = Task.GENERATION if rng.random() < cfg.p_task else Task.PREDICTION
     mask = None
-    if task is Task.PREDICTION and cfg.encoder_term:
+    if task is Task.PREDICTION:
         mask = mdl.sample_mask_vector(ids, cfg.mask_rate, rng)
-    if task is Task.PREDICTION and y is None and (not cfg.encoder_term or not mask.any()):
-        # nothing to optimize on this branch (no targets and an empty or
-        # disabled masked-token term): the step is a no-op
-        return 0.0, task
+        if y is None and not mask.any():
+            # nothing to optimize on this branch (no targets and an empty
+            # masked-token term): the step is a no-op
+            return 0.0, task
 
     for t in params.tensors.values():
         t.grad = None
     try:
         with Tape() as tape:
-            loss = mdl.loss_joint(
-                params, ids, y, mask, task,
-                dropout=cfg.dropout, rng=rng, encoder_term=cfg.encoder_term,
-            )
+            loss = mdl.loss_joint(params, ids, y, mask, task, dropout=cfg.dropout, rng=rng)
         value = loss.item()
         if not math.isfinite(value):
             raise NonFiniteError(f"loss = {value}")
@@ -258,6 +254,26 @@ def train_step(
     clip_gradients(params, names, cfg.grad_clip)
     opt.step(params, lr_at(it, cfg), names)
     return value, task
+
+
+# config keys of older bundles that this code no longer has: each loads only at
+# the value this code implements (None: at any value, as nothing ever read it)
+_RETIRED_KEYS = {
+    "model": {"dropout_rate": None, "ln_eps": 1e-5, "n_classes": 0},
+    "train": {"encoder_term": True, "generation_task": True},
+}
+
+
+def _config_from(cls, section: str, doc: dict):
+    doc = dict(doc)
+    for key, implemented in _RETIRED_KEYS[section].items():
+        value = doc.pop(key, implemented)
+        if implemented is not None and value != implemented:
+            raise ValueError(f"{section} config {key}={value!r} is retired; only {implemented!r} loads")
+    try:
+        return cls(**doc)
+    except TypeError as e:  # an unknown or missing key, or a value of the wrong type
+        raise ValueError(f"bad {section} config: {e}") from None
 
 
 @dataclass
@@ -287,10 +303,8 @@ class Checkpoint:
     @classmethod
     def load(cls, path) -> "Checkpoint":
         bundle = ckpt_io.load_bundle(path)
-        model_doc = dict(bundle["config"]["model"])
-        model_doc.pop("dropout_rate", None)  # unused knob written by older bundles
-        model_config = ModelConfig(**model_doc)
-        train_config = TrainConfig(**bundle["config"]["train"])
+        model_config = _config_from(ModelConfig, "model", bundle["config"]["model"])
+        train_config = _config_from(TrainConfig, "train", bundle["config"]["train"])
         vocab = Vocabulary.from_lines(bundle["vocab_lines"])
         params = JointModelParams(model_config)
         for n, t in params.tensors.items():

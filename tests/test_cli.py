@@ -16,6 +16,7 @@ import moljoint
 from moljoint import cli, datagen
 from moljoint.cli import build_parser, main
 from moljoint.model import ModelConfig
+from moljoint.training import Checkpoint
 
 TRAIN_ARGS = [
     "--embed-dim", "16", "--n-layers", "1", "--n-heads", "2", "--ff-dim", "32",
@@ -167,19 +168,22 @@ def test_finetune_vocabulary_mismatch_exits_2(workdir, tmp_path):
     assert code == 2
 
 
-def test_finetune_ablation_flags_echoed(workdir, tmp_path):
-    corpus = (workdir / "corpus.txt").read_text().splitlines()[:10]
-    sub = tmp_path / "sub.txt"
-    sub.write_text("\n".join(corpus) + "\n")
+def test_finetune_ablations_are_p_task_and_mask_rate_zero(workdir, tmp_path):
+    """--p-task 0 drops the generation branch and --mask-rate 0 the masked-token
+    term: every step trains the prediction term alone and head.w never moves."""
+    base = workdir / "pre" / "checkpoint"
+    argv = ["finetune", "--checkpoint", str(base), "--data", str(workdir / "corpus.txt"),
+            "--objective", "toy_mpo", "--max-iters", "6", "--batch-size", "4", "--seed", "2"]
     out = tmp_path / "abl"
-    code = main(["finetune", "--checkpoint", str(workdir / "pre" / "checkpoint"),
-                 "--data", str(sub), "--objective", "toy_mpo",
-                 "--encoder-term", "false", "--generation-task", "false",
-                 "--max-iters", "3", "--batch-size", "4", "--out-dir", str(out)])
-    assert code == 0
-    doc = json.loads((out / "config_echo.json").read_text())
-    assert doc["train"]["encoder_term"] is False
-    assert doc["train"]["generation_task"] is False
+    assert main([*argv, "--p-task", "0", "--mask-rate", "0", "--out-dir", str(out)]) == 0
+    steps = [ln.split("\t") for ln in (out / "loss.log").read_text().splitlines()[1:]]
+    assert len(steps) == 6
+    assert all(task == "prediction" and float(loss) > 0 for _, task, loss in steps)
+    head = Checkpoint.load(out / "checkpoint").params["head.w"].data
+    assert head.tobytes() == Checkpoint.load(base).params["head.w"].data.tobytes()
+    for retired in ("--encoder-term", "--generation-task"):  # the switches they replace
+        assert main([*argv, retired, "false", "--out-dir", str(tmp_path / "x")]) == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_optimize_impossible_threshold_empty_but_ok(workdir, tmp_path):
@@ -215,7 +219,8 @@ def test_evaluate_hand_file_reproduces_hand_counts(workdir, tmp_path):
 
 def test_evaluate_samples_reads_the_tsv_that_sample_writes(tmp_path):
     samples = tmp_path / "samples.tsv"
-    samples.write_text("CCO\t0.500000\nCCN\t0.200000\n\t0.300000\n")  # the last draw is empty
+    # the third draw is empty, an invalid sample; the blank line is no draw
+    samples.write_text("CCO\t0.500000\nCCN\t0.200000\n\t0.300000\n\n")
     ref = tmp_path / "ref.txt"
     ref.write_text("CCO\nNCN\n")
     out = tmp_path / "ev"
@@ -223,9 +228,30 @@ def test_evaluate_samples_reads_the_tsv_that_sample_writes(tmp_path):
                  "--seed", "0", "--out-dir", str(out)])
     assert code == 0
     doc = json.loads((out / "metrics.json").read_text())
-    assert doc["sample_count"] == 2
-    assert doc["validity"] == 1.0
-    assert doc["novelty"] == pytest.approx(1 / 2)
+    assert doc["sample_count"] == 3
+    assert doc["validity"] == pytest.approx(2 / 3)
+    assert doc["novelty"] == pytest.approx(2 / 3)
+
+
+def test_evaluate_counts_empty_draws_alike_from_a_file_or_a_checkpoint(workdir, tmp_path):
+    """evaluate --samples on sample's output equals evaluate drawing the same
+    samples itself, empty draws included."""
+    pre = tmp_path / "pre"
+    assert main(["pretrain", "--data", str(workdir / "corpus.txt"), "--max-iters", "0",
+                 *TRAIN_ARGS, "--seed", "0", "--out-dir", str(pre)]) == 0
+    ckpt = str(pre / "checkpoint")
+    assert main(["sample", "--checkpoint", ckpt, "-n", "64", "--seed", "4",
+                 "--out-dir", str(tmp_path / "s")]) == 0
+    draws = (tmp_path / "s" / "samples.tsv").read_text().splitlines()
+    assert sum(ln.startswith("\t") for ln in draws) >= 1  # an untrained model emits empty draws
+    docs = []
+    for name, source in (("f", ["--samples", str(tmp_path / "s" / "samples.tsv")]),
+                         ("c", ["--checkpoint", ckpt, "--n-samples", "64"])):
+        assert main(["evaluate", *source, "--seed", "4", "--out-dir", str(tmp_path / name)]) == 0
+        docs.append(json.loads((tmp_path / name / "metrics.json").read_text()))
+    for key in ("sample_count", "validity", "uniqueness"):
+        assert docs[0][key] == docs[1][key], key
+    assert docs[0]["sample_count"] == 64
 
 
 @pytest.mark.parametrize("command", ["finetune", "evaluate"])
@@ -258,6 +284,23 @@ def test_evaluate_histogram_csv_rows_match_bins(workdir, tmp_path):
     rows = (out / "histograms.csv").read_text().splitlines()
     want = feature_histograms(["CCO", "C1CC1"], ["CCO", "NCN", "CCC"])
     assert len(rows) == len(want) + 1  # header + one row per bin
+
+
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--n-heads", "0"],
+    ["pretrain", "--batch-size", "0"],
+    ["optimize", "--y-c", "0", "--eval-budget", "2", "--sample-budget", "4",
+     "--objective", "toy_mpo", "--objective-params", "sigma_rings=0"],
+    ["evaluate", "--n-samples", "4", "--objective", "toy_mpo", "--objective-params", "weights=1"],
+], ids=["n_heads", "batch_size", "sigma", "objective_key"])
+def test_bad_setting_exits_1_before_the_run_starts(workdir, tmp_path, capsys, argv):
+    source = ["--data", str(workdir / "corpus.txt")] if argv[0] == "pretrain" else \
+        ["--checkpoint", str(workdir / "pre" / "checkpoint")]
+    out = tmp_path / "run"
+    assert main([argv[0], *source, *argv[1:], "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_evaluate_requires_some_input(tmp_path):

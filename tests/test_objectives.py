@@ -52,13 +52,6 @@ def test_monotone_in_feature_match():
     assert all(a <= b for a, b in zip(scores, scores[1:]))
 
 
-def test_weights_shift_emphasis():
-    heavy_len = ObjectiveSpec(target_length=10, sigma_length=1.0, weights=(10.0, 1.0, 1.0))
-    even = ObjectiveSpec(target_length=10, sigma_length=1.0)
-    s = "CCCCC"  # far from length target
-    assert evaluate(heavy_len, s) < evaluate(even, s)
-
-
 def test_label_dataset_pure_and_bounded():
     corpus = datagen.toy_corpus(80, seed=4)
     vocab = build_vocabulary(corpus)
@@ -93,3 +86,10 @@ def test_make_objective_parses_params():
         make_objective("docking")
     with pytest.raises(ValueError):
         make_objective("toy_mpo", "bogus")
+    # only ObjectiveSpec's float fields are parameters, and the error names them
+    for params in ("foo=1", "name=2", "weights=1"):
+        with pytest.raises(ValueError, match="sigma_hetero"):
+            make_objective("toy_mpo", params)
+    for params in ("sigma_rings=0", "sigma_length=-1", "sigma_hetero=nan"):
+        with pytest.raises(ValueError, match="> 0"):
+            make_objective("toy_mpo", params)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from moljoint import datagen, model as M, training as T
+from moljoint.cli import main
 from moljoint.model import JointModelParams, ModelConfig, Task
 from moljoint.numerics import Rng
 from moljoint.smiles import build_vocabulary
@@ -60,6 +61,8 @@ def test_config_validation():
         TrainConfig(lr_max=1e-5, lr_min=1e-3)
     with pytest.raises(ValueError):
         TrainConfig(warmup_iters=100, decay_iters=50)
+    with pytest.raises(ValueError, match="batch_size"):
+        TrainConfig(batch_size=0)
 
 
 # ----------------------------------------------------------------- task switch
@@ -278,19 +281,45 @@ def test_checkpoint_format_tag(tmp_path, setup):
     assert vocab_lines == list(vocab.tokens)
 
 
-def test_checkpoint_load_drops_legacy_dropout_rate(tmp_path, setup):
-    """Older bundles carry the unused model key dropout_rate; they still load."""
+@pytest.mark.parametrize("section, key, value, loads", [
+    # dropout_rate was never read, so any value loads
+    ("model", "dropout_rate", 0.15, True),
+    ("model", "dropout_rate", 0.5, True),
+    # the other retired keys load only at the value this code implements
+    ("model", "ln_eps", 1e-5, True),
+    ("model", "ln_eps", 1e-6, False),
+    ("model", "n_classes", 0, True),
+    ("model", "n_classes", 3, False),
+    ("train", "encoder_term", True, True),
+    ("train", "encoder_term", False, False),
+    ("train", "generation_task", True, True),
+    ("train", "generation_task", False, False),
+    ("model", "mystery", 1, False),
+    ("train", "mystery", 1, False),
+])
+def test_checkpoint_load_retired_and_unknown_keys(tmp_path, setup, capsys, section, key, value, loads):
+    """Older bundles carry retired config keys; a value this code cannot
+    reproduce, or a key it does not know, is a data error (exit 2)."""
     _, vocab, mcfg, dataset = setup
     ck = T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=1))
     ck.save(tmp_path / "ck")
     config_path = tmp_path / "ck" / "config.json"
     doc = json.loads(config_path.read_text())
-    doc["model"]["dropout_rate"] = 0.15
+    doc[section][key] = value
     config_path.write_text(json.dumps(doc))
-    loaded = Checkpoint.load(tmp_path / "ck")
-    assert loaded.model_config == mcfg
-    for n in ck.params.names():
-        assert ck.params[n].data.tobytes() == loaded.params[n].data.tobytes()
+    if loads:
+        loaded = Checkpoint.load(tmp_path / "ck")
+        assert loaded.model_config == mcfg and loaded.train_config == ck.train_config
+        for n in ck.params.names():
+            assert ck.params[n].data.tobytes() == loaded.params[n].data.tobytes()
+        return
+    with pytest.raises(ValueError, match=key):
+        Checkpoint.load(tmp_path / "ck")
+    out = tmp_path / "s"
+    assert main(["sample", "--checkpoint", str(tmp_path / "ck"), "-n", "2", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot load checkpoint" in err and key in err
+    assert not out.exists()
 
 
 def test_finetune_leaves_base_checkpoint_untouched(setup):
