@@ -71,6 +71,8 @@ def _add_objective_flags(p: argparse.ArgumentParser, help_text: str):
 
 
 def _objective(args) -> obj.ObjectiveSpec | None:
+    if args.objective_params and not args.objective:
+        raise ConfigError("--objective-params needs --objective")
     return obj.make_objective(args.objective, args.objective_params) if args.objective else None
 
 
@@ -159,7 +161,7 @@ def cmd_pretrain(args) -> int:
     })
     ckpt_dir = out_dir / "checkpoint"
     with _loss_log(out_dir) as log_cb:
-        state = tr.pretrain(dataset, vocab, mcfg, tcfg, log_cb=log_cb, checkpoint_dir=ckpt_dir)
+        state = tr.train(Checkpoint.start(vocab, mcfg, tcfg), dataset, log_cb=log_cb, checkpoint_dir=ckpt_dir)
     report = ev.MetricsReport(sample_count=0, metadata={
         "seed": args.seed, "checkpoint": str(ckpt_dir), "iterations": state.iteration,
         "config_hash": _config_hash(tcfg.to_dict() | mcfg.to_dict()),
@@ -201,7 +203,9 @@ def cmd_finetune(args) -> int:
     before = _sampled_strings(base, eval_n, args.seed) if eval_n else []
     ckpt_dir = out_dir / "checkpoint"
     with _loss_log(out_dir) as log_cb:
-        state = tr.finetune(base, dataset, tcfg, log_cb=log_cb, checkpoint_dir=ckpt_dir)
+        start = Checkpoint.start(base.vocab, base.model_config, tcfg,
+                                 weights={n: t.data for n, t in base.params.tensors.items()})
+        state = tr.train(start, dataset, log_cb=log_cb, checkpoint_dir=ckpt_dir)
 
     metrics = {"seed": args.seed, "config_hash": _config_hash(tcfg.to_dict())}
     if eval_n:
@@ -282,10 +286,13 @@ def cmd_evaluate(args) -> int:
         sample_lines = [ln.split("\t", 1)[0].strip() for ln in text.splitlines() if ln.strip()]
         if not sample_lines:
             raise DataError(f"no usable lines in {args.samples}")
-    elif args.n_samples > 0:
-        sample_lines = _sampled_strings(state, args.n_samples, args.seed)
-    else:
-        sample_lines = []
+    # one set of draws serves both the sample metrics and the sampled MAE
+    draws = []
+    if objective is not None or (args.samples is None and args.n_samples > 0):
+        draws = gen.sample_batch(state.params, state.vocab, gen.SamplerConfig(seed=args.seed),
+                                 max(args.n_samples, 1))
+    if args.samples is None:
+        sample_lines = [s.smiles for s in draws] if args.n_samples > 0 else []
 
     report = ev.MetricsReport(sample_count=len(sample_lines))
     report.metadata = {"seed": args.seed, "checkpoint": args.checkpoint,
@@ -307,10 +314,7 @@ def cmd_evaluate(args) -> int:
             raise DataError(str(e)) from None
         report.mae = ev.mae(state.params, test_set)
     if objective is not None:
-        m, kept = ev.mae_sampled(state.params, state.vocab, objective,
-                                 max(args.n_samples, 1), gen.SamplerConfig(seed=args.seed))
-        report.mae_sampled = m
-        report.mae_sampled_retained = kept
+        report.mae_sampled, report.mae_sampled_retained = ev.mae_sampled(draws, objective)
 
     outputs = ["metrics.json"]
     if args.histograms and sample_lines and reference:

@@ -8,7 +8,7 @@ histogram KL divergence of reference vs samples with Laplace smoothing,
 aggregated as the mean of exp(-KL).
 
 Prediction metrics: MAE of the predictor on labeled held-out data, and
-MAE on freshly sampled molecules against the true objective.
+MAE of sampled molecules' predicted targets against the true objective.
 
 Uniqueness and novelty use exact string identity (no canonicalization),
 which is stricter than an identity on molecules.
@@ -22,11 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as mdl
-from .generation import Sample, SamplerConfig, sample_batch
 from .model import JointModelParams
-from .numerics import Rng
 from .objectives import ObjectiveSpec, evaluate as evaluate_objective
-from .smiles import Vocabulary, syntax_features, validate
+from .smiles import syntax_features, validate
 from .training import Dataset
 
 _FEATURES = ("length", "rings", "hetero_fraction", "branch_depth")
@@ -130,25 +128,15 @@ def mae(params: JointModelParams, dataset: Dataset, batch_size: int = 64) -> flo
     return float(np.concatenate(errs).mean())
 
 
-def mae_sampled(
-    params: JointModelParams,
-    vocab: Vocabulary,
-    objective: ObjectiveSpec,
-    n: int,
-    cfg: SamplerConfig,
-    rng: Rng | None = None,
-) -> tuple[float, int]:
-    """MAE of predicted targets against the true objective on n fresh samples.
+def mae_sampled(draws: list, objective: ObjectiveSpec) -> tuple[float, int]:
+    """MAE of sampled (SMILES, predicted y) draws against the true objective.
 
-    Invalid samples are dropped; returns (mae, retained count). Raises if
-    every sample was invalid.
+    Invalid draws are dropped; returns (mae, retained count). Raises if
+    every draw was invalid.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    draws = sample_batch(params, vocab, cfg, n, rng)
     kept = [s for s in draws if validate(s.smiles)]
     if not kept:
-        raise ValueError(f"all {n} samples invalid; nothing to score")
+        raise ValueError(f"all {len(draws)} samples invalid; nothing to score")
     errs = [abs(s.y - evaluate_objective(objective, s.smiles)) for s in kept]
     return float(np.mean(errs)), len(kept)
 

@@ -79,4 +79,6 @@ def make_objective(name: str, params: str = "") -> ObjectiveSpec:
             kwargs[key.strip()] = float(value)
     if not all(v > 0 for k, v in kwargs.items() if k.startswith("sigma_")):
         raise ValueError("sigma_length, sigma_rings and sigma_hetero must be > 0")
+    if not all(math.isfinite(v) for v in kwargs.values()):
+        raise ValueError(f"objective parameters must be finite, got {params!r}")
     return ObjectiveSpec(name=name, **kwargs)

@@ -1,12 +1,18 @@
-"""Training loops with the per-step task switch.
+"""Training with the per-step task switch: one loop for every run.
 
 Each step draws one Bernoulli(p_task) indicator: with probability p_task
 the step trains the generation mode (causal next-token loss), otherwise
 the prediction mode (masked-token loss, plus the target term when the
-batch is labeled). Unsupervised corpora therefore pretrain with the
-prediction term absent; fine-tuning is the same loop on labeled data,
-conventionally with a prediction-heavy switch (p_task = 0.1). Ablate the
-generation branch with p_task = 0 and the masked-token term with mask_rate = 0.
+batch is labeled). ``train`` runs that loop on whatever dataset it is
+given: on an unlabeled corpus the prediction term is absent throughout;
+fine-tuning is the same loop on labeled data, conventionally with a
+prediction-heavy switch (p_task = 0.1). Ablate the generation branch with
+p_task = 0 and the masked-token term with mask_rate = 0.
+
+A run starts from an iteration-0 ``Checkpoint.start`` (fresh weights, or a
+copy of a base model's for fine-tuning) or resumes a ``Checkpoint.load``;
+either way ``state.train_config`` is the one config the loop, the
+optimizer and the saved bundle use.
 
 The optimizer is Adam with decoupled weight decay: decay applies to
 matrix weights only, never to biases, gains, or embeddings. Each step
@@ -143,8 +149,7 @@ class AdamW:
     participating in that step's loss.
     """
 
-    def __init__(self, params: JointModelParams, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, params: JointModelParams):
         self.m = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
         self.v = {n: np.zeros_like(t.data) for n, t in params.tensors.items()}
         self.steps = {n: 0 for n in params.tensors}
@@ -153,8 +158,7 @@ class AdamW:
             if t.ndim >= 2 and n not in ("tok_emb", "pos_emb")
         }
 
-    def step(self, params: JointModelParams, lr: float, names: list[str]) -> None:
-        cfg = self.cfg
+    def step(self, params: JointModelParams, cfg: TrainConfig, lr: float, names: list[str]) -> None:
         for n in names:
             t = params.tensors[n]
             g = t.grad
@@ -252,7 +256,7 @@ def train_step(
     # a tensor the loss never reached keeps grad None and sits this step out
     names = [n for n, t in params.tensors.items() if t.grad is not None]
     clip_gradients(params, names, cfg.grad_clip)
-    opt.step(params, lr_at(it, cfg), names)
+    opt.step(params, cfg, lr_at(it, cfg), names)
     return value, task
 
 
@@ -301,22 +305,34 @@ class Checkpoint:
         )
 
     @classmethod
+    def start(cls, vocab: Vocabulary, model_config: ModelConfig, cfg: TrainConfig,
+              weights: dict[str, np.ndarray] | None = None) -> "Checkpoint":
+        """An iteration-0 state with a fresh optimizer and Rng(cfg.seed).
+
+        Without ``weights`` the parameters are drawn from that RNG; with them
+        (fine-tuning) they are copies of the given arrays, one per name.
+        """
+        rng = Rng(cfg.seed)
+        params = JointModelParams(model_config, rng if weights is None else None)
+        if weights is not None:
+            for n, t in params.tensors.items():
+                arr = weights[n]
+                if tuple(arr.shape) != t.shape:
+                    raise ValueError(f"checkpoint tensor {n} has shape {arr.shape}, expected {t.shape}")
+                t.data[...] = arr
+        return cls(model_config, cfg, vocab, params, AdamW(params), 0, rng)
+
+    @classmethod
     def load(cls, path) -> "Checkpoint":
         bundle = ckpt_io.load_bundle(path)
         model_config = _config_from(ModelConfig, "model", bundle["config"]["model"])
         train_config = _config_from(TrainConfig, "train", bundle["config"]["train"])
         vocab = Vocabulary.from_lines(bundle["vocab_lines"])
-        params = JointModelParams(model_config)
-        for n, t in params.tensors.items():
-            arr = bundle["params"][n]
-            if tuple(arr.shape) != t.shape:
-                raise ValueError(f"checkpoint tensor {n} has shape {arr.shape}, expected {t.shape}")
-            t.data[...] = arr
-        opt = AdamW(params, train_config)
-        opt.load_state(bundle["optim_arrays"], bundle["optim_extra"]["steps"])
-        rng = Rng(0)
-        rng.set_state(bundle["rng_state"])
-        return cls(model_config, train_config, vocab, params, opt, bundle["iteration"], rng)
+        state = cls.start(vocab, model_config, train_config, weights=bundle["params"])
+        state.opt.load_state(bundle["optim_arrays"], bundle["optim_extra"]["steps"])
+        state.rng.set_state(bundle["rng_state"])
+        state.iteration = bundle["iteration"]
+        return state
 
 
 def _batch(dataset: Dataset, rng: Rng, cfg: TrainConfig):
@@ -327,13 +343,22 @@ def _batch(dataset: Dataset, rng: Rng, cfg: TrainConfig):
     return ids, y
 
 
-def _run_loop(
+def train(
     state: Checkpoint,
     dataset: Dataset,
-    cfg: TrainConfig,
-    log_cb: Callable[[int, float, Task], None] | None,
-    checkpoint_dir,
+    *,
+    log_cb: Callable[[int, float, Task], None] | None = None,
+    checkpoint_dir=None,
 ) -> Checkpoint:
+    """Train ``state`` in place up to its train_config.max_iters; returns it.
+
+    Each step trains the terms its batch has: the prediction term only on a
+    labeled dataset. Saves to ``checkpoint_dir`` every eval_interval
+    iterations and once at the end.
+    """
+    cfg = state.train_config
+    if any(max(seq.ids) >= len(state.vocab) for seq in dataset.sequences):
+        raise ValueError("dataset token ids exceed the model's vocabulary")
     while state.iteration < cfg.max_iters:
         it = state.iteration
         batch = _batch(dataset, state.rng, cfg)
@@ -348,48 +373,3 @@ def _run_loop(
     if checkpoint_dir is not None:
         state.save(checkpoint_dir)
     return state
-
-
-def pretrain(
-    dataset: Dataset,
-    vocab: Vocabulary,
-    model_config: ModelConfig,
-    cfg: TrainConfig,
-    *,
-    resume: Checkpoint | None = None,
-    log_cb: Callable[[int, float, Task], None] | None = None,
-    checkpoint_dir=None,
-) -> Checkpoint:
-    """Unsupervised training: the prediction term is absent throughout."""
-    if dataset.supervised:
-        raise ValueError("pretrain expects an unsupervised dataset")
-    if resume is not None:
-        state = resume
-    else:
-        rng = Rng(cfg.seed)
-        params = JointModelParams(model_config, rng)
-        state = Checkpoint(model_config, cfg, vocab, params, AdamW(params, cfg), 0, rng)
-    return _run_loop(state, dataset, cfg, log_cb, checkpoint_dir)
-
-
-def finetune(
-    base: Checkpoint,
-    dataset: Dataset,
-    cfg: TrainConfig,
-    *,
-    log_cb: Callable[[int, float, Task], None] | None = None,
-    checkpoint_dir=None,
-) -> Checkpoint:
-    """Supervised training from a pretrained state (fresh optimizer)."""
-    if not dataset.supervised:
-        raise ValueError("finetune expects a supervised dataset")
-    vocab_size = len(base.vocab)
-    for seq in dataset.sequences:
-        if max(seq.ids) >= vocab_size:
-            raise ValueError("dataset token ids exceed checkpoint vocabulary")
-    params = JointModelParams(base.model_config)
-    for n, t in params.tensors.items():
-        t.data[...] = base.params.tensors[n].data
-    rng = Rng(cfg.seed)
-    state = Checkpoint(base.model_config, cfg, base.vocab, params, AdamW(params, cfg), 0, rng)
-    return _run_loop(state, dataset, cfg, log_cb, checkpoint_dir)

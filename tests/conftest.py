@@ -18,8 +18,7 @@ def memorized():
     recall, argmax emission.
     """
     from moljoint import training as T
-    from moljoint.model import JointModelParams, ModelConfig
-    from moljoint.numerics import Rng
+    from moljoint.model import ModelConfig
     from moljoint.smiles import build_vocabulary
 
     vocab = build_vocabulary([MEMORIZED_STRING])
@@ -29,9 +28,5 @@ def memorized():
     cfg = T.TrainConfig(p_task=0.5, batch_size=4, max_iters=600, warmup_iters=10,
                         lr_max=3e-3, lr_min=3e-4, decay_iters=600, dropout=0.0,
                         seed=0, eval_interval=0)
-    params = JointModelParams(mcfg, Rng(0))
-    opt = T.AdamW(params, cfg)
-    rng = Rng(0)
-    for it in range(cfg.max_iters):
-        T.train_step(params, opt, T._batch(dataset, rng, cfg), cfg, rng, it)
+    params = T.train(T.Checkpoint.start(vocab, mcfg, cfg), dataset).params
     return params, vocab, dataset, MEMORIZED_STRING, MEMORIZED_TARGET

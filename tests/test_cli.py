@@ -270,6 +270,26 @@ def test_non_finite_label_is_a_data_error(workdir, tmp_path, capsys, command):
     assert not (out / "loss.log").exists() and not (out / "metrics.json").exists()
 
 
+def test_evaluate_draws_once_for_sample_metrics_and_sampled_mae(workdir, tmp_path, monkeypatch):
+    calls = []
+    sample_batch = cli.gen.sample_batch
+
+    def spy(params, vocab, cfg, n, *args, **kwargs):
+        calls.append((n, cfg.seed))
+        return sample_batch(params, vocab, cfg, n, *args, **kwargs)
+
+    for mod in list(sys.modules.values()):  # every module that bound the sampler
+        if mod.__name__.startswith("moljoint") and vars(mod).get("sample_batch") is sample_batch:
+            monkeypatch.setattr(mod, "sample_batch", spy)
+    out = tmp_path / "ev"
+    assert main(["evaluate", "--checkpoint", str(workdir / "pre" / "checkpoint"),
+                 "--objective", "toy_mpo", "--n-samples", "16", "--seed", "3",
+                 "--out-dir", str(out)]) == 0
+    assert calls == [(16, 3)]
+    report = json.loads((out / "metrics.json").read_text())
+    assert report["sample_count"] == 16 and report["mae_sampled"] is not None
+
+
 def test_evaluate_histogram_csv_rows_match_bins(workdir, tmp_path):
     from moljoint.evaluation import feature_histograms
 
@@ -292,10 +312,19 @@ def test_evaluate_histogram_csv_rows_match_bins(workdir, tmp_path):
     ["optimize", "--y-c", "0", "--eval-budget", "2", "--sample-budget", "4",
      "--objective", "toy_mpo", "--objective-params", "sigma_rings=0"],
     ["evaluate", "--n-samples", "4", "--objective", "toy_mpo", "--objective-params", "weights=1"],
-], ids=["n_heads", "batch_size", "sigma", "objective_key"])
+    ["optimize", "--y-c", "0", "--eval-budget", "2", "--sample-budget", "4",
+     "--objective", "toy_mpo", "--objective-params", "target_length=nan"],
+    ["optimize", "--y-c", "0", "--eval-budget", "2", "--sample-budget", "4",
+     "--objective-params", "sigma_rings=0.5"],
+    ["finetune", "--max-iters", "1", "--objective-params", "sigma_rings=0.5"],
+    ["evaluate", "--n-samples", "4", "--objective-params", "sigma_rings=0.5"],
+], ids=["n_heads", "batch_size", "sigma", "objective_key", "non_finite",
+        "params_without_objective_optimize", "params_without_objective_finetune",
+        "params_without_objective_evaluate"])
 def test_bad_setting_exits_1_before_the_run_starts(workdir, tmp_path, capsys, argv):
-    source = ["--data", str(workdir / "corpus.txt")] if argv[0] == "pretrain" else \
-        ["--checkpoint", str(workdir / "pre" / "checkpoint")]
+    source = [] if argv[0] == "pretrain" else ["--checkpoint", str(workdir / "pre" / "checkpoint")]
+    if argv[0] in ("pretrain", "finetune"):
+        source += ["--data", str(workdir / "corpus.txt")]
     out = tmp_path / "run"
     assert main([argv[0], *source, *argv[1:], "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
@@ -329,8 +358,7 @@ def test_model_flag_defaults_are_model_config_defaults():
 _FAULTS_PER_STEP = textwrap.dedent("""
     import json, resource
     from moljoint import cli, datagen, training as T
-    from moljoint.model import JointModelParams, ModelConfig
-    from moljoint.numerics import Rng
+    from moljoint.model import ModelConfig
     from moljoint.smiles import build_vocabulary
 
     applied = cli._keep_freed_memory()
@@ -339,14 +367,15 @@ _FAULTS_PER_STEP = textwrap.dedent("""
     dataset = T.encode_corpus(lines, vocab, 32)
     mcfg = ModelConfig(vocab_size=len(vocab), max_len=32, embed_dim=64, n_layers=2,
                        n_heads=4, ff_dim=192)
-    cfg = T.TrainConfig(p_task=1.0, batch_size=64, dropout=0.15, seed=0)
-    params, rng = JointModelParams(mcfg, Rng(0)), Rng(0)
-    opt = T.AdamW(params, cfg)
-    for it in range(8):
-        if it == 3:  # after warm-up
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        T.train_step(params, opt, T._batch(dataset, rng, cfg), cfg, rng, it)
-    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5
+    cfg = T.TrainConfig(p_task=1.0, batch_size=64, max_iters=8, dropout=0.15, seed=0)
+    before = []
+
+    def after_step(it, loss, task):
+        if it == 2:  # warm-up done: count the last 5 of 8 steps
+            before.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+    T.train(T.Checkpoint.start(vocab, mcfg, cfg), dataset, log_cb=after_step)
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before[0]) / 5
     print(json.dumps({"applied": applied, "faults_per_step": faults}))
 """)
 

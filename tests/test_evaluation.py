@@ -7,7 +7,7 @@ import pytest
 
 from moljoint import evaluation as E
 from moljoint import model as M
-from moljoint.generation import SamplerConfig
+from moljoint.generation import SamplerConfig, sample_batch
 from moljoint.numerics import Rng
 from moljoint.objectives import ObjectiveSpec
 from moljoint.training import Dataset
@@ -119,7 +119,8 @@ def test_mae_sampled_near_zero_when_predictor_matches_objective(memorized):
     obj = ObjectiveSpec(target_length=13, target_rings=1, target_hetero=3 / 8,
                         sigma_length=4.0, sigma_rings=0.8, sigma_hetero=0.15)
     true_val = eval_obj(obj, string)
-    m, kept = E.mae_sampled(params, vocab, obj, 16, SamplerConfig(temperature=0.0, seed=0))
+    draws = sample_batch(params, vocab, SamplerConfig(temperature=0.0, seed=0), 16)
+    m, kept = E.mae_sampled(draws, obj)
     assert kept == 16
     assert m == pytest.approx(abs(target - true_val), abs=0.05)
 
@@ -128,7 +129,8 @@ def test_mae_sampled_positive_for_untrained_predictor(memorized):
     params, vocab, _, _, _ = memorized
     obj = ObjectiveSpec(target_length=30, target_rings=0, target_hetero=0.0,
                         sigma_length=1.0)
-    m, kept = E.mae_sampled(params, vocab, obj, 8, SamplerConfig(temperature=0.0, seed=0))
+    draws = sample_batch(params, vocab, SamplerConfig(temperature=0.0, seed=0), 8)
+    m, kept = E.mae_sampled(draws, obj)
     assert m > 0.1  # objective disagrees with the memorized target
 
 

@@ -1,5 +1,6 @@
 """Array-op unit tests: worked examples plus randomized finite-difference checks."""
 
+import inspect
 import zlib
 
 import numpy as np
@@ -201,11 +202,25 @@ def _check(build_out, tensors, proj, case_tag):
         assert err < FD_TOL, f"{case_tag}: rel err {err:.2e}"
 
 
-@pytest.mark.parametrize("op_name", [
+RANDOM_GRAD_CASES = [
     "add", "sub", "mul", "matmul", "softmax_rows", "layer_norm", "layer_norm_extent2",
-    "gelu", "embedding", "reshape", "transpose", "take", "mean_all",
+    "gelu", "embedding", "reshape", "transpose", "take", "pad_cols", "sum_all", "mean_all",
     "cross_entropy",
-])
+]
+
+
+def test_every_tape_op_has_a_randomized_gradient_case():
+    """The tape ops are the public numerics functions that call _record."""
+    tape_ops = {
+        name for name, fn in vars(nm).items()
+        if inspect.isfunction(fn) and not name.startswith("_")
+        and fn.__module__ == nm.__name__ and "_record" in fn.__code__.co_names
+    }
+    assert {"matmul", "cross_entropy"} <= tape_ops
+    assert tape_ops <= set(RANDOM_GRAD_CASES), sorted(tape_ops - set(RANDOM_GRAD_CASES))
+
+
+@pytest.mark.parametrize("op_name", RANDOM_GRAD_CASES)
 def test_randomized_gradients(op_name):
     rng = Rng(zlib.crc32(op_name.encode()))
     with nm.using_dtype(np.float64):
@@ -261,9 +276,15 @@ def test_randomized_gradients(op_name):
                 a = Tensor(rng.normal((3, 4, 2)))
                 out = lambda: nm.take(a, 1, axis=1)
                 tensors = [a]
-            elif op_name == "mean_all":
+            elif op_name == "pad_cols":
+                shape = (int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+                total = shape[1] + int(rng.integers(1, 4))
+                a = Tensor(rng.normal(shape))
+                out = lambda: nm.pad_cols(a, total)
+                tensors = [a]
+            elif op_name in ("sum_all", "mean_all"):
                 a = Tensor(rng.normal(_random_shape(rng)))
-                out = lambda: nm.mean_all(a)
+                out = lambda: getattr(nm, op_name)(a)
                 tensors = [a]
             elif op_name == "cross_entropy":
                 B, V = int(rng.integers(1, 5)), int(rng.integers(2, 7))
@@ -278,6 +299,6 @@ def test_randomized_gradients(op_name):
                 raise AssertionError(op_name)
 
             proj = np.asarray(rng.normal(out().shape)) if op_name != "cross_entropy" else np.asarray(1.0)
-            if op_name in ("mean_all",):
+            if op_name in ("sum_all", "mean_all"):
                 proj = np.asarray(rng.normal())
             _check(out, tensors, proj, f"{op_name}[{case}]")

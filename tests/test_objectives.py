@@ -93,3 +93,6 @@ def test_make_objective_parses_params():
     for params in ("sigma_rings=0", "sigma_length=-1", "sigma_hetero=nan"):
         with pytest.raises(ValueError, match="> 0"):
             make_objective("toy_mpo", params)
+    for params in ("target_length=nan", "target_rings=inf", "target_hetero=-inf", "sigma_length=inf"):
+        with pytest.raises(ValueError, match="finite"):
+            make_objective("toy_mpo", params)

@@ -30,6 +30,16 @@ def _cfg(**kw):
     return TrainConfig(**base)
 
 
+def _train(setup, dataset=None, weights=None, **kw) -> Checkpoint:
+    """Train from an iteration-0 start on the setup corpus (or `dataset`)."""
+    _, vocab, mcfg, corpus = setup
+    return T.train(Checkpoint.start(vocab, mcfg, _cfg(**kw), weights), corpus if dataset is None else dataset)
+
+
+def _weights(state: Checkpoint) -> dict:
+    return {n: t.data for n, t in state.params.tensors.items()}
+
+
 # ---------------------------------------------------------------- lr schedule
 
 def test_lr_schedule_endpoints():
@@ -77,51 +87,36 @@ def test_bernoulli_switch_frequency(setup):
 
 
 def test_p_task_one_is_all_generation_and_freezes_predictor(setup):
-    _, _, mcfg, dataset = setup
-    cfg = _cfg(p_task=1.0, max_iters=25)
-    rng = Rng(0)
-    params = JointModelParams(mcfg, rng)
-    phi_before = {n: params[n].data.copy() for n in params.predictor_names()}
-    opt = AdamW(params, cfg)
+    _, vocab, mcfg, dataset = setup
+    state = Checkpoint.start(vocab, mcfg, _cfg(p_task=1.0, max_iters=25))
+    phi_before = {n: state.params[n].data.copy() for n in state.params.predictor_names()}
     tasks = []
-    for it in range(cfg.max_iters):
-        batch = T._batch(dataset, rng, cfg)
-        _, task = T.train_step(params, opt, batch, cfg, rng, it)
-        tasks.append(task)
-    assert all(t is Task.GENERATION for t in tasks)
+    T.train(state, dataset, log_cb=lambda it, loss, task: tasks.append(task))
+    assert len(tasks) == 25 and all(t is Task.GENERATION for t in tasks)
     for n, before in phi_before.items():
-        np.testing.assert_array_equal(params[n].data, before)
+        np.testing.assert_array_equal(state.params[n].data, before)
 
 
 def test_p_task_zero_on_unsupervised_is_pure_encoder(setup):
-    _, _, mcfg, dataset = setup
-    cfg = _cfg(p_task=0.0, max_iters=15)
-    rng = Rng(1)
-    params = JointModelParams(mcfg, rng)
-    phi_before = {n: params[n].data.copy() for n in params.predictor_names()}
-    trunk_before = params["tok_emb"].data.copy()
-    opt = AdamW(params, cfg)
-    for it in range(cfg.max_iters):
-        batch = T._batch(dataset, rng, cfg)
-        _, task = T.train_step(params, opt, batch, cfg, rng, it)
-        assert task is Task.PREDICTION
+    _, vocab, mcfg, dataset = setup
+    state = Checkpoint.start(vocab, mcfg, _cfg(p_task=0.0, max_iters=15, seed=1))
+    phi_before = {n: state.params[n].data.copy() for n in state.params.predictor_names()}
+    trunk_before = state.params["tok_emb"].data.copy()
+    tasks = []
+    T.train(state, dataset, log_cb=lambda it, loss, task: tasks.append(task))
+    assert len(tasks) == 15 and all(t is Task.PREDICTION for t in tasks)
     for n, before in phi_before.items():
-        np.testing.assert_array_equal(params[n].data, before)
-    assert np.abs(params["tok_emb"].data - trunk_before).max() > 0
+        np.testing.assert_array_equal(state.params[n].data, before)
+    assert np.abs(state.params["tok_emb"].data - trunk_before).max() > 0
 
 
 def test_supervised_steps_move_predictor(setup):
-    _, _, mcfg, dataset = setup
+    _, vocab, mcfg, dataset = setup
     sup = Dataset(dataset.sequences, np.linspace(0.1, 0.9, len(dataset)))
-    cfg = _cfg(p_task=0.0, max_iters=10)
-    rng = Rng(2)
-    params = JointModelParams(mcfg, rng)
-    phi_before = params["pred.l0.w"].data.copy()
-    opt = AdamW(params, cfg)
-    for it in range(cfg.max_iters):
-        batch = T._batch(sup, rng, cfg)
-        T.train_step(params, opt, batch, cfg, rng, it)
-    assert np.abs(params["pred.l0.w"].data - phi_before).max() > 0
+    state = Checkpoint.start(vocab, mcfg, _cfg(p_task=0.0, max_iters=10, seed=2))
+    phi_before = state.params["pred.l0.w"].data.copy()
+    T.train(state, sup)
+    assert np.abs(state.params["pred.l0.w"].data - phi_before).max() > 0
 
 
 def test_labeled_step_with_empty_mask_leaves_token_head_alone(setup):
@@ -131,7 +126,7 @@ def test_labeled_step_with_empty_mask_leaves_token_head_alone(setup):
     cfg = _cfg(p_task=0.0, mask_rate=0.0)
     rng = Rng(4)
     params = JointModelParams(mcfg, rng)
-    opt = AdamW(params, cfg)
+    opt = AdamW(params)
     head_before = params["head.w"].data.copy()
     phi_before = params["pred.l0.w"].data.copy()
     _, task = T.train_step(params, opt, T._batch(sup, rng, cfg), cfg, rng, 5)
@@ -148,7 +143,7 @@ def test_generation_step_leaves_predictor_grads_none(setup):
     cfg = _cfg(p_task=1.0)
     rng = Rng(5)
     params = JointModelParams(mcfg, rng)
-    opt = AdamW(params, cfg)
+    opt = AdamW(params)
     _, task = T.train_step(params, opt, T._batch(dataset, rng, cfg), cfg, rng, 5)
     assert task is Task.GENERATION
     for n in params.predictor_names():
@@ -173,19 +168,22 @@ def test_gradient_clipping_bounds_global_norm(setup):
 
 # ----------------------------------------------------------- loops & persistence
 
-def test_pretrain_rejects_supervised_and_finetune_rejects_unsupervised(setup):
-    _, vocab, mcfg, dataset = setup
+def test_train_takes_labeled_and_unlabeled_data_from_either_start(setup):
+    """No start is tied to one kind of data: each step trains the terms its batch has."""
+    _, _, _, dataset = setup
     sup = Dataset(dataset.sequences, np.full(len(dataset), 0.5))
-    with pytest.raises(ValueError):
-        T.pretrain(sup, vocab, mcfg, _cfg())
-    ck = T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=0))
-    with pytest.raises(ValueError):
-        T.finetune(ck, dataset, _cfg())
+    fresh = _train(setup, sup, p_task=0.0, max_iters=3)
+    init = JointModelParams(fresh.model_config, Rng(0))
+    assert np.abs(fresh.params["pred.l0.w"].data - init["pred.l0.w"].data).max() > 0
+    tuned = _train(setup, dataset, weights=_weights(fresh), p_task=0.0, max_iters=3)
+    assert tuned.iteration == 3
+    for n in fresh.params.predictor_names():
+        np.testing.assert_array_equal(tuned.params[n].data, fresh.params[n].data)
 
 
 def test_pretrain_zero_iters_returns_initialized_state(setup):
-    _, vocab, mcfg, dataset = setup
-    ck = T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=0))
+    _, _, mcfg, _ = setup
+    ck = _train(setup, max_iters=0)
     fresh = JointModelParams(mcfg, Rng(0))
     assert ck.iteration == 0
     for n in fresh.names():
@@ -200,7 +198,7 @@ def test_toy_loss_decreases(setup):
     cfg = _cfg(max_iters=500, batch_size=16, warmup_iters=20, lr_max=3e-3,
                lr_min=3e-4, decay_iters=500)
     hist = []
-    T.pretrain(dataset, vocab, mcfg, cfg, log_cb=lambda i, l, t: hist.append((l, t)))
+    T.train(Checkpoint.start(vocab, mcfg, cfg), dataset, log_cb=lambda i, l, t: hist.append((l, t)))
     gen = [l for l, t in hist if t is Task.GENERATION]
     first = float(np.mean(gen[:10]))
     last = float(np.mean(gen[-50:]))
@@ -209,11 +207,11 @@ def test_toy_loss_decreases(setup):
 
 def test_checkpoint_roundtrip_and_resume_identical(tmp_path, setup):
     """save -> load -> train 10 equals train 10 without the roundtrip."""
-    _, vocab, mcfg, dataset = setup
+    dataset = setup[3]
     # decay_iters pinned so both legs see the same LR schedule
-    unbroken = T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=30, decay_iters=30))
+    unbroken = _train(setup, max_iters=30, decay_iters=30)
 
-    half = T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=20, decay_iters=30))
+    half = _train(setup, max_iters=20, decay_iters=30)
     half.save(tmp_path / "ck")
     reloaded = Checkpoint.load(tmp_path / "ck")
     # bit-identical state after the roundtrip
@@ -221,9 +219,25 @@ def test_checkpoint_roundtrip_and_resume_identical(tmp_path, setup):
         assert half.params[n].data.tobytes() == reloaded.params[n].data.tobytes()
     assert half.rng.get_state() == reloaded.rng.get_state()
     np.testing.assert_array_equal(half.opt.m["tok_emb"], reloaded.opt.m["tok_emb"])
-    resumed = T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=30, decay_iters=30), resume=reloaded)
+    reloaded.train_config = _cfg(max_iters=30, decay_iters=30)
+    resumed = T.train(reloaded, dataset)
     for n in unbroken.params.names():
         assert unbroken.params[n].data.tobytes() == resumed.params[n].data.tobytes(), n
+
+
+def test_resume_runs_under_the_config_it_is_given(tmp_path, setup):
+    """A resumed run's optimizer and saved bundle use the run's config, not the bundle's."""
+    dataset = setup[3]
+    _train(setup, max_iters=4, decay_iters=8).save(tmp_path / "ck")
+    ends = {}
+    for wd in (0.1, 0.0):
+        state = Checkpoint.load(tmp_path / "ck")
+        state.train_config = _cfg(max_iters=8, decay_iters=8, beta2=0.5, weight_decay=wd)
+        T.train(state, dataset, checkpoint_dir=tmp_path / f"wd{wd}")
+        saved = json.loads((tmp_path / f"wd{wd}" / "config.json").read_text())["train"]
+        assert saved == state.train_config.to_dict()
+        ends[wd] = state.params["h0.attn.wq"].data.tobytes()
+    assert ends[0.1] != ends[0.0]
 
 
 @pytest.mark.parametrize("max_iters, saved_at", [(4, [2, 4]), (5, [2, 4, 5]), (0, [0])])
@@ -231,8 +245,8 @@ def test_each_checkpoint_is_written_once(tmp_path, setup, monkeypatch, max_iters
     _, vocab, mcfg, dataset = setup
     saves = []
     monkeypatch.setattr(Checkpoint, "save", lambda self, path: saves.append(self.iteration))
-    T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=max_iters, eval_interval=2),
-               checkpoint_dir=tmp_path / "ck")
+    T.train(Checkpoint.start(vocab, mcfg, _cfg(max_iters=max_iters, eval_interval=2)), dataset,
+            checkpoint_dir=tmp_path / "ck")
     assert saves == saved_at
 
 
@@ -240,11 +254,10 @@ def test_checkpoint_save_killed_midway_keeps_previous_bundle(tmp_path, setup, mo
     """A save that dies after meta.json leaves the last complete bundle in place."""
     from moljoint import checkpoint as ckpt_io
 
-    _, vocab, mcfg, dataset = setup
-    first = T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=1))
+    first = _train(setup, max_iters=1)
     first.save(tmp_path / "ck")
     saved = {n: first.params[n].data.tobytes() for n in first.params.names()}
-    second = T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=3))
+    second = _train(setup, max_iters=3)
     write_blobs = ckpt_io._write_blobs
 
     def killed_at_optim(dirpath, stem, *args, **kwargs):
@@ -272,8 +285,8 @@ def test_checkpoint_save_killed_midway_keeps_previous_bundle(tmp_path, setup, mo
 
 
 def test_checkpoint_format_tag(tmp_path, setup):
-    _, vocab, mcfg, dataset = setup
-    ck = T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=1))
+    vocab = setup[1]
+    ck = _train(setup, max_iters=1)
     ck.save(tmp_path / "ck")
     meta = (tmp_path / "ck" / "meta.json").read_text()
     assert "jtckpt-v1" in meta
@@ -300,8 +313,8 @@ def test_checkpoint_format_tag(tmp_path, setup):
 def test_checkpoint_load_retired_and_unknown_keys(tmp_path, setup, capsys, section, key, value, loads):
     """Older bundles carry retired config keys; a value this code cannot
     reproduce, or a key it does not know, is a data error (exit 2)."""
-    _, vocab, mcfg, dataset = setup
-    ck = T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=1))
+    mcfg = setup[2]
+    ck = _train(setup, max_iters=1)
     ck.save(tmp_path / "ck")
     config_path = tmp_path / "ck" / "config.json"
     doc = json.loads(config_path.read_text())
@@ -323,22 +336,26 @@ def test_checkpoint_load_retired_and_unknown_keys(tmp_path, setup, capsys, secti
 
 
 def test_finetune_leaves_base_checkpoint_untouched(setup):
-    _, vocab, mcfg, dataset = setup
-    base = T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=5))
+    _, _, _, dataset = setup
+    base = _train(setup, max_iters=5)
     before = {n: base.params[n].data.copy() for n in base.params.names()}
     sup = Dataset(dataset.sequences, np.full(len(dataset), 0.5))
-    T.finetune(base, sup, _cfg(p_task=0.1, max_iters=10))
+    tuned = _train(setup, sup, weights=_weights(base), p_task=0.1, max_iters=10)
+    assert tuned.iteration == 10 and tuned.opt.steps["pred.l0.w"] > 0
     for n, arr in before.items():
         np.testing.assert_array_equal(base.params[n].data, arr)
+    assert np.abs(tuned.params["pred.l0.w"].data - before["pred.l0.w"]).max() > 0
 
 
 def test_finetune_vocabulary_mismatch_raises(setup):
-    _, vocab, mcfg, dataset = setup
-    base = T.pretrain(dataset, vocab, mcfg, _cfg(max_iters=0))
+    """Every start, fresh or copied, checks the dataset against its vocabulary."""
+    _, vocab, _, dataset = setup
+    base = _train(setup, max_iters=0)
     alien = Dataset([type(dataset.sequences[0])((0, len(vocab) + 3, 1))],
                     np.array([0.5]))
-    with pytest.raises(ValueError, match="vocabulary"):
-        T.finetune(base, alien, _cfg())
+    for weights in (None, _weights(base)):
+        with pytest.raises(ValueError, match="vocabulary"):
+            _train(setup, alien, weights=weights)
 
 
 def test_dataset_target_validation(setup):
@@ -354,7 +371,7 @@ def test_dataset_target_validation(setup):
 def test_weight_decay_partition(setup):
     _, _, mcfg, _ = setup
     params = JointModelParams(mcfg, Rng(0))
-    opt = AdamW(params, _cfg())
+    opt = AdamW(params)
     assert "tok_emb" not in opt.decay_set
     assert "pos_emb" not in opt.decay_set
     assert "h0.ln1.g" not in opt.decay_set
@@ -368,7 +385,7 @@ def test_non_finite_loss_aborts_with_diagnostic(setup):
     params = JointModelParams(mcfg, Rng(0))
     params["tok_emb"].data[0, 0] = np.nan  # poisons the BOS embedding
     cfg = _cfg(max_iters=1)
-    opt = AdamW(params, cfg)
+    opt = AdamW(params)
     rng = Rng(0)
     batch = T._batch(dataset, rng, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
