@@ -18,7 +18,6 @@ Losses:
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -28,6 +27,8 @@ from .numerics import Rng, Tensor
 from .smiles import MASK_ID, PAD_ID, TokenSequence
 
 NEG_BIAS = -1e9  # additive attention bias for disallowed key positions
+# per-block attention parameters, in the order numerics.attention takes them
+_ATTN_PARAMS = ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")
 
 
 @dataclass
@@ -86,9 +87,9 @@ class JointModelParams:
             p = f"h{i}."
             ones(p + "ln1.g", E)
             zeros(p + "ln1.b", E)
-            for proj in ("wq", "wk", "wv", "wo"):
+            for proj in _ATTN_PARAMS[:4]:
                 w(p + "attn." + proj, E, E)
-            for b in ("bq", "bk", "bv", "bo"):
+            for b in _ATTN_PARAMS[4:]:
                 zeros(p + "attn." + b, E)
             ones(p + "ln2.g", E)
             zeros(p + "ln2.b", E)
@@ -146,12 +147,17 @@ def attention_bias(ids: np.ndarray, causal: bool) -> np.ndarray:
     return np.ascontiguousarray(bias, dtype=nm.current_dtype())
 
 
-def _dropout(x: Tensor, rate: float, rng: Rng | None) -> Tensor:
+def _keep_mask(shape, rate: float, rng: Rng | None) -> np.ndarray | None:
+    """Inverted-dropout multipliers (0, or 1 / (1 - rate)); None when dropout is off."""
     if rate <= 0.0 or rng is None:
-        return x
-    u = rng.random(x.shape, dtype=np.float32)
-    keep = (u >= rate).astype(x.data.dtype) / (1.0 - rate)
-    return nm.mul(x, keep)
+        return None
+    u = rng.random(shape, dtype=np.float32)
+    return (u >= rate).astype(nm.current_dtype()) / (1.0 - rate)
+
+
+def _dropout(x: Tensor, rate: float, rng: Rng | None) -> Tensor:
+    keep = _keep_mask(x.shape, rate, rng)
+    return x if keep is None else nm.mul(x, keep)
 
 
 class KVCache:
@@ -169,14 +175,14 @@ class KVCache:
     def length(self) -> int:
         return self.layers[0][0].shape[2] if self.layers else 0
 
-    def extend(self, i: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+    def extend(self, i: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Append layer i's new columns; returns its keys and values over all columns."""
         if i == len(self.layers):
-            self.layers.append((k.data, v.data))
+            self.layers.append((k, v))
         else:
             ck, cv = self.layers[i]
-            self.layers[i] = (np.concatenate([ck, k.data], axis=2), np.concatenate([cv, v.data], axis=2))
-        return Tensor(self.layers[i][0]), Tensor(self.layers[i][1])
+            self.layers[i] = (np.concatenate([ck, k], axis=2), np.concatenate([cv, v], axis=2))
+        return self.layers[i]
 
     def keep(self, rows: np.ndarray) -> None:
         self.layers = [(k[rows], v[rows]) for k, v in self.layers]
@@ -210,7 +216,6 @@ def _transformer(
     # leaves every pre-PAD output bit-identical
     S = max(int((ids != PAD_ID).sum(axis=1).max()), 1)
     ids = ids[:, :S]
-    nh, hd = cfg.n_heads, cfg.embed_dim // cfg.n_heads
     if cache is None:
         bias = attention_bias(ids, causal)
     else:  # causal among the new columns, all of which see every cached key
@@ -223,19 +228,9 @@ def _transformer(
     for i in range(cfg.n_layers):
         p = f"h{i}."
         a = nm.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"])
-        q = nm.add(nm.matmul(a, params[p + "attn.wq"]), params[p + "attn.bq"])
-        k = nm.add(nm.matmul(a, params[p + "attn.wk"]), params[p + "attn.bk"])
-        v = nm.add(nm.matmul(a, params[p + "attn.wv"]), params[p + "attn.bv"])
-        q = nm.transpose(nm.reshape(q, (B, S, nh, hd)), (0, 2, 1, 3))
-        k = nm.transpose(nm.reshape(k, (B, S, nh, hd)), (0, 2, 1, 3))
-        v = nm.transpose(nm.reshape(v, (B, S, nh, hd)), (0, 2, 1, 3))
-        if cache is not None:
-            k, v = cache.extend(i, k, v)
-        att = nm.mul(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
-        att = nm.softmax_rows(nm.add(att, bias))
-        att = _dropout(att, dropout, rng)
-        y = nm.reshape(nm.transpose(nm.matmul(att, v), (0, 2, 1, 3)), (B, S, cfg.embed_dim))
-        y = nm.add(nm.matmul(y, params[p + "attn.wo"]), params[p + "attn.bo"])
+        keep = _keep_mask((B, cfg.n_heads, S, t0 + S), dropout, rng)
+        y = nm.attention(a, *(params[p + "attn." + n] for n in _ATTN_PARAMS), bias, cfg.n_heads,
+                         keep=keep, cache=cache, layer=i)
         x = nm.add(x, _dropout(y, dropout, rng))
 
         f = nm.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"])

@@ -14,6 +14,20 @@ released once its backward has run; leaves keep theirs.
 
 Every op validates its output: NaN or Inf anywhere is a hard error
 (``NonFiniteError``), never silently propagated.
+
+The trunk's kernels are fused, with hand-written backward:
+``attention`` is one op from the normed input through the output
+projection (it replaced about twenty recorded ops per block), and
+``layer_norm``, ``gelu`` and the ``embedding`` backward fill a few
+buffers in place, taking row means and sums as GEMVs. Inside
+``attention`` the fused q, k and v, the probabilities and the
+pre-projection y carry no check of their own; the scores (q k^T plus the
+bias) and the output do. That loses nothing: any NaN or Inf in q or k
+makes a score non-finite; probabilities of finite scores are finite;
+every row of y sums over every key's v, and a non-finite y entry makes
+its output row non-finite through the wo GEMM (Inf * 0 and Inf - Inf are
+NaN). The scores keep their check because an overflow to -Inf there
+would read as a masked key, not as NaN.
 """
 
 from __future__ import annotations
@@ -272,12 +286,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of `table` (V, E) at integer `ids` (any shape)."""
+    """Gather rows of `table` (V, E) at integer `ids` (any shape).
+
+    Backward is one (V, N) one-hot @ (N, E) GEMM, not a scatter-add: the
+    vocabularies and position tables here are small.
+    """
     ids = np.asarray(ids)
     out = Tensor(table.data[ids], name="embedding")
 
     def bwd(g):
-        table.accum_grad(g.reshape(-1, table.shape[-1]), at=ids.reshape(-1))
+        flat = ids.reshape(-1)
+        onehot = (flat == np.arange(table.shape[0])[:, None]).astype(g.dtype)
+        table.accum_grad(onehot @ g.reshape(flat.size, -1))
 
     return _record(out, bwd)
 
@@ -342,24 +362,134 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _record(out, bwd)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
-    out = Tensor(xhat * gain.data + bias.data, name="layer_norm")
+def _row_max(rows: np.ndarray) -> np.ndarray:
+    """Max over the last axis of a 2-D array, one strided column at a time.
+
+    Exact, NaN-propagating, and several times faster than ``max(axis=-1)``
+    when rows are short and many (attention scores).
+    """
+    m = rows[:, 0].copy()
+    for j in range(1, rows.shape[1]):
+        np.maximum(m, rows[:, j], out=m)
+    return m
+
+
+def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+              bq: Tensor, bk: Tensor, bv: Tensor, bo: Tensor, bias: np.ndarray,
+              n_heads: int, keep: np.ndarray | None = None, cache=None, layer: int = 0) -> Tensor:
+    """Multi-head self-attention, from the normed input through the output projection.
+
+    x (B, S, E); ``bias`` is additive over the (B, h, S, T) scores (0 or
+    a large negative number), ``keep`` the attention-dropout multipliers
+    of that shape. One tape op: ``wq|wk|wv`` run as one (E, 3E) GEMM, the
+    softmax runs in place, and backward uses the saved q (pre-scaled),
+    k-transpose, v, probabilities and pre-projection y, splitting the
+    fused QKV gradient back onto the six parameters.
+
+    With a ``cache`` (inference only), the new keys and values go through
+    ``cache.extend(layer, k, v)``, which returns every column's, so T is
+    the cached length plus S.
+    """
+    B, S, E = x.shape
+    hd = E // n_heads
+    w = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+    x2 = x.data.reshape(-1, E)
+    qkv = x2 @ w
+    qkv += np.concatenate([bq.data, bk.data, bv.data])
+    qkv = qkv.reshape(B, S, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)  # (3, B, h, S, hd) view
+    scale = float(1.0 / np.sqrt(hd))
+    q = qkv[0] * scale
+    k, v = qkv[1], qkv[2]
+    if cache is not None:
+        k, v = cache.extend(layer, np.ascontiguousarray(k), np.ascontiguousarray(v))
+    kT = np.ascontiguousarray(k.swapaxes(-1, -2))
+    T = kT.shape[-1]
+
+    p = q @ kT  # scores, (B, h, S, T)
+    p += bias
+    if not np.isfinite(p).all():
+        raise NonFiniteError("non-finite values in attention scores")
+    rows = p.reshape(-1, T)
+    rows -= _row_max(rows)[:, None]
+    np.exp(rows, out=rows)
+    rows /= (rows @ np.ones(T, dtype=rows.dtype))[:, None]
+    y = np.empty((B, S, n_heads, hd), dtype=p.dtype)  # pre-projection, heads side by side
+    np.matmul(p if keep is None else p * keep, v, out=y.transpose(0, 2, 1, 3))
+    y = y.reshape(-1, E)
+    o = y @ wo.data
+    o += bo.data
+    out = Tensor(o.reshape(B, S, E), name="attention")
 
     def bwd(g):
-        red = tuple(range(g.ndim - 1))
-        gain.accum_grad((g * xhat).sum(axis=red))
-        bias.accum_grad(g.sum(axis=red))
-        dxhat = g * gain.data
-        a.accum_grad(inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        ))
+        g2 = g.reshape(-1, E)
+        wo.accum_grad(y.T @ g2)
+        bo.accum_grad(np.ones(g2.shape[0], dtype=g2.dtype) @ g2)
+        dy = (g2 @ wo.data.T).reshape(B, S, n_heads, hd).transpose(0, 2, 1, 3)
+        dqkv = np.empty((B, S, 3, n_heads, hd), dtype=g.dtype)
+        dq, dk, dv = (dqkv[:, :, i].transpose(0, 2, 1, 3) for i in range(3))  # (B, h, S, hd) views
+        np.matmul((p if keep is None else p * keep).swapaxes(-1, -2), dy, out=dv)
+        ds = dy @ v.swapaxes(-1, -2)
+        if keep is not None:
+            ds *= keep
+        # softmax backward, in place: ds = p * (ds - rowsum(ds * p))
+        ds -= np.einsum("...t,...t->...", ds, p)[..., None]
+        ds *= p
+        np.matmul(ds, kT.swapaxes(-1, -2), out=dq)
+        dq *= scale
+        np.matmul(ds.swapaxes(-1, -2), q, out=dk)
+        d2 = dqkv.reshape(-1, 3 * E)
+        dw = x2.T @ d2
+        db = np.ones(d2.shape[0], dtype=d2.dtype) @ d2
+        for i, (wt, bt) in enumerate(((wq, bq), (wk, bk), (wv, bv))):
+            wt.accum_grad(dw[:, i * E:(i + 1) * E])
+            bt.accum_grad(db[i * E:(i + 1) * E])
+        x.accum_grad((d2 @ w.T).reshape(B, S, E))
+
+    return _record(out, bwd)
+
+
+def _row_means(rows: np.ndarray) -> np.ndarray:
+    """Mean over the last axis of a 2-D array, as one GEMV against a 1/E vector.
+
+    numpy's reductions over a short last axis run a loop per row; BLAS
+    does the whole array in one pass.
+    """
+    return rows @ np.full(rows.shape[1], 1.0 / rows.shape[1], dtype=rows.dtype)
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Forward keeps two (N, E) buffers: the centred input, scaled in place
+    into x-hat (saved for backward), and the output, which first holds
+    the squared deviations for the variance GEMV.
+    """
+    E = a.shape[-1]
+    xhat = a.data.reshape(-1, E)
+    xhat = xhat - _row_means(xhat)[:, None]
+    y = np.multiply(xhat, xhat)
+    rstd = 1.0 / np.sqrt(_row_means(y) + eps)
+    xhat *= rstd[:, None]
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
+    out = Tensor(y.reshape(a.shape), name="layer_norm")
+
+    def bwd(g):
+        g2 = g.reshape(-1, E)
+        ones = np.ones(g2.shape[0], dtype=g2.dtype)
+        t = g2 * xhat
+        gain.accum_grad(ones @ t)
+        bias.accum_grad(ones @ g2)
+        t *= gain.data  # dxhat * xhat
+        m2 = _row_means(t)
+        d = g2 * gain.data  # dxhat
+        m1 = _row_means(d)
+        # rstd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+        d -= m1[:, None]
+        np.multiply(xhat, m2[:, None], out=t)
+        d -= t
+        d *= rstd[:, None]
+        a.accum_grad(d.reshape(a.shape))
 
     return _record(out, bwd)
 
@@ -368,16 +498,37 @@ def gelu(a: Tensor) -> Tensor:
     """Gaussian-error linear unit, tanh approximation.
 
     0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3))); differs from
-    the exact erf form by < 1e-3 over the working range.
+    the exact erf form by < 1e-3 over the working range. Forward and
+    backward each fill two buffers in place; backward keeps only the tanh.
     """
     x = a.data
-    x2 = x * x
-    t = np.tanh(_GELU_C * x * (1.0 + _GELU_A * x2))
-    out = Tensor(0.5 * x * (1.0 + t), name="gelu")
+    t = np.multiply(x, x)
+    t *= _GELU_A
+    t += 1.0
+    y = np.multiply(x, _GELU_C)
+    t *= y
+    np.tanh(t, out=t)
+    np.add(t, 1.0, out=y)
+    y *= x
+    y *= 0.5
+    out = Tensor(y, name="gelu")
 
     def bwd(g):
-        dt = (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
-        a.accum_grad(g * (0.5 * (1.0 + t) + 0.5 * x * dt))
+        # g * (0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3A x^2))
+        d = np.multiply(x, x)
+        d *= 3.0 * _GELU_A
+        d += 1.0
+        s = np.multiply(t, t)
+        np.subtract(1.0, s, out=s)
+        s *= _GELU_C
+        s *= d
+        s *= x
+        s *= 0.5
+        np.add(t, 1.0, out=d)
+        d *= 0.5
+        s += d
+        s *= g
+        a.accum_grad(s)
 
     return _record(out, bwd)
 

@@ -63,8 +63,18 @@ class TrainConfig:
             raise ValueError("p_task must lie in [0, 1]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must lie in [0, 1)")
+        if not 0.0 <= self.mask_rate <= 1.0:
+            raise ValueError("mask_rate must lie in [0, 1]")
+        if not (self.lr_min >= 0.0 and self.lr_max >= 0.0):
+            raise ValueError("lr_min and lr_max must be >= 0")
         if self.lr_min > self.lr_max:
             raise ValueError("lr_min must not exceed lr_max")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        if self.eval_interval < 0:
+            raise ValueError("eval_interval must be >= 0")
         if self.decay_iters is not None and self.warmup_iters > self.decay_iters:
             raise ValueError("warmup_iters must not exceed decay_iters")
 

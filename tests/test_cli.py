@@ -332,6 +332,20 @@ def test_bad_setting_exits_1_before_the_run_starts(workdir, tmp_path, capsys, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--dropout", "1.5"], ["--dropout", "1.0"], ["--dropout", "-0.1"], ["--mask-rate", "1.5"],
+    ["--mask-rate", "-0.5"], ["--lr-max", "-1", "--lr-min", "-2"], ["--lr-min", "-0.0001"],
+    ["--beta1", "1.0"], ["--beta2", "1.0"], ["--beta2", "-0.5"], ["--eval-interval", "-3"],
+], ids=lambda flags: "=".join(flags[:2]).lstrip("-"))
+def test_train_config_out_of_bounds_exits_1_before_the_run_starts(workdir, tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    assert main(["pretrain", "--data", str(workdir / "corpus.txt"), *TRAIN_ARGS, *flags,
+                 "--max-iters", "2", "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_evaluate_requires_some_input(tmp_path):
     assert main(["evaluate", "--out-dir", str(tmp_path)]) == 1
 

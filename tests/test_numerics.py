@@ -205,7 +205,7 @@ def _check(build_out, tensors, proj, case_tag):
 RANDOM_GRAD_CASES = [
     "add", "sub", "mul", "matmul", "softmax_rows", "layer_norm", "layer_norm_extent2",
     "gelu", "embedding", "reshape", "transpose", "take", "pad_cols", "sum_all", "mean_all",
-    "cross_entropy",
+    "cross_entropy", "attention",
 ]
 
 
@@ -295,6 +295,24 @@ def test_randomized_gradients(op_name):
                     select[0] = True
                 out = lambda: nm.cross_entropy(logits, targets, select)
                 tensors = [logits]
+            elif op_name == "attention":
+                # cases cycle through causal/bidirectional, each with and without dropout
+                n_heads = int(rng.integers(1, 3))
+                E = n_heads * int(rng.integers(1, 3))
+                B, S = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+                x = Tensor(rng.normal((B, S, E)))
+                params = [Tensor(rng.normal((E, E))) for _ in range(4)]
+                params += [Tensor(rng.normal((E,))) for _ in range(4)]
+                if case % 2:
+                    bias = np.triu(np.full((S, S), -1e9), k=1)
+                else:  # key 0 stays visible, so no row is all masked
+                    bias = np.where(rng.random((B, 1, 1, S)) < 0.3, -1e9, 0.0)
+                    bias[..., 0] = 0.0
+                keep = None if case % 4 < 2 else (rng.random((B, n_heads, S, S)) >= 0.3) / 0.7
+                out = lambda: nm.attention(x, *params, bias, n_heads, keep=keep)
+                # not bk (params[5]): it shifts a row of scores by a constant, which the
+                # softmax ignores, so its gradient is 0 and differences see only rounding
+                tensors = [x, *params[:5], *params[6:]]
             else:  # pragma: no cover
                 raise AssertionError(op_name)
 

@@ -1,0 +1,88 @@
+"""The unfused kernels the fused ``numerics`` ops replaced, kept as references.
+
+``attention`` is the trunk's former composition of about twenty recorded
+ops (matmul, add, reshape, transpose, mul, softmax_rows); ``layer_norm``,
+``gelu`` and ``embedding`` are the former single ops, with numpy
+reductions and a scatter-add backward. Each takes the signature of the
+fused op it stands for, so ``install`` can swap all four into
+``moljoint.numerics`` and every model function then runs the unfused trunk.
+"""
+
+import math
+
+import numpy as np
+
+from moljoint import numerics as nm
+from moljoint.numerics import Tensor, _record
+
+_GELU_C = 0.7978845608028654
+_GELU_A = 0.044715
+
+
+def attention(x, wq, wk, wv, wo, bq, bk, bv, bo, bias, n_heads, keep=None, cache=None, layer=0):
+    B, S, E = x.shape
+    hd = E // n_heads
+    q = nm.add(nm.matmul(x, wq), bq)
+    k = nm.add(nm.matmul(x, wk), bk)
+    v = nm.add(nm.matmul(x, wv), bv)
+    q = nm.transpose(nm.reshape(q, (B, S, n_heads, hd)), (0, 2, 1, 3))
+    k = nm.transpose(nm.reshape(k, (B, S, n_heads, hd)), (0, 2, 1, 3))
+    v = nm.transpose(nm.reshape(v, (B, S, n_heads, hd)), (0, 2, 1, 3))
+    if cache is not None:
+        k, v = (Tensor(t) for t in cache.extend(layer, k.data, v.data))
+    att = nm.mul(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
+    att = nm.softmax_rows(nm.add(att, bias))
+    if keep is not None:
+        att = nm.mul(att, keep)
+    y = nm.reshape(nm.transpose(nm.matmul(att, v), (0, 2, 1, 3)), (B, S, E))
+    return nm.add(nm.matmul(y, wo), bo)
+
+
+def layer_norm(a, gain, bias, eps=1e-5):
+    mu = a.data.mean(axis=-1, keepdims=True)
+    var = a.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (a.data - mu) * inv
+    out = Tensor(xhat * gain.data + bias.data, name="layer_norm")
+
+    def bwd(g):
+        red = tuple(range(g.ndim - 1))
+        gain.accum_grad((g * xhat).sum(axis=red))
+        bias.accum_grad(g.sum(axis=red))
+        dxhat = g * gain.data
+        a.accum_grad(inv * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        ))
+
+    return _record(out, bwd)
+
+
+def gelu(a):
+    x = a.data
+    x2 = x * x
+    t = np.tanh(_GELU_C * x * (1.0 + _GELU_A * x2))
+    out = Tensor(0.5 * x * (1.0 + t), name="gelu")
+
+    def bwd(g):
+        dt = (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
+        a.accum_grad(g * (0.5 * (1.0 + t) + 0.5 * x * dt))
+
+    return _record(out, bwd)
+
+
+def embedding(table, ids):
+    ids = np.asarray(ids)
+    out = Tensor(table.data[ids], name="embedding")
+
+    def bwd(g):
+        table.accum_grad(g.reshape(-1, table.shape[-1]), at=ids.reshape(-1))
+
+    return _record(out, bwd)
+
+
+def install(monkeypatch) -> None:
+    """Replace the fused ops in ``moljoint.numerics`` with these for one test."""
+    for name in ("attention", "layer_norm", "gelu", "embedding"):
+        monkeypatch.setattr(nm, name, globals()[name])
