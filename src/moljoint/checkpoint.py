@@ -4,20 +4,25 @@ A bundle is a directory holding:
   meta.json       format tag + iteration counter
   config.json     model and train configs as key-value documents
   vocab.txt       one token per line, order preserved
-  params.json     manifest: [{name, shape, offset}], float32 little-endian
+  params.json     manifest: [{name, shape, offset}], float32 little-endian,
+                  plus the byte length and sha256 of params.bin
   params.bin      concatenated parameter blobs
-  optim.json      optimizer scalars + manifest for optim.bin
+  optim.json      optimizer scalars + manifest for optim.bin (length, sha256)
   optim.bin       first/second-moment blobs
   rng.json        bit-generator state
 
 Everything round-trips bit-exactly so a resumed run reproduces an
-unbroken one. A save writes a sibling ``<name>.tmp`` directory and swaps
-it into place, so a process killed mid-save leaves the previous bundle
-whole; the next save clears what it left.
+unbroken one. Loading checks each blob file against its manifest's length
+and sha256 and raises ``ValueError`` on a mismatch; a manifest written
+without them (older bundles) loads unchecked. A save writes a sibling
+``<name>.tmp`` directory and swaps it into place, so a process killed
+mid-save leaves the previous bundle whole; the next save clears what it
+left.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -38,16 +43,22 @@ def _write_blobs(dirpath: Path, stem: str, arrays: dict[str, np.ndarray], extra:
         manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += len(raw)
         chunks.append(raw)
-    doc = {"dtype": _BLOB_DTYPE, "entries": manifest}
+    blob = b"".join(chunks)
+    doc = {"dtype": _BLOB_DTYPE, "entries": manifest, "bytes": len(blob),
+           "sha256": hashlib.sha256(blob).hexdigest()}
     if extra:
         doc.update(extra)
     (dirpath / f"{stem}.json").write_text(json.dumps(doc, indent=1))
-    (dirpath / f"{stem}.bin").write_bytes(b"".join(chunks))
+    (dirpath / f"{stem}.bin").write_bytes(blob)
 
 
 def _read_blobs(dirpath: Path, stem: str) -> tuple[dict[str, np.ndarray], dict]:
     doc = json.loads((dirpath / f"{stem}.json").read_text())
     raw = (dirpath / f"{stem}.bin").read_bytes()
+    if "bytes" in doc and len(raw) != doc["bytes"]:
+        raise ValueError(f"{stem}.bin holds {len(raw)} bytes, its manifest says {doc['bytes']}")
+    if "sha256" in doc and hashlib.sha256(raw).hexdigest() != doc["sha256"]:
+        raise ValueError(f"{stem}.bin does not match the sha256 in {stem}.json")
     arrays = {}
     for entry in doc["entries"]:
         shape = tuple(entry["shape"])
@@ -56,7 +67,7 @@ def _read_blobs(dirpath: Path, stem: str) -> tuple[dict[str, np.ndarray], dict]:
         arrays[entry["name"]] = np.frombuffer(
             raw, dtype=doc["dtype"], count=n, offset=start
         ).reshape(shape).copy()
-    extra = {k: v for k, v in doc.items() if k not in ("dtype", "entries")}
+    extra = {k: v for k, v in doc.items() if k not in ("dtype", "entries", "bytes", "sha256")}
     return arrays, extra
 
 

@@ -13,6 +13,19 @@ Losses:
                         up to a constant
   * ``loss_joint``      per-step branch: generation -> decoder loss,
                         prediction -> encoder (+ prediction when labeled)
+
+Length groups: a trunk pass without a KV cache computes no PAD column
+that a whole group of rows can skip. Rows are sorted by non-PAD length
+(stable) and cut into ``min(MAX_GROUPS, B // MIN_GROUP_ROWS)`` groups of
+equal count; neighbours that trim to the same width merge. Each group is
+trimmed to its own longest row and the groups run every layer in lockstep
+under one tape; ``numerics.scatter_rows`` writes the token logits (B, S_in,
+V) and the predictor's first-position states (B, E) back in batch order,
+zero past each group's width. Every dropout mask, on activations and on
+attention, is drawn once for the full padded (B, S, ...) batch at the
+same point of the RNG stream as with one group, and then sliced per
+group: RNG use and masks do not depend on the grouping, and only GEMM
+rounding can. The KV-cached decode path is always one group.
 """
 
 from __future__ import annotations
@@ -27,6 +40,10 @@ from .numerics import Rng, Tensor
 from .smiles import MASK_ID, PAD_ID, TokenSequence
 
 NEG_BIAS = -1e9  # additive attention bias for disallowed key positions
+# length groups per trunk pass: at most MAX_GROUPS, each of at least MIN_GROUP_ROWS
+# rows (a group's per-op overhead outweighs the PAD cells it saves on fewer)
+MAX_GROUPS = 4
+MIN_GROUP_ROWS = 16
 # per-block attention parameters, in the order numerics.attention takes them
 _ATTN_PARAMS = ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")
 
@@ -155,11 +172,6 @@ def _keep_mask(shape, rate: float, rng: Rng | None) -> np.ndarray | None:
     return (u >= rate).astype(nm.current_dtype()) / (1.0 - rate)
 
 
-def _dropout(x: Tensor, rate: float, rng: Rng | None) -> Tensor:
-    keep = _keep_mask(x.shape, rate, rng)
-    return x if keep is None else nm.mul(x, keep)
-
-
 class KVCache:
     """Each layer's keys and values for the columns decoded so far.
 
@@ -188,6 +200,26 @@ class KVCache:
         self.layers = [(k[rows], v[rows]) for k, v in self.layers]
 
 
+def _length_groups(lengths: np.ndarray) -> list[np.ndarray]:
+    """Split row indices into groups of similar length, shortest first.
+
+    Rows are sorted by length (stable) and cut into ``min(MAX_GROUPS,
+    B // MIN_GROUP_ROWS)`` groups of equal count (at least one);
+    neighbours whose longest rows trim to the same width merge. Each group
+    lists its rows in ascending order.
+    """
+    order = np.argsort(lengths, kind="stable")
+    width = np.maximum(lengths[order], 1)
+    n = max(1, min(MAX_GROUPS, len(lengths) // MIN_GROUP_ROWS))
+    groups: list[np.ndarray] = []
+    for part in np.array_split(np.arange(len(order)), n):
+        if groups and width[groups[-1][-1]] == width[part[-1]]:
+            groups[-1] = np.concatenate([groups[-1], part])
+        else:
+            groups.append(part)
+    return [np.sort(order[g]) for g in groups]
+
+
 def _transformer(
     params: JointModelParams,
     ids: np.ndarray,
@@ -195,11 +227,13 @@ def _transformer(
     dropout: float = 0.0,
     rng: Rng | None = None,
     cache: KVCache | None = None,
-) -> Tensor:
-    """Run the trunk; returns the final hidden states (B, S, E).
+) -> list[tuple[np.ndarray, Tensor]]:
+    """Run the trunk; returns ``(rows, h)`` per length group, h (len(rows), S_g, E).
 
-    S drops the trailing all-PAD columns of ``ids``: the token heads pad
-    their logits back to the input width, the predictor reads position 0.
+    The groups come from ``_length_groups``, or are one group with a
+    cache; S_g is a group's longest row. Dropout masks are drawn for the
+    whole (B, S, ...) batch, S its longest row, and sliced per group (see
+    the module docstring).
 
     With a ``cache`` (causal only), ``ids`` holds just the new columns of
     rows whose cached columns hold no PAD: positions start at the cached
@@ -212,32 +246,47 @@ def _transformer(
         raise ValueError(f"sequence length {t0 + S_in} exceeds max_len {cfg.max_len}")
     if cache is not None and nm.recording():
         raise RuntimeError("a KV cache is inference only: its keys and values carry no gradient")
-    # trailing all-PAD columns are dropped so that appending PAD after EOS
-    # leaves every pre-PAD output bit-identical
-    S = max(int((ids != PAD_ID).sum(axis=1).max()), 1)
-    ids = ids[:, :S]
+    # trailing PAD columns are trimmed so that appending PAD after EOS leaves
+    # every pre-PAD output bit-identical
+    lengths = (ids != PAD_ID).sum(axis=1)
+    S = max(int(lengths.max()), 1)
+    groups = _length_groups(lengths) if cache is None else [np.arange(B)]
+    rows = groups if len(groups) > 1 else [slice(None)]  # one group: views, no copies
+    widths = [max(int(lengths[g].max()), 1) for g in groups]
+    ids_g = [ids[r, :w] for r, w in zip(rows, widths)]
     if cache is None:
-        bias = attention_bias(ids, causal)
+        biases = [attention_bias(i, causal) for i in ids_g]
     else:  # causal among the new columns, all of which see every cached key
-        bias = np.triu(np.full((S, t0 + S), NEG_BIAS, dtype=nm.current_dtype()), k=t0 + 1)
+        biases = [np.triu(np.full((S, t0 + S), NEG_BIAS, dtype=nm.current_dtype()), k=t0 + 1)]
 
-    tok = nm.embedding(params["tok_emb"], ids)
-    pos = nm.embedding(params["pos_emb"], np.arange(t0, t0 + S))
-    x = _dropout(nm.add(tok, pos), dropout, rng)
+    def drop(xs: list[Tensor]) -> list[Tensor]:
+        keep = _keep_mask((B, S, cfg.embed_dim), dropout, rng)
+        return xs if keep is None else [nm.mul(x, keep[r, :w]) for x, r, w in zip(xs, rows, widths)]
 
+    pos = [nm.embedding(params["pos_emb"], np.arange(t0, t0 + w)) for w in widths]
+    x = drop([nm.add(nm.embedding(params["tok_emb"], g_ids), pe) for g_ids, pe in zip(ids_g, pos)])
     for i in range(cfg.n_layers):
         p = f"h{i}."
-        a = nm.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"])
+        attn = [params[p + "attn." + n] for n in _ATTN_PARAMS]
         keep = _keep_mask((B, cfg.n_heads, S, t0 + S), dropout, rng)
-        y = nm.attention(a, *(params[p + "attn." + n] for n in _ATTN_PARAMS), bias, cfg.n_heads,
-                         keep=keep, cache=cache, layer=i)
-        x = nm.add(x, _dropout(y, dropout, rng))
+        y = [nm.attention(nm.layer_norm(xg, params[p + "ln1.g"], params[p + "ln1.b"]), *attn, bias,
+                          cfg.n_heads, keep=None if keep is None else keep[r, :, :w, :t0 + w],
+                          cache=cache, layer=i)
+             for xg, bias, r, w in zip(x, biases, rows, widths)]
+        x = [nm.add(xg, yg) for xg, yg in zip(x, drop(y))]
 
-        f = nm.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"])
-        f = nm.matmul(nm.gelu(nm.matmul(f, params[p + "ff.w1"])), params[p + "ff.w2"])
-        x = nm.add(x, _dropout(f, dropout, rng))
+        f = [nm.layer_norm(xg, params[p + "ln2.g"], params[p + "ln2.b"]) for xg in x]
+        f = [nm.matmul(nm.gelu(nm.matmul(fg, params[p + "ff.w1"])), params[p + "ff.w2"]) for fg in f]
+        x = [nm.add(xg, fg) for xg, fg in zip(x, drop(f))]
 
-    return nm.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
+    return [(g, nm.layer_norm(xg, params["ln_f.g"], params["ln_f.b"])) for g, xg in zip(groups, x)]
+
+
+def _token_logits(params: JointModelParams, groups: list[tuple[np.ndarray, Tensor]],
+                  ids: np.ndarray) -> Tensor:
+    """Token-head logits (B, S_in, V), 0 past each group's width."""
+    logits = [nm.matmul(h, params["head.w"]) for _, h in groups]
+    return nm.scatter_rows(logits, [g for g, _ in groups], ids.shape + (params.config.vocab_size,))
 
 
 def forward_decoder(
@@ -252,8 +301,8 @@ def forward_decoder(
     With a ``cache``, ``ids`` are the columns after the cached ones and
     their keys and values are appended to it (see ``KVCache``).
     """
-    h = _transformer(params, ids, causal=True, dropout=dropout, rng=rng, cache=cache)
-    return nm.pad_cols(nm.matmul(h, params["head.w"]), ids.shape[1])
+    groups = _transformer(params, ids, causal=True, dropout=dropout, rng=rng, cache=cache)
+    return _token_logits(params, groups, ids)
 
 
 def forward_encoder(
@@ -265,18 +314,8 @@ def forward_encoder(
 ) -> Tensor:
     """Bidirectional forward with MASK-token substitution at hidden positions."""
     masked_ids = np.where(mask, MASK_ID, ids)
-    h = _transformer(params, masked_ids, causal=False, dropout=dropout, rng=rng)
-    return nm.pad_cols(nm.matmul(h, params["head.w"]), ids.shape[1])
-
-
-def _predictor_head(params: JointModelParams, h: Tensor) -> Tensor:
-    """First-position hidden state through the predictor MLP."""
-    cfg = params.config
-    z = nm.take(h, 0, axis=1)
-    for i in range(cfg.predictor_layers):
-        z = nm.gelu(nm.add(nm.matmul(z, params[f"pred.l{i}.w"]), params[f"pred.l{i}.b"]))
-    last = cfg.predictor_layers
-    return nm.add(nm.matmul(z, params[f"pred.l{last}.w"]), params[f"pred.l{last}.b"])
+    groups = _transformer(params, masked_ids, causal=False, dropout=dropout, rng=rng)
+    return _token_logits(params, groups, ids)
 
 
 def forward_predictor(
@@ -285,9 +324,18 @@ def forward_predictor(
     dropout: float = 0.0,
     rng: Rng | None = None,
 ) -> Tensor:
-    """Predicted means, shape (B, 1), from an all-visible bidirectional pass."""
-    h = _transformer(params, ids, causal=False, dropout=dropout, rng=rng)  # all visible
-    return _predictor_head(params, h)
+    """Predicted means, shape (B, 1), from an all-visible bidirectional pass.
+
+    The first-position hidden state goes through the predictor MLP.
+    """
+    cfg = params.config
+    groups = _transformer(params, ids, causal=False, dropout=dropout, rng=rng)  # all visible
+    z = nm.scatter_rows([nm.take(h, 0, axis=1) for _, h in groups], [g for g, _ in groups],
+                        (ids.shape[0], cfg.embed_dim))
+    for i in range(cfg.predictor_layers):
+        z = nm.gelu(nm.add(nm.matmul(z, params[f"pred.l{i}.w"]), params[f"pred.l{i}.b"]))
+    last = cfg.predictor_layers
+    return nm.add(nm.matmul(z, params[f"pred.l{last}.w"]), params[f"pred.l{last}.b"])
 
 
 def predict_target(params: JointModelParams, ids: np.ndarray) -> np.ndarray:

@@ -9,8 +9,13 @@ switch to float64 with ``using_dtype``.
 Backward protocol: the tape calls an op's backward with its output's
 gradient, and only when that output received one, so a tensor the loss
 never reached keeps ``grad is None``. Every deposit, scatter-adds
-included, goes through ``Tensor.accum_grad``. An op output's gradient is
-released once its backward has run; leaves keep theirs.
+included, goes through ``Tensor.accum_grad``, or through
+``Tensor.accum_fresh_grad`` when the backward hands over a buffer it just
+allocated and keeps no other reference to: a first deposit then adopts
+that buffer instead of copying it. A gradient passed on unchanged (``add``,
+``sub``, ``reshape``, ``pad_cols``) or a view into a shared buffer always
+goes through ``accum_grad``. An op output's gradient is released once its
+backward has run; leaves keep theirs.
 
 Every op validates its output: NaN or Inf anywhere is a hard error
 (``NonFiniteError``), never silently propagated.
@@ -126,6 +131,18 @@ class Tensor:
             np.copyto(self.grad, g)
         else:
             self.grad += g
+
+    def accum_fresh_grad(self, g: np.ndarray) -> None:
+        """``accum_grad`` for a buffer the caller just allocated and holds nowhere else.
+
+        A first deposit that is C-contiguous and of this tensor's shape and
+        dtype becomes ``grad`` as it is; anything else is copied or added.
+        """
+        if (self.grad is None and g.shape == self.data.shape and g.dtype == self.data.dtype
+                and g.flags.c_contiguous):
+            self.grad = g
+        else:
+            self.accum_grad(g)
 
     @property
     def shape(self):
@@ -250,9 +267,9 @@ def mul(a: Tensor, b) -> Tensor:
     out = Tensor(a.data * bdata, name="mul")
 
     def bwd(g):
-        a.accum_grad(_unbroadcast(g * bdata, a.shape))
+        a.accum_fresh_grad(_unbroadcast(g * bdata, a.shape))
         if isinstance(b, Tensor):
-            b.accum_grad(_unbroadcast(g * a.data, b.shape))
+            b.accum_fresh_grad(_unbroadcast(g * a.data, b.shape))
 
     return _record(out, bwd)
 
@@ -271,16 +288,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def bwd(g):
             g2 = g.reshape(-1, b.shape[-1])
-            a.accum_grad((g2 @ b.data.T).reshape(a.shape))
-            b.accum_grad(a.data.reshape(-1, k).T @ g2)
+            a.accum_fresh_grad((g2 @ b.data.T).reshape(a.shape))
+            b.accum_fresh_grad(a.data.reshape(-1, k).T @ g2)
 
         return _record(out, bwd)
 
     out = Tensor(a.data @ b.data, name="matmul")
 
     def bwd(g):
-        a.accum_grad(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        b.accum_grad(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        a.accum_fresh_grad(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        b.accum_fresh_grad(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _record(out, bwd)
 
@@ -297,7 +314,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     def bwd(g):
         flat = ids.reshape(-1)
         onehot = (flat == np.arange(table.shape[0])[:, None]).astype(g.dtype)
-        table.accum_grad(onehot @ g.reshape(flat.size, -1))
+        table.accum_fresh_grad(onehot @ g.reshape(flat.size, -1))
 
     return _record(out, bwd)
 
@@ -345,6 +362,30 @@ def pad_cols(a: Tensor, total: int) -> Tensor:
 
     def bwd(g):
         a.accum_grad(g[:, : a.shape[1]])
+
+    return _record(out, bwd)
+
+
+def scatter_rows(parts: list[Tensor], rows: list[np.ndarray], shape) -> Tensor:
+    """Write each part into a zero-filled array of ``shape`` at its rows and leading columns.
+
+    Part i, of shape (len(rows[i]), n1, ...), lands at ``out[rows[i], :n1, ...]``;
+    the row sets are disjoint. Backward slices each part's gradient back
+    out. A single part that already fills ``shape`` row by row in order is
+    returned as it is.
+    """
+    shape = tuple(shape)
+    if len(parts) == 1 and parts[0].shape == shape and np.array_equal(rows[0], np.arange(shape[0])):
+        return parts[0]
+    data = np.zeros(shape, dtype=parts[0].data.dtype)
+    at = [(r,) + tuple(slice(0, n) for n in p.shape[1:]) for p, r in zip(parts, rows)]
+    for p, idx in zip(parts, at):
+        data[idx] = p.data
+    out = Tensor(data, name="scatter_rows")
+
+    def bwd(g):
+        for p, idx in zip(parts, at):
+            p.accum_fresh_grad(g[idx])  # an index array selects a copy
 
     return _record(out, bwd)
 
@@ -422,8 +463,8 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
 
     def bwd(g):
         g2 = g.reshape(-1, E)
-        wo.accum_grad(y.T @ g2)
-        bo.accum_grad(np.ones(g2.shape[0], dtype=g2.dtype) @ g2)
+        wo.accum_fresh_grad(y.T @ g2)
+        bo.accum_fresh_grad(np.ones(g2.shape[0], dtype=g2.dtype) @ g2)
         dy = (g2 @ wo.data.T).reshape(B, S, n_heads, hd).transpose(0, 2, 1, 3)
         dqkv = np.empty((B, S, 3, n_heads, hd), dtype=g.dtype)
         dq, dk, dv = (dqkv[:, :, i].transpose(0, 2, 1, 3) for i in range(3))  # (B, h, S, hd) views
@@ -440,10 +481,10 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
         d2 = dqkv.reshape(-1, 3 * E)
         dw = x2.T @ d2
         db = np.ones(d2.shape[0], dtype=d2.dtype) @ d2
-        for i, (wt, bt) in enumerate(((wq, bq), (wk, bk), (wv, bv))):
+        for i, (wt, bt) in enumerate(((wq, bq), (wk, bk), (wv, bv))):  # views: copied
             wt.accum_grad(dw[:, i * E:(i + 1) * E])
             bt.accum_grad(db[i * E:(i + 1) * E])
-        x.accum_grad((d2 @ w.T).reshape(B, S, E))
+        x.accum_fresh_grad((d2 @ w.T).reshape(B, S, E))
 
     return _record(out, bwd)
 
@@ -478,8 +519,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         g2 = g.reshape(-1, E)
         ones = np.ones(g2.shape[0], dtype=g2.dtype)
         t = g2 * xhat
-        gain.accum_grad(ones @ t)
-        bias.accum_grad(ones @ g2)
+        gain.accum_fresh_grad(ones @ t)
+        bias.accum_fresh_grad(ones @ g2)
         t *= gain.data  # dxhat * xhat
         m2 = _row_means(t)
         d = g2 * gain.data  # dxhat
@@ -489,7 +530,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         np.multiply(xhat, m2[:, None], out=t)
         d -= t
         d *= rstd[:, None]
-        a.accum_grad(d.reshape(a.shape))
+        a.accum_fresh_grad(d.reshape(a.shape))
 
     return _record(out, bwd)
 
@@ -528,7 +569,7 @@ def gelu(a: Tensor) -> Tensor:
         d *= 0.5
         s += d
         s *= g
-        a.accum_grad(s)
+        a.accum_fresh_grad(s)
 
     return _record(out, bwd)
 
@@ -576,6 +617,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, select: np.ndarray) -> Te
         idx = targets[..., None]
         np.put_along_axis(d, idx, np.take_along_axis(d, idx, axis=-1) - 1.0, axis=-1)
         w = (select / count).astype(d.dtype)
-        logits.accum_grad(g * d * w[..., None])
+        logits.accum_fresh_grad(g * d * w[..., None])
 
     return _record(out, bwd)

@@ -127,6 +127,37 @@ def test_sample_loads_bundle_with_legacy_dropout_rate(workdir, tmp_path):
     assert len((out / "samples.tsv").read_text().splitlines()) == 5
 
 
+@pytest.mark.parametrize("damage", ["flip", "truncate"])
+def test_damaged_params_blob_exits_2(workdir, tmp_path, capsys, damage):
+    ckpt = tmp_path / "damaged"
+    shutil.copytree(workdir / "pre" / "checkpoint", ckpt)
+    raw = bytearray((ckpt / "params.bin").read_bytes())
+    if damage == "flip":
+        raw[len(raw) // 2] ^= 0x01
+    else:
+        del raw[-4:]
+    (ckpt / "params.bin").write_bytes(bytes(raw))
+    code = main(["sample", "--checkpoint", str(ckpt), "-n", "2", "--out-dir", str(tmp_path / "s")])
+    assert code == 2
+    assert "params.bin" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_manifest_without_digests_loads_unchecked(workdir, tmp_path):
+    """Bundles written before the manifests held a length and sha256 still load."""
+    ckpt = tmp_path / "old"
+    shutil.copytree(workdir / "pre" / "checkpoint", ckpt)
+    for stem in ("params", "optim"):
+        doc = json.loads((ckpt / f"{stem}.json").read_text())
+        assert {"bytes", "sha256"} <= doc.keys()
+        del doc["bytes"], doc["sha256"]
+        (ckpt / f"{stem}.json").write_text(json.dumps(doc))
+    old, new = Checkpoint.load(ckpt), Checkpoint.load(workdir / "pre" / "checkpoint")
+    for name, t in new.params.tensors.items():
+        np.testing.assert_array_equal(old.params[name].data, t.data)
+    assert old.opt.steps == new.opt.steps
+
+
 def test_dropout_rate_is_a_second_spelling_of_dropout(workdir, tmp_path):
     out = tmp_path / "run"
     code = main(["pretrain", "--data", str(workdir / "corpus.txt"), "--max-iters", "0",

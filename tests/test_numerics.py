@@ -155,6 +155,59 @@ def test_cross_entropy_requires_selection():
         nm.cross_entropy(Tensor(np.zeros((2, 3))), np.zeros(2, dtype=int), np.zeros(2, dtype=bool))
 
 
+def test_add_gradients_do_not_share_memory():
+    """add hands the same g to both inputs: each first deposit must copy it."""
+    a, b = Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4)))
+    with Tape() as tape:
+        loss = nm.sum_all(nm.mul(nm.add(a, b), np.arange(12.0).reshape(3, 4)))
+    tape.backward(loss)
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad += 1.0
+    np.testing.assert_array_equal(b.grad, np.arange(12.0).reshape(3, 4))
+
+
+def test_fresh_matmul_input_gradient_is_adopted_not_copied(monkeypatch):
+    copied = []
+    accum_grad = Tensor.accum_grad
+
+    def spy(self, g, at=None):
+        copied.append(self)
+        accum_grad(self, g, at)
+
+    monkeypatch.setattr(Tensor, "accum_grad", spy)
+    rng = Rng(1)
+    a, b = Tensor(rng.normal((2, 5, 3))), Tensor(rng.normal((3, 4)))
+    with Tape() as tape:
+        out = nm.matmul(a, b)
+        loss = nm.sum_all(out)
+    tape.backward(loss)
+    assert copied == [out]  # only sum_all's broadcast deposit into the matmul output
+    np.testing.assert_allclose(a.grad, np.ones((2, 5, 4)) @ b.data.T, rtol=1e-6)
+    np.testing.assert_allclose(b.grad, a.data.reshape(-1, 3).T @ np.ones((10, 4)), rtol=1e-6)
+
+
+def test_accum_fresh_grad_adopts_only_matching_contiguous_buffers():
+    t = Tensor(np.zeros((2, 3)))
+    g = np.ones((2, 3), dtype=t.data.dtype)
+    t.accum_fresh_grad(g)
+    assert t.grad is g
+    t.accum_fresh_grad(np.ones((2, 3), dtype=t.data.dtype))  # second deposit adds
+    np.testing.assert_array_equal(t.grad, 2.0)
+    for other in (np.ones((3, 2), dtype=t.data.dtype).T, np.ones((2, 3), dtype=np.float64), np.ones(3)):
+        t.grad = None
+        t.accum_fresh_grad(other)
+        assert t.grad is not other and not np.shares_memory(t.grad, other)
+        np.testing.assert_array_equal(t.grad, np.ones((2, 3)))
+
+
+def test_scatter_rows_zero_fills_and_keeps_a_filling_part():
+    a, b = Tensor(np.full((1, 2, 1), 1.0)), Tensor(np.full((2, 1, 1), 2.0))
+    out = nm.scatter_rows([a, b], [np.array([1]), np.array([0, 2])], (3, 3, 1))
+    np.testing.assert_array_equal(out.data[..., 0], [[2, 0, 0], [1, 1, 0], [2, 0, 0]])
+    whole = Tensor(np.ones((2, 3)))
+    assert nm.scatter_rows([whole], [np.arange(2)], (2, 3)) is whole
+
+
 def test_rng_determinism_bitwise():
     a, b = Rng(1234), Rng(1234)
     for _ in range(3):
@@ -205,7 +258,7 @@ def _check(build_out, tensors, proj, case_tag):
 RANDOM_GRAD_CASES = [
     "add", "sub", "mul", "matmul", "softmax_rows", "layer_norm", "layer_norm_extent2",
     "gelu", "embedding", "reshape", "transpose", "take", "pad_cols", "sum_all", "mean_all",
-    "cross_entropy", "attention",
+    "cross_entropy", "attention", "scatter_rows",
 ]
 
 
@@ -313,6 +366,15 @@ def test_randomized_gradients(op_name):
                 # not bk (params[5]): it shifts a row of scores by a constant, which the
                 # softmax ignores, so its gradient is 0 and differences see only rounding
                 tensors = [x, *params[:5], *params[6:]]
+            elif op_name == "scatter_rows":
+                # the rows split into 1-3 disjoint groups, each part narrower than the output
+                B, S, E = int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+                order = rng.permutation(B)
+                cuts = np.sort(rng.integers(0, B + 1, int(rng.integers(0, 3))))
+                rows = [r for r in np.split(order, cuts) if r.size]
+                parts = [Tensor(rng.normal((r.size, int(rng.integers(1, S + 1)), E))) for r in rows]
+                out = lambda: nm.scatter_rows(parts, rows, (B, S, E))
+                tensors = parts
             else:  # pragma: no cover
                 raise AssertionError(op_name)
 
