@@ -29,7 +29,7 @@ from . import model as mdl
 from . import objectives as obj
 from . import training as tr
 from .numerics import NonFiniteError
-from .smiles import TokenizeError, build_vocabulary
+from .smiles import TokenizeError, build_vocabulary, validate
 from .training import Checkpoint, TrainConfig
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
@@ -219,11 +219,14 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.n < 0:
+        raise ConfigError(f"-n must be >= 0, got {args.n}")
     state = _load_checkpoint(args.checkpoint)
     cfg = gen.SamplerConfig(
         temperature=args.temperature, top_k=args.top_k,
         max_new_tokens=args.max_new_tokens, seed=args.seed, sample_y=args.sample_y,
     )
+    cfg.new_tokens(state.model_config.max_len)  # a bad max_new_tokens fails before the run starts
     out_dir = _start_run(args, {"checkpoint": args.checkpoint, "n": args.n, "sampler": vars(cfg).copy()})
     samples = gen.sample_batch(state.params, state.vocab, cfg, args.n)
     out_file = out_dir / "samples.tsv"
@@ -305,6 +308,7 @@ def cmd_evaluate(args) -> int:
         reference = tr.read_smiles_lines(_require_path(args.data, "data"))
         if sample_lines:
             report.novelty = ev.novelty(sample_lines, reference)
+        if report.validity:  # no valid sample: no feature distribution to compare
             report.feature_kl = ev.feature_kl(sample_lines, reference)
     if args.test is not None:
         try:
@@ -314,10 +318,13 @@ def cmd_evaluate(args) -> int:
             raise DataError(str(e)) from None
         report.mae = ev.mae(state.params, test_set)
     if objective is not None:
-        report.mae_sampled, report.mae_sampled_retained = ev.mae_sampled(draws, objective)
+        if any(validate(s.smiles) for s in draws):
+            report.mae_sampled, report.mae_sampled_retained = ev.mae_sampled(draws, objective)
+        else:
+            report.mae_sampled_retained = 0
 
     outputs = ["metrics.json"]
-    if args.histograms and sample_lines and reference:
+    if args.histograms and report.feature_kl is not None:
         rows = ev.feature_histograms(sample_lines, reference)
         with (out_dir / "histograms.csv").open("w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))

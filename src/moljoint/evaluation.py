@@ -24,7 +24,7 @@ import numpy as np
 from . import model as mdl
 from .model import JointModelParams
 from .objectives import ObjectiveSpec, evaluate as evaluate_objective
-from .smiles import syntax_features, validate
+from .smiles import validate
 from .training import Dataset
 
 _FEATURES = ("length", "rings", "hetero_fraction", "branch_depth")
@@ -51,11 +51,8 @@ def novelty(samples: list[str], train_corpus) -> float:
 
 def _feature_matrix(strings: list[str]) -> np.ndarray:
     """(n, 4) feature rows for the syntactically valid strings."""
-    rows = []
-    for s in strings:
-        if validate(s):
-            f = syntax_features(s)
-            rows.append((f.n_tokens, f.ring_pairs, f.hetero_fraction, f.branch_depth))
+    feats = [validate(s).features for s in strings]
+    rows = [(f.n_tokens, f.ring_pairs, f.hetero_fraction, f.branch_depth) for f in feats if f is not None]
     return np.asarray(rows, dtype=np.float64).reshape(-1, 4)
 
 

@@ -17,6 +17,7 @@ finished strings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +47,19 @@ class SamplerConfig:
     sample_y: bool = False
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.top_k < 0:
             raise ValueError("top_k must be >= 0")
+        if self.max_new_tokens is not None and self.max_new_tokens < 1:
+            raise ValueError("max_new_tokens must be >= 1")
+
+    def new_tokens(self, max_len: int) -> int:
+        """Decoding steps per draw from a model with this ``max_len``."""
+        n = max_len - 1 if self.max_new_tokens is None else self.max_new_tokens
+        if n + 1 > max_len:
+            raise ValueError(f"max_new_tokens {n} needs max_len >= {n + 1}; the model's is {max_len}")
+        return n
 
 
 @dataclass(frozen=True)
@@ -90,11 +100,7 @@ def _decode_chunk(
     params: JointModelParams, cfg: SamplerConfig, n: int, rng: Rng
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ancestrally decode n sequences; returns (ids (n, S), truncated (n,))."""
-    max_new = cfg.max_new_tokens
-    if max_new is None:
-        max_new = params.config.max_len - 1
-    if max_new + 1 > params.config.max_len:
-        raise ValueError("max_new_tokens exceeds the model's max_len")
+    max_new = cfg.new_tokens(params.config.max_len)
     ids = np.full((n, max_new + 1), PAD_ID, dtype=np.int64)
     ids[:, 0] = BOS_ID
     live = np.arange(n)  # rows still decoding, in cache order
@@ -152,6 +158,8 @@ class PbboConfig:
     def __post_init__(self):
         if self.eval_budget < 1 or self.sample_budget < 1:
             raise ValueError("budgets must be >= 1")
+        if math.isnan(self.y_c):  # -inf accepts every valid draw; NaN accepts none
+            raise ValueError("y_c must not be NaN")
 
 
 @dataclass

@@ -18,14 +18,15 @@ Length groups: a trunk pass without a KV cache computes no PAD column
 that a whole group of rows can skip. Rows are sorted by non-PAD length
 (stable) and cut into ``min(MAX_GROUPS, B // MIN_GROUP_ROWS)`` groups of
 equal count; neighbours that trim to the same width merge. Each group is
-trimmed to its own longest row and the groups run every layer in lockstep
-under one tape; ``numerics.scatter_rows`` writes the token logits (B, S_in,
-V) and the predictor's first-position states (B, E) back in batch order,
-zero past each group's width. Every dropout mask, on activations and on
-attention, is drawn once for the full padded (B, S, ...) batch at the
-same point of the RNG stream as with one group, and then sliced per
-group: RNG use and masks do not depend on the grouping, and only GEMM
-rounding can. The KV-cached decode path is always one group.
+trimmed to its own longest row and the groups run every layer in
+lockstep under one tape. After the final layer norm, ``_transformer``
+joins them with ``numerics.scatter_rows`` into one (B, S_in, E) output
+in batch order, zero past each group's width, so the heads never see the
+groups. Every dropout mask, on activations and on attention, is drawn
+once for the full padded (B, S, ...) batch at the same point of the RNG
+stream as with one group, and then sliced per group: RNG use and masks
+do not depend on the grouping, and only GEMM rounding can. The KV-cached
+decode path is always one group.
 """
 
 from __future__ import annotations
@@ -227,13 +228,12 @@ def _transformer(
     dropout: float = 0.0,
     rng: Rng | None = None,
     cache: KVCache | None = None,
-) -> list[tuple[np.ndarray, Tensor]]:
-    """Run the trunk; returns ``(rows, h)`` per length group, h (len(rows), S_g, E).
+) -> Tensor:
+    """Run the trunk; returns the final-normed hidden states (B, S_in, E).
 
     The groups come from ``_length_groups``, or are one group with a
-    cache; S_g is a group's longest row. Dropout masks are drawn for the
-    whole (B, S, ...) batch, S its longest row, and sliced per group (see
-    the module docstring).
+    cache. Dropout masks are drawn for the whole (B, S, ...) batch, S its
+    longest row, and sliced per group (see the module docstring).
 
     With a ``cache`` (causal only), ``ids`` holds just the new columns of
     rows whose cached columns hold no PAD: positions start at the cached
@@ -279,14 +279,8 @@ def _transformer(
         f = [nm.matmul(nm.gelu(nm.matmul(fg, params[p + "ff.w1"])), params[p + "ff.w2"]) for fg in f]
         x = [nm.add(xg, fg) for xg, fg in zip(x, drop(f))]
 
-    return [(g, nm.layer_norm(xg, params["ln_f.g"], params["ln_f.b"])) for g, xg in zip(groups, x)]
-
-
-def _token_logits(params: JointModelParams, groups: list[tuple[np.ndarray, Tensor]],
-                  ids: np.ndarray) -> Tensor:
-    """Token-head logits (B, S_in, V), 0 past each group's width."""
-    logits = [nm.matmul(h, params["head.w"]) for _, h in groups]
-    return nm.scatter_rows(logits, [g for g, _ in groups], ids.shape + (params.config.vocab_size,))
+    h = [nm.layer_norm(xg, params["ln_f.g"], params["ln_f.b"]) for xg in x]
+    return nm.scatter_rows(h, groups, (B, S_in, cfg.embed_dim))
 
 
 def forward_decoder(
@@ -301,8 +295,8 @@ def forward_decoder(
     With a ``cache``, ``ids`` are the columns after the cached ones and
     their keys and values are appended to it (see ``KVCache``).
     """
-    groups = _transformer(params, ids, causal=True, dropout=dropout, rng=rng, cache=cache)
-    return _token_logits(params, groups, ids)
+    h = _transformer(params, ids, causal=True, dropout=dropout, rng=rng, cache=cache)
+    return nm.matmul(h, params["head.w"])
 
 
 def forward_encoder(
@@ -314,8 +308,8 @@ def forward_encoder(
 ) -> Tensor:
     """Bidirectional forward with MASK-token substitution at hidden positions."""
     masked_ids = np.where(mask, MASK_ID, ids)
-    groups = _transformer(params, masked_ids, causal=False, dropout=dropout, rng=rng)
-    return _token_logits(params, groups, ids)
+    h = _transformer(params, masked_ids, causal=False, dropout=dropout, rng=rng)
+    return nm.matmul(h, params["head.w"])
 
 
 def forward_predictor(
@@ -329,9 +323,8 @@ def forward_predictor(
     The first-position hidden state goes through the predictor MLP.
     """
     cfg = params.config
-    groups = _transformer(params, ids, causal=False, dropout=dropout, rng=rng)  # all visible
-    z = nm.scatter_rows([nm.take(h, 0, axis=1) for _, h in groups], [g for g, _ in groups],
-                        (ids.shape[0], cfg.embed_dim))
+    h = _transformer(params, ids, causal=False, dropout=dropout, rng=rng)  # all visible
+    z = nm.take(h, 0, axis=1)
     for i in range(cfg.predictor_layers):
         z = nm.gelu(nm.add(nm.matmul(z, params[f"pred.l{i}.w"]), params[f"pred.l{i}.b"]))
     last = cfg.predictor_layers
@@ -380,7 +373,7 @@ def loss_prediction(
 ) -> Tensor:
     """Target NLL up to a constant: mean 0.5*(mean - y)^2."""
     out = forward_predictor(params, ids, dropout=dropout, rng=rng)
-    diff = nm.sub(nm.reshape(out, (out.shape[0],)), np.asarray(y))
+    diff = nm.sub(out, np.asarray(y)[:, None])
     return nm.mul(nm.mean_all(nm.mul(diff, diff)), 0.5)
 
 

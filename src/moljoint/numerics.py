@@ -8,14 +8,13 @@ switch to float64 with ``using_dtype``.
 
 Backward protocol: the tape calls an op's backward with its output's
 gradient, and only when that output received one, so a tensor the loss
-never reached keeps ``grad is None``. Every deposit, scatter-adds
-included, goes through ``Tensor.accum_grad``, or through
-``Tensor.accum_fresh_grad`` when the backward hands over a buffer it just
-allocated and keeps no other reference to: a first deposit then adopts
-that buffer instead of copying it. A gradient passed on unchanged (``add``,
-``sub``, ``reshape``, ``pad_cols``) or a view into a shared buffer always
-goes through ``accum_grad``. An op output's gradient is released once its
-backward has run; leaves keep theirs.
+never reached keeps ``grad is None``. Every deposit goes through
+``Tensor.accum_grad``, or through ``Tensor.accum_fresh_grad`` when the
+backward hands over a buffer it just allocated and holds nowhere else: a
+first deposit then adopts that buffer instead of copying it. A gradient
+passed on unchanged (``add``, ``sub``, ``reshape``) or a view into a
+shared buffer always goes through ``accum_grad``. An op output's
+gradient is released once its backward has run; leaves keep theirs.
 
 Every op validates its output: NaN or Inf anywhere is a hard error
 (``NonFiniteError``), never silently propagated.
@@ -120,13 +119,9 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.name = name
 
-    def accum_grad(self, g: np.ndarray, at=None) -> None:
-        """Add ``g`` to ``grad``, or scatter-add it into ``grad[at]`` (np.add.at)."""
-        if at is not None:
-            if self.grad is None:
-                self.grad = np.zeros_like(self.data)
-            np.add.at(self.grad, at, g)
-        elif self.grad is None:
+    def accum_grad(self, g: np.ndarray) -> None:
+        """Add ``g`` to ``grad``; a first deposit is copied."""
+        if self.grad is None:
             self.grad = np.empty_like(self.data)
             np.copyto(self.grad, g)
         else:
@@ -345,7 +340,9 @@ def take(a: Tensor, index: int, axis: int) -> Tensor:
     sel = (slice(None),) * (axis % a.ndim) + (index,)
 
     def bwd(g):
-        a.accum_grad(g, at=sel)
+        grad = np.zeros_like(a.data)
+        grad[sel] = g
+        a.accum_fresh_grad(grad)
 
     return _record(out, bwd)
 

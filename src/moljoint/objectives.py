@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
-from .smiles import Vocabulary, detokenize, syntax_features, validate
+from .smiles import Vocabulary, detokenize, validate
 from .training import Dataset
 
 
@@ -45,9 +45,9 @@ def _kernel(value: float, target: float, sigma: float) -> float:
 
 def evaluate(obj: ObjectiveSpec, s: str) -> float:
     """Score a SMILES string in [0, 1]; invalid strings score 0."""
-    if not validate(s):
+    feats = validate(s).features
+    if feats is None:
         return 0.0
-    feats = syntax_features(s)
     scores = [
         _kernel(feats.n_tokens, obj.target_length, obj.sigma_length),
         _kernel(feats.ring_pairs, obj.target_rings, obj.sigma_rings),

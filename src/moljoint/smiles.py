@@ -94,9 +94,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Vocabulary) and self.tokens == other.tokens
 
@@ -188,6 +185,7 @@ class ValidityReport:
     valid: bool
     reason: str | None = None
     position: int | None = None  # token index of the first violation
+    features: SyntaxFeatures | None = None  # set exactly when valid
 
     def __bool__(self) -> bool:
         return self.valid
@@ -329,7 +327,8 @@ def _parse(tokens: list[str], check_valence: bool):
 def validate(s: str, check_valence: bool = False) -> ValidityReport:
     """Judge a string syntactically valid or name its first violation.
 
-    The valence check is off by default, making the verdict purely
+    A valid string's report carries its ``SyntaxFeatures``, from the same
+    parse. The valence check is off by default, making the verdict purely
     grammatical unless requested.
     """
     try:
@@ -337,22 +336,12 @@ def validate(s: str, check_valence: bool = False) -> ValidityReport:
     except TokenizeError as e:
         return ValidityReport(False, str(e), 0)
     try:
-        _parse(tokens, check_valence)
+        n_atoms, n_hetero, ring_pairs, depth = _parse(tokens, check_valence)
     except _ParseIssue as e:
         return ValidityReport(False, e.reason, e.position)
-    return ValidityReport(True)
-
-
-def syntax_features(s: str) -> SyntaxFeatures:
-    """Structural descriptors of a syntactically valid SMILES string."""
-    tokens = split_tokens(s)
-    try:
-        n_atoms, n_hetero, ring_pairs, depth = _parse(tokens, check_valence=False)
-    except _ParseIssue as e:
-        raise ValueError(f"not a valid SMILES string: {e.reason}") from None
-    return SyntaxFeatures(
+    return ValidityReport(True, features=SyntaxFeatures(
         n_tokens=len(tokens),
         ring_pairs=ring_pairs,
         hetero_fraction=n_hetero / n_atoms,
         branch_depth=depth,
-    )
+    ))

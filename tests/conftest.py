@@ -9,6 +9,22 @@ MEMORIZED_STRING = "CC(=O)OC1CC1N"
 MEMORIZED_TARGET = 0.37
 
 
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """The token lists that ``smiles._parse`` receives while the test runs."""
+    from moljoint import smiles
+
+    calls = []
+    parse = smiles._parse
+
+    def spy(tokens, check_valence):
+        calls.append(tokens)
+        return parse(tokens, check_valence)
+
+    monkeypatch.setattr(smiles, "_parse", spy)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def memorized():
     """A tiny model trained to memorize one labeled string.

@@ -321,6 +321,21 @@ def test_evaluate_draws_once_for_sample_metrics_and_sampled_mae(workdir, tmp_pat
     assert report["sample_count"] == 16 and report["mae_sampled"] is not None
 
 
+def test_evaluate_reports_draws_with_no_valid_string(workdir, tmp_path, monkeypatch):
+    samples = tmp_path / "samples.tsv"
+    samples.write_text("C((\t0.5\n\t0.1\n")
+    # the checkpoint's own draws are invalid too, so the sampled MAE has nothing to score
+    monkeypatch.setattr(cli.gen, "sample_batch", lambda params, vocab, cfg, n: [cli.gen.Sample("C1CC", 0.5)] * n)
+    out = tmp_path / "ev"
+    assert main(["evaluate", "--samples", str(samples), "--data", str(workdir / "corpus.txt"),
+                 "--checkpoint", str(workdir / "pre" / "checkpoint"), "--objective", "toy_mpo",
+                 "--n-samples", "4", "--histograms", "--out-dir", str(out)]) == 0
+    report = json.loads((out / "metrics.json").read_text())
+    assert report["validity"] == 0.0 and report["feature_kl"] is None
+    assert report["mae_sampled"] is None and report["mae_sampled_retained"] == 0
+    assert not (out / "histograms.csv").exists()
+
+
 def test_evaluate_histogram_csv_rows_match_bins(workdir, tmp_path):
     from moljoint.evaluation import feature_histograms
 
@@ -349,9 +364,16 @@ def test_evaluate_histogram_csv_rows_match_bins(workdir, tmp_path):
      "--objective-params", "sigma_rings=0.5"],
     ["finetune", "--max-iters", "1", "--objective-params", "sigma_rings=0.5"],
     ["evaluate", "--n-samples", "4", "--objective-params", "sigma_rings=0.5"],
+    ["sample", "--max-new-tokens", "-1"],
+    ["sample", "--max-new-tokens", "40"],  # the checkpoint's max_len is 32
+    ["sample", "--temperature", "nan"],
+    ["sample", "--temperature", "inf"],
+    ["optimize", "--y-c", "nan", "--eval-budget", "2", "--sample-budget", "4"],
+    ["sample", "-n", "-3"],
 ], ids=["n_heads", "batch_size", "sigma", "objective_key", "non_finite",
         "params_without_objective_optimize", "params_without_objective_finetune",
-        "params_without_objective_evaluate"])
+        "params_without_objective_evaluate", "max_new_tokens_negative", "max_new_tokens_past_max_len",
+        "temperature_nan", "temperature_inf", "y_c_nan", "n_negative"])
 def test_bad_setting_exits_1_before_the_run_starts(workdir, tmp_path, capsys, argv):
     source = [] if argv[0] == "pretrain" else ["--checkpoint", str(workdir / "pre" / "checkpoint")]
     if argv[0] in ("pretrain", "finetune"):

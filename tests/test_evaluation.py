@@ -89,6 +89,11 @@ def test_feature_kl_ignores_invalid_strings():
         E.feature_kl(["C(("], ["CCO"])
 
 
+def test_feature_matrix_parses_each_string_once(parse_calls):
+    assert E._feature_matrix(["CCO", "C1CC1N", "C1CC"]).shape == (2, 4)
+    assert len(parse_calls) == 3
+
+
 def test_histogram_rows_cover_all_features():
     rows = E.feature_histograms(["CCO", "CCN"], ["CCO", "C1CC1"])
     feats = {r["feature"] for r in rows}

@@ -22,6 +22,12 @@ def test_invalid_string_scores_zero():
     assert evaluate(ObjectiveSpec(), "C((") == 0.0
 
 
+def test_evaluate_parses_each_string_once(parse_calls):
+    for s in ("CCO", "C1CC1N", "C1CC"):
+        evaluate(ObjectiveSpec(), s)
+    assert len(parse_calls) == 3
+
+
 def test_cco_value_matches_hand_evaluation():
     # independent closed-form arithmetic, worked by hand before coding:
     # features of "CCO": 3 tokens, 0 ring pairs, hetero 1/3

@@ -8,8 +8,7 @@ from moljoint.numerics import Rng
 from moljoint.smiles import (
     BOS_ID, EOS_ID, MASK_ID, PAD_ID,
     TokenSequence, TooLongError, UnknownTokenError, Vocabulary,
-    build_vocabulary, detokenize, split_tokens, syntax_features,
-    tokenize, validate,
+    build_vocabulary, detokenize, split_tokens, tokenize, validate,
 )
 
 
@@ -101,7 +100,7 @@ def test_vocabulary_deterministic_order():
 
 def test_vocabulary_contains_percent_token():
     v = build_vocabulary(["C%12CCCCCCCCCCC%12"])
-    assert "%12" in v
+    assert "%12" in v.tokens
 
 
 def test_empty_corpus_is_error():
@@ -199,7 +198,7 @@ def test_valence_check_catches_overbonded_carbon():
 # -------------------------------------------------------------------- features
 
 def test_syntax_features_worked_example():
-    f = syntax_features("C1CC1(N)CO")
+    f = validate("C1CC1(N)CO").features
     assert f.n_tokens == 10
     assert f.ring_pairs == 1
     assert f.branch_depth == 1
@@ -207,5 +206,4 @@ def test_syntax_features_worked_example():
 
 
 def test_syntax_features_rejects_invalid():
-    with pytest.raises(ValueError):
-        syntax_features("C1CC")
+    assert validate("C1CC").features is None

@@ -35,6 +35,7 @@ def test_validate_never_raises(s, check_valence):
     report = validate(s, check_valence=check_valence)
     assert isinstance(report, ValidityReport)
     assert report.valid == (report.reason is None)
+    assert (report.features is None) == (not report.valid)
 
 
 @settings(max_examples=300, deadline=None)

@@ -77,7 +77,9 @@ def embedding(table, ids):
     out = Tensor(table.data[ids], name="embedding")
 
     def bwd(g):
-        table.accum_grad(g.reshape(-1, table.shape[-1]), at=ids.reshape(-1))
+        grad = np.zeros_like(table.data)
+        np.add.at(grad, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
+        table.accum_fresh_grad(grad)
 
     return _record(out, bwd)
 
