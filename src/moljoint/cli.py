@@ -16,6 +16,7 @@ import csv
 import ctypes
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -243,8 +244,9 @@ def cmd_optimize(args) -> int:
     objective = _objective(args)
     pcfg = gen.PbboConfig(y_c=args.y_c, eval_budget=args.eval_budget, sample_budget=args.sample_budget)
     scfg = gen.SamplerConfig(temperature=args.temperature, top_k=args.top_k, seed=args.seed)
+    y_c = pcfg.y_c if math.isfinite(pcfg.y_c) else str(pcfg.y_c)  # strict JSON has no -Infinity
     out_dir = _start_run(args, {
-        "checkpoint": args.checkpoint, "y_c": pcfg.y_c,
+        "checkpoint": args.checkpoint, "y_c": y_c,
         "eval_budget": pcfg.eval_budget, "sample_budget": pcfg.sample_budget,
         "objective": objective.params_dict() if objective else None,
         "sampler": vars(scfg).copy(),
@@ -257,7 +259,7 @@ def cmd_optimize(args) -> int:
             fh.write(json.dumps(vars(rec)) + "\n")
     summary = {
         "seed": args.seed,
-        "y_c": pcfg.y_c,
+        "y_c": y_c,
         "eval_budget": pcfg.eval_budget,
         "sample_budget": pcfg.sample_budget,
         "draws_used": result.draws_used,
@@ -278,9 +280,7 @@ def cmd_evaluate(args) -> int:
     if (args.test is not None or args.objective is not None) and args.checkpoint is None:
         raise ConfigError("evaluate --test and --objective need --checkpoint")
     objective = _objective(args)
-    resolved = {k: v for k, v in vars(args).items() if k != "func"}
-    out_dir = _start_run(args, resolved)
-
+    # every input is read and checked before the run directory exists
     state = _load_checkpoint(args.checkpoint) if args.checkpoint else None
     if args.samples is not None:
         # the first tab field, so ``sample``'s "SMILES<TAB>y" lines read as their
@@ -289,6 +289,20 @@ def cmd_evaluate(args) -> int:
         sample_lines = [ln.split("\t", 1)[0].strip() for ln in text.splitlines() if ln.strip()]
         if not sample_lines:
             raise DataError(f"no usable lines in {args.samples}")
+    reference = None
+    if args.data is not None:
+        reference = tr.read_smiles_lines(_require_path(args.data, "data"))
+        if not any(validate(s) for s in reference):
+            raise DataError(f"no valid SMILES in {args.data}")
+    if args.test is not None:
+        try:
+            lines, ys = tr.read_labeled_lines(_require_path(args.test, "test data"))
+            test_set = tr.encode_corpus(lines, state.vocab, state.model_config.max_len, targets=ys)
+        except (TokenizeError, ValueError) as e:
+            raise DataError(str(e)) from None
+    resolved = {k: v for k, v in vars(args).items() if k != "func"}
+    out_dir = _start_run(args, resolved)
+
     # one set of draws serves both the sample metrics and the sampled MAE
     draws = []
     if objective is not None or (args.samples is None and args.n_samples > 0):
@@ -303,19 +317,12 @@ def cmd_evaluate(args) -> int:
     if sample_lines:
         report.validity = ev.validity(sample_lines)
         report.uniqueness = ev.uniqueness(sample_lines)
-    reference = None
-    if args.data is not None:
-        reference = tr.read_smiles_lines(_require_path(args.data, "data"))
+    if reference is not None:
         if sample_lines:
             report.novelty = ev.novelty(sample_lines, reference)
         if report.validity:  # no valid sample: no feature distribution to compare
             report.feature_kl = ev.feature_kl(sample_lines, reference)
     if args.test is not None:
-        try:
-            lines, ys = tr.read_labeled_lines(_require_path(args.test, "test data"))
-            test_set = tr.encode_corpus(lines, state.vocab, state.model_config.max_len, targets=ys)
-        except (TokenizeError, ValueError) as e:
-            raise DataError(str(e)) from None
         report.mae = ev.mae(state.params, test_set)
     if objective is not None:
         if any(validate(s.smiles) for s in draws):

@@ -158,8 +158,8 @@ class PbboConfig:
     def __post_init__(self):
         if self.eval_budget < 1 or self.sample_budget < 1:
             raise ValueError("budgets must be >= 1")
-        if math.isnan(self.y_c):  # -inf accepts every valid draw; NaN accepts none
-            raise ValueError("y_c must not be NaN")
+        if math.isnan(self.y_c) or self.y_c == math.inf:  # -inf accepts every valid draw
+            raise ValueError(f"y_c must be finite or -inf, got {self.y_c}")
 
 
 @dataclass

@@ -20,19 +20,27 @@ that a whole group of rows can skip. Rows are sorted by non-PAD length
 equal count; neighbours that trim to the same width merge. Each group is
 trimmed to its own longest row and the groups run every layer in
 lockstep under one tape. After the final layer norm, ``_transformer``
-joins them with ``numerics.scatter_rows`` into one (B, S_in, E) output
-in batch order, zero past each group's width, so the heads never see the
-groups. Every dropout mask, on activations and on attention, is drawn
-once for the full padded (B, S, ...) batch at the same point of the RNG
-stream as with one group, and then sliced per group: RNG use and masks
-do not depend on the grouping, and only GEMM rounding can. The KV-cached
-decode path is always one group.
+joins them with ``numerics.scatter_rows`` into one output in batch
+order, zero past each group's width, so the heads never see the groups.
+Every dropout mask is drawn once for the full padded (B, S, ...) batch at
+the same point of the RNG stream as with one group, and then sliced per
+group (and gathered at read rows): RNG use and masks do not depend on the
+grouping, and only GEMM rounding can. The KV-cached decode path is
+always one group.
+
+Read rows: ``loss_encoder`` reads the masked positions and
+``forward_predictor`` position 0. Nothing after the last attention mixes
+positions, so their passes run LN1 and the last block's keys and values
+at every position, and the rest of the block and the final norm only at
+each row's reads, padded per group with the row's first other positions:
+exact up to GEMM rounding. The decoder and ``forward_encoder`` read all.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 
@@ -153,15 +161,13 @@ def sample_mask_vector(ids: np.ndarray, mask_rate: float, rng: Rng) -> np.ndarra
 def attention_bias(ids: np.ndarray, causal: bool) -> np.ndarray:
     """Additive attention bias: 0 where attending is allowed, else NEG_BIAS.
 
-    PAD keys are excluded in both modes; causal mode additionally hides
-    positions j > i.
+    PAD keys are excluded in both modes: (B, 1, 1, S), broadcast over the
+    queries. Causal mode additionally hides positions j > i: (B, 1, S, S).
     """
-    B, S = ids.shape
+    S = ids.shape[1]
     bias = np.where(ids[:, None, None, :] != PAD_ID, 0.0, NEG_BIAS)
     if causal:
         bias = bias + np.triu(np.full((S, S), NEG_BIAS), k=1)
-    else:
-        bias = np.broadcast_to(bias, (B, 1, S, S))
     return np.ascontiguousarray(bias, dtype=nm.current_dtype())
 
 
@@ -221,6 +227,11 @@ def _length_groups(lengths: np.ndarray) -> list[np.ndarray]:
     return [np.sort(order[g]) for g in groups]
 
 
+def _read_positions(reads: np.ndarray) -> np.ndarray:
+    """(B, Q) distinct positions per row, its reads first; Q is the most reads in a row, or 1."""
+    return np.argsort(~reads, axis=1, kind="stable")[:, :max(int(reads.sum(axis=1).max()), 1)]
+
+
 def _transformer(
     params: JointModelParams,
     ids: np.ndarray,
@@ -228,6 +239,7 @@ def _transformer(
     dropout: float = 0.0,
     rng: Rng | None = None,
     cache: KVCache | None = None,
+    reads: np.ndarray | None = None,
 ) -> Tensor:
     """Run the trunk; returns the final-normed hidden states (B, S_in, E).
 
@@ -238,6 +250,8 @@ def _transformer(
     With a ``cache`` (causal only), ``ids`` holds just the new columns of
     rows whose cached columns hold no PAD: positions start at the cached
     length, and every new query attends to all cached keys.
+    With ``reads`` (bidirectional only; (B, S_in) bool, at non-PAD positions)
+    the output is (B, Q, E) at ``_read_positions(reads)`` (see "Read rows").
     """
     cfg = params.config
     B, S_in = ids.shape
@@ -253,26 +267,33 @@ def _transformer(
     groups = _length_groups(lengths) if cache is None else [np.arange(B)]
     rows = groups if len(groups) > 1 else [slice(None)]  # one group: views, no copies
     widths = [max(int(lengths[g].max()), 1) for g in groups]
-    ids_g = [ids[r, :w] for r, w in zip(rows, widths)]
+    cells = [(r, slice(0, w)) for r, w in zip(rows, widths)]  # each group's part of (B, S, ...)
     if cache is None:
-        biases = [attention_bias(i, causal) for i in ids_g]
+        biases = [attention_bias(ids[c], causal) for c in cells]
     else:  # causal among the new columns, all of which see every cached key
         biases = [np.triu(np.full((S, t0 + S), NEG_BIAS, dtype=nm.current_dtype()), k=t0 + 1)]
 
     def drop(xs: list[Tensor]) -> list[Tensor]:
         keep = _keep_mask((B, S, cfg.embed_dim), dropout, rng)
-        return xs if keep is None else [nm.mul(x, keep[r, :w]) for x, r, w in zip(xs, rows, widths)]
+        return xs if keep is None else [nm.mul(x, keep[c]) for x, c in zip(xs, cells)]
 
     pos = [nm.embedding(params["pos_emb"], np.arange(t0, t0 + w)) for w in widths]
-    x = drop([nm.add(nm.embedding(params["tok_emb"], g_ids), pe) for g_ids, pe in zip(ids_g, pos)])
+    x = drop([nm.add(nm.embedding(params["tok_emb"], ids[c]), pe) for c, pe in zip(cells, pos)])
     for i in range(cfg.n_layers):
         p = f"h{i}."
         attn = [params[p + "attn." + n] for n in _ATTN_PARAMS]
         keep = _keep_mask((B, cfg.n_heads, S, t0 + S), dropout, rng)
-        y = [nm.attention(nm.layer_norm(xg, params[p + "ln1.g"], params[p + "ln1.b"]), *attn, bias,
-                          cfg.n_heads, keep=None if keep is None else keep[r, :, :w, :t0 + w],
-                          cache=cache, layer=i)
-             for xg, bias, r, w in zip(x, biases, rows, widths)]
+        keeps = [None if keep is None else keep[r, :, :w, :t0 + w] for r, w in zip(rows, widths)]
+        a = [nm.layer_norm(xg, params[p + "ln1.g"], params[p + "ln1.b"]) for xg in x]
+        kv = [None if cache is None else partial(cache.extend, i)] * len(a)
+        if reads is not None and i == cfg.n_layers - 1:  # nothing later mixes positions
+            queries, kv = [_read_positions(reads[r]) for r in rows], a
+            cells = [(g[:, None], q) for g, q in zip(groups, queries)]
+            x, a = ([nm.gather(t, q) for t, q in zip(ts, queries)] for ts in (x, a))
+            keeps = [k if k is None else np.take_along_axis(k, q[:, None, :, None], 2)
+                     for k, q in zip(keeps, queries)]
+        y = [nm.attention(ag, *attn, bias, cfg.n_heads, keep=kg, kv=kvg)
+             for ag, bias, kg, kvg in zip(a, biases, keeps, kv)]
         x = [nm.add(xg, yg) for xg, yg in zip(x, drop(y))]
 
         f = [nm.layer_norm(xg, params[p + "ln2.g"], params[p + "ln2.b"]) for xg in x]
@@ -280,7 +301,8 @@ def _transformer(
         x = [nm.add(xg, fg) for xg, fg in zip(x, drop(f))]
 
     h = [nm.layer_norm(xg, params["ln_f.g"], params["ln_f.b"]) for xg in x]
-    return nm.scatter_rows(h, groups, (B, S_in, cfg.embed_dim))
+    S_out = S_in if reads is None else max(hg.shape[1] for hg in h)
+    return nm.scatter_rows(h, groups, (B, S_out, cfg.embed_dim))
 
 
 def forward_decoder(
@@ -323,7 +345,8 @@ def forward_predictor(
     The first-position hidden state goes through the predictor MLP.
     """
     cfg = params.config
-    h = _transformer(params, ids, causal=False, dropout=dropout, rng=rng)  # all visible
+    first = np.broadcast_to(np.arange(ids.shape[1]) == 0, ids.shape)
+    h = _transformer(params, ids, causal=False, dropout=dropout, rng=rng, reads=first)
     z = nm.take(h, 0, axis=1)
     for i in range(cfg.predictor_layers):
         z = nm.gelu(nm.add(nm.matmul(z, params[f"pred.l{i}.w"]), params[f"pred.l{i}.b"]))
@@ -360,8 +383,11 @@ def loss_encoder(
     """Mean NLL of the true tokens at masked positions; 0 if none masked."""
     if not mask.any():
         return Tensor(0.0, name="encoder_loss_empty")
-    logits = forward_encoder(params, ids, mask, dropout=dropout, rng=rng)
-    return nm.cross_entropy(logits, ids, mask)
+    h = _transformer(params, np.where(mask, MASK_ID, ids), causal=False, dropout=dropout, rng=rng,
+                     reads=mask)
+    at = _read_positions(mask)
+    logits = nm.matmul(h, params["head.w"])
+    return nm.cross_entropy(logits, np.take_along_axis(ids, at, 1), np.take_along_axis(mask, at, 1))
 
 
 def loss_prediction(

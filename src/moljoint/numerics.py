@@ -347,6 +347,19 @@ def take(a: Tensor, index: int, axis: int) -> Tensor:
     return _record(out, bwd)
 
 
+def gather(a: Tensor, idx: np.ndarray) -> Tensor:
+    """out[b, j] = a[b, idx[b, j]] for a (B, S, ...) and idx (B, Q), distinct within a row."""
+    at = (np.arange(a.shape[0])[:, None], idx)
+    out = Tensor(a.data[at], name="gather")
+
+    def bwd(g):
+        grad = np.zeros_like(a.data)
+        grad[at] = g
+        a.accum_fresh_grad(grad)
+
+    return _record(out, bwd)
+
+
 def pad_cols(a: Tensor, total: int) -> Tensor:
     """Zero-extend axis 1 of (B, S, ...) to length `total`."""
     if total == a.shape[1]:
@@ -414,32 +427,36 @@ def _row_max(rows: np.ndarray) -> np.ndarray:
 
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
               bq: Tensor, bk: Tensor, bv: Tensor, bo: Tensor, bias: np.ndarray,
-              n_heads: int, keep: np.ndarray | None = None, cache=None, layer: int = 0) -> Tensor:
-    """Multi-head self-attention, from the normed input through the output projection.
+              n_heads: int, keep: np.ndarray | None = None, kv=None) -> Tensor:
+    """Multi-head attention of the normed query rows x (B, S, E), through the output projection.
 
-    x (B, S, E); ``bias`` is additive over the (B, h, S, T) scores (0 or
-    a large negative number), ``keep`` the attention-dropout multipliers
-    of that shape. One tape op: ``wq|wk|wv`` run as one (E, 3E) GEMM, the
+    The key/value source ``kv`` is None for x itself (``wq|wk|wv`` as one
+    (E, 3E) GEMM), a (B, T, E) Tensor such as the rows x was gathered from
+    (x @ wq and kv @ ``wk|wv``), or, inference only, a KV cache layer's
+    ``extend``: it takes x's new keys and values and returns every
+    column's, the cached ones first. ``bias`` is additive over the (B, h,
+    S, T) scores (0 or a large negative number) and may broadcast, ``keep``
+    the attention-dropout multipliers of that shape. One tape op: the
     softmax runs in place, and backward uses the saved q (pre-scaled),
-    k-transpose, v, probabilities and pre-projection y, splitting the
-    fused QKV gradient back onto the six parameters.
-
-    With a ``cache`` (inference only), the new keys and values go through
-    ``cache.extend(layer, k, v)``, which returns every column's, so T is
-    the cached length plus S.
+    k-transpose, v, probabilities and pre-projection y, splitting each
+    GEMM's gradient back onto its parameters.
     """
     B, S, E = x.shape
     hd = E // n_heads
-    w = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    x2 = x.data.reshape(-1, E)
-    qkv = x2 @ w
-    qkv += np.concatenate([bq.data, bk.data, bv.data])
-    qkv = qkv.reshape(B, S, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)  # (3, B, h, S, hd) view
+    # (input, weights, biases) per GEMM: one fused GEMM unless kv is a tensor of its own
+    gemms = ([(x, (wq,), (bq,)), (kv, (wk, wv), (bk, bv))] if isinstance(kv, Tensor)
+             else [(x, (wq, wk, wv), (bq, bk, bv))])
+    ws, heads = [], []  # heads: q, k and v as (B, h, rows, hd) views
+    for a, w_t, b_t in gemms:
+        ws.append(np.concatenate([t.data for t in w_t], axis=1))
+        o = a.data.reshape(-1, E) @ ws[-1]
+        o += np.concatenate([t.data for t in b_t])
+        heads += list(o.reshape(B, -1, len(w_t), n_heads, hd).transpose(2, 0, 3, 1, 4))
     scale = float(1.0 / np.sqrt(hd))
-    q = qkv[0] * scale
-    k, v = qkv[1], qkv[2]
-    if cache is not None:
-        k, v = cache.extend(layer, np.ascontiguousarray(k), np.ascontiguousarray(v))
+    q = heads[0] * scale
+    k, v = heads[1:]
+    if callable(kv):
+        k, v = kv(np.ascontiguousarray(k), np.ascontiguousarray(v))
     kT = np.ascontiguousarray(k.swapaxes(-1, -2))
     T = kT.shape[-1]
 
@@ -463,8 +480,8 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
         wo.accum_fresh_grad(y.T @ g2)
         bo.accum_fresh_grad(np.ones(g2.shape[0], dtype=g2.dtype) @ g2)
         dy = (g2 @ wo.data.T).reshape(B, S, n_heads, hd).transpose(0, 2, 1, 3)
-        dqkv = np.empty((B, S, 3, n_heads, hd), dtype=g.dtype)
-        dq, dk, dv = (dqkv[:, :, i].transpose(0, 2, 1, 3) for i in range(3))  # (B, h, S, hd) views
+        d = [np.empty((B, a.shape[1], len(w_t), n_heads, hd), dtype=g.dtype) for a, w_t, _ in gemms]
+        dq, dk, dv = (t for di in d for t in di.transpose(2, 0, 3, 1, 4))  # (B, h, rows, hd) views
         np.matmul((p if keep is None else p * keep).swapaxes(-1, -2), dy, out=dv)
         ds = dy @ v.swapaxes(-1, -2)
         if keep is not None:
@@ -475,13 +492,14 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
         np.matmul(ds, kT.swapaxes(-1, -2), out=dq)
         dq *= scale
         np.matmul(ds.swapaxes(-1, -2), q, out=dk)
-        d2 = dqkv.reshape(-1, 3 * E)
-        dw = x2.T @ d2
-        db = np.ones(d2.shape[0], dtype=d2.dtype) @ d2
-        for i, (wt, bt) in enumerate(((wq, bq), (wk, bk), (wv, bv))):  # views: copied
-            wt.accum_grad(dw[:, i * E:(i + 1) * E])
-            bt.accum_grad(db[i * E:(i + 1) * E])
-        x.accum_fresh_grad((d2 @ w.T).reshape(B, S, E))
+        for (a, w_t, b_t), w, di in zip(gemms, ws, d):
+            d2 = di.reshape(-1, w.shape[1])
+            dw = a.data.reshape(-1, E).T @ d2
+            db = np.ones(d2.shape[0], dtype=d2.dtype) @ d2
+            for i, (wt, bt) in enumerate(zip(w_t, b_t)):  # views: copied
+                wt.accum_grad(dw[:, i * E:(i + 1) * E])
+                bt.accum_grad(db[i * E:(i + 1) * E])
+            a.accum_fresh_grad((d2 @ w.T).reshape(a.shape))
 
     return _record(out, bwd)
 

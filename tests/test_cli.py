@@ -1,6 +1,7 @@
 """Command-line surface tests: wiring, exit codes, reproducibility."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -232,6 +233,33 @@ def test_optimize_impossible_threshold_empty_but_ok(workdir, tmp_path):
     assert len(trace) == 20
 
 
+def test_optimize_writes_minus_inf_threshold_as_strict_json(workdir, tmp_path):
+    out = tmp_path / "opt"
+    assert main(["optimize", "--checkpoint", str(workdir / "pre" / "checkpoint"), "--y-c=-inf",
+                 "--eval-budget", "2", "--sample-budget", "4", "--seed", "0", "--out-dir", str(out)]) == 0
+
+    def no_constants(name):
+        raise ValueError(f"{name} is not JSON")
+
+    for name in ("summary.json", "config_echo.json"):
+        doc = json.loads((out / name).read_text(), parse_constant=no_constants)
+        assert doc["y_c"] == "-inf"
+        assert float(doc["y_c"]) == -math.inf
+
+
+@pytest.mark.parametrize("bad", ["data", "checkpoint"])
+def test_evaluate_bad_input_exits_2_before_the_run_starts(workdir, tmp_path, capsys, bad):
+    samples = tmp_path / "samples.txt"
+    samples.write_text("CCO\n")
+    no_valid = tmp_path / "ref.txt"
+    no_valid.write_text("C((\n")
+    source = {"data": ["--data", str(no_valid)], "checkpoint": ["--checkpoint", str(tmp_path / "nope")]}[bad]
+    out = tmp_path / "ev"
+    assert main(["evaluate", "--samples", str(samples), *source, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not out.exists()
+
+
 def test_evaluate_hand_file_reproduces_hand_counts(workdir, tmp_path):
     hand = tmp_path / "hand.txt"
     hand.write_text("CCO\nC1CC1\nC((\n")
@@ -370,10 +398,11 @@ def test_evaluate_histogram_csv_rows_match_bins(workdir, tmp_path):
     ["sample", "--temperature", "inf"],
     ["optimize", "--y-c", "nan", "--eval-budget", "2", "--sample-budget", "4"],
     ["sample", "-n", "-3"],
+    ["optimize", "--y-c", "inf", "--eval-budget", "2", "--sample-budget", "4"],
 ], ids=["n_heads", "batch_size", "sigma", "objective_key", "non_finite",
         "params_without_objective_optimize", "params_without_objective_finetune",
         "params_without_objective_evaluate", "max_new_tokens_negative", "max_new_tokens_past_max_len",
-        "temperature_nan", "temperature_inf", "y_c_nan", "n_negative"])
+        "temperature_nan", "temperature_inf", "y_c_nan", "n_negative", "y_c_inf"])
 def test_bad_setting_exits_1_before_the_run_starts(workdir, tmp_path, capsys, argv):
     source = [] if argv[0] == "pretrain" else ["--checkpoint", str(workdir / "pre" / "checkpoint")]
     if argv[0] in ("pretrain", "finetune"):

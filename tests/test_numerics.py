@@ -2,11 +2,13 @@
 
 import inspect
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
 
 from moljoint import numerics as nm
+from moljoint.model import KVCache
 from moljoint.numerics import NonFiniteError, Rng, Tape, Tensor
 
 from gradcheck import numeric_grad, rel_error, tape_grads
@@ -208,6 +210,39 @@ def test_scatter_rows_zero_fills_and_keeps_a_filling_part():
     assert nm.scatter_rows([whole], [np.arange(2)], (2, 3)) is whole
 
 
+def test_gather_picks_per_row_positions_and_scatters_back():
+    a = Tensor(np.arange(12.0).reshape(2, 3, 2))
+    idx = np.array([[2, 0], [1, 2]])
+    with Tape() as tape:
+        out = nm.gather(a, idx)
+        loss = nm.sum_all(nm.mul(out, np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None]))
+    np.testing.assert_array_equal(out.data, [[[4, 5], [0, 1]], [[8, 9], [10, 11]]])
+    tape.backward(loss)
+    np.testing.assert_array_equal(a.grad[..., 0], [[2, 0, 1], [0, 3, 4]])
+
+
+def test_attention_key_value_sources_agree():
+    """x itself, a copy of x, a query subset of x and a KV cache give the same rows."""
+    rng = Rng(12)
+    E, n_heads = 6, 2
+    x = Tensor(rng.normal((2, 5, E)))
+    params = [Tensor(rng.normal((E, E))) for _ in range(4)]
+    params += [Tensor(rng.normal((E,))) for _ in range(4)]
+    bias = np.zeros((2, 1, 1, 5))
+    full = nm.attention(x, *params, bias, n_heads).data
+    copy = nm.attention(x, *params, bias, n_heads, kv=Tensor(x.data)).data
+    np.testing.assert_allclose(copy, full, rtol=1e-5, atol=1e-6)
+    idx = np.array([[4, 1], [0, 3]])
+    rows = nm.attention(nm.gather(x, idx), *params, bias, n_heads, kv=x).data
+    want = np.take_along_axis(full, idx[:, :, None], 1)
+    np.testing.assert_allclose(rows, want, rtol=1e-5, atol=1e-6)
+    # a KV cache filled by columns 0..3 answers the last column's query over all five
+    layer = partial(KVCache().extend, 0)
+    nm.attention(Tensor(x.data[:, :4]), *params, bias[..., :4], n_heads, kv=layer)
+    last = nm.attention(Tensor(x.data[:, 4:]), *params, bias, n_heads, kv=layer)
+    np.testing.assert_allclose(last.data[:, 0], full[:, 4], rtol=1e-5, atol=1e-6)
+
+
 def test_rng_determinism_bitwise():
     a, b = Rng(1234), Rng(1234)
     for _ in range(3):
@@ -258,7 +293,7 @@ def _check(build_out, tensors, proj, case_tag):
 RANDOM_GRAD_CASES = [
     "add", "sub", "mul", "matmul", "softmax_rows", "layer_norm", "layer_norm_extent2",
     "gelu", "embedding", "reshape", "transpose", "take", "pad_cols", "sum_all", "mean_all",
-    "cross_entropy", "attention", "scatter_rows",
+    "cross_entropy", "attention", "attention_kv", "scatter_rows", "gather",
 ]
 
 
@@ -348,24 +383,27 @@ def test_randomized_gradients(op_name):
                     select[0] = True
                 out = lambda: nm.cross_entropy(logits, targets, select)
                 tensors = [logits]
-            elif op_name == "attention":
-                # cases cycle through causal/bidirectional, each with and without dropout
+            elif op_name in ("attention", "attention_kv"):
+                # cases cycle through causal/bidirectional, each with and without dropout;
+                # attention_kv draws its S queries and T keys and values from two tensors
                 n_heads = int(rng.integers(1, 3))
                 E = n_heads * int(rng.integers(1, 3))
                 B, S = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+                T = S + int(rng.integers(0, 3)) if op_name == "attention_kv" else S
                 x = Tensor(rng.normal((B, S, E)))
+                kv = Tensor(rng.normal((B, T, E))) if op_name == "attention_kv" else None
                 params = [Tensor(rng.normal((E, E))) for _ in range(4)]
                 params += [Tensor(rng.normal((E,))) for _ in range(4)]
                 if case % 2:
-                    bias = np.triu(np.full((S, S), -1e9), k=1)
+                    bias = np.triu(np.full((S, T), -1e9), k=T - S + 1)
                 else:  # key 0 stays visible, so no row is all masked
-                    bias = np.where(rng.random((B, 1, 1, S)) < 0.3, -1e9, 0.0)
+                    bias = np.where(rng.random((B, 1, 1, T)) < 0.3, -1e9, 0.0)
                     bias[..., 0] = 0.0
-                keep = None if case % 4 < 2 else (rng.random((B, n_heads, S, S)) >= 0.3) / 0.7
-                out = lambda: nm.attention(x, *params, bias, n_heads, keep=keep)
+                keep = None if case % 4 < 2 else (rng.random((B, n_heads, S, T)) >= 0.3) / 0.7
+                out = lambda: nm.attention(x, *params, bias, n_heads, keep=keep, kv=kv)
                 # not bk (params[5]): it shifts a row of scores by a constant, which the
                 # softmax ignores, so its gradient is 0 and differences see only rounding
-                tensors = [x, *params[:5], *params[6:]]
+                tensors = [x, *params[:5], *params[6:]] + ([kv] if kv is not None else [])
             elif op_name == "scatter_rows":
                 # the rows split into 1-3 disjoint groups, each part narrower than the output
                 B, S, E = int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
@@ -375,6 +413,14 @@ def test_randomized_gradients(op_name):
                 parts = [Tensor(rng.normal((r.size, int(rng.integers(1, S + 1)), E))) for r in rows]
                 out = lambda: nm.scatter_rows(parts, rows, (B, S, E))
                 tensors = parts
+            elif op_name == "gather":
+                # distinct positions per row, in any order
+                B, S, E = int(rng.integers(1, 4)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
+                a = Tensor(rng.normal((B, S, E)))
+                Q = int(rng.integers(1, S + 1))
+                idx = np.stack([rng.permutation(S)[:Q] for _ in range(B)])
+                out = lambda: nm.gather(a, idx)
+                tensors = [a]
             else:  # pragma: no cover
                 raise AssertionError(op_name)
 

@@ -1,0 +1,101 @@
+"""The last block at the read rows only, against the full last block.
+
+``loss_encoder`` reads the masked positions and ``forward_predictor``
+position 0, so their trunk passes run the last block past its keys and
+values only at those rows. Losses, gradients and RNG use must match the
+full last block to 1e-8 relative in float64, with dropout on, in one
+length group and in several. The full-block reference runs the trunk at
+every position and gathers the read rows from its output; it replaces
+``_transformer``.
+"""
+
+import numpy as np
+import pytest
+
+from gradcheck import rel_error
+from moljoint import datagen
+from moljoint import model as M
+from moljoint import numerics as nm
+from moljoint.model import JointModelParams, ModelConfig, Task
+from moljoint.numerics import Rng, Tape
+from moljoint.smiles import PAD_ID, build_vocabulary, tokenize
+
+GRAD_TOL = 1e-8  # float64, norm-wise relative
+
+
+def _random_model():
+    lines = datagen.toy_corpus(64, seed=23, min_atoms=4)
+    vocab = build_vocabulary(lines)
+    cfg = ModelConfig(vocab_size=len(vocab), max_len=40, embed_dim=16, n_layers=2,
+                      n_heads=2, ff_dim=24, predictor_hidden_dim=8)
+    with nm.using_dtype(np.float64):
+        params = JointModelParams(cfg, Rng(3), init_std=0.2)
+    return params, M.pad_batch([tokenize(s, vocab, 40) for s in lines])
+
+
+def _full_last_block(monkeypatch):
+    transformer = M._transformer
+
+    def full(*args, reads=None, **kwargs):
+        h = transformer(*args, **kwargs)
+        return h if reads is None else nm.gather(h, M._read_positions(reads))
+
+    monkeypatch.setattr(M, "_transformer", full)
+
+
+def _one_group(monkeypatch):
+    monkeypatch.setattr(M, "_length_groups", lambda lengths: [np.arange(len(lengths))])
+
+
+def _loss_and_grads(params, ids, y):
+    mask = M.sample_mask_vector(ids, 0.15, Rng(2))
+    for t in params.tensors.values():
+        t.grad = None
+    rng = Rng(9)
+    with Tape() as tape:
+        loss = M.loss_joint(params, ids, y, mask, Task.PREDICTION, dropout=0.2, rng=rng)
+    tape.backward(loss)
+    grads = {n: t.grad.copy() for n, t in params.tensors.items() if t.grad is not None}
+    rows = sum(out.shape[0] * out.shape[1] for out, _ in tape._ops if out.name == "attention")
+    return loss.item(), grads, rng.random(), rows
+
+
+@pytest.mark.parametrize("grouped", [False, True], ids=["one-group", "groups"])
+@pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+def test_read_rows_match_the_full_last_block_in_float64(labeled, grouped, monkeypatch):
+    params, ids = _random_model()
+    if grouped:
+        assert len(M._length_groups((ids != PAD_ID).sum(axis=1))) > 1
+    else:
+        _one_group(monkeypatch)
+    y = np.linspace(0.1, 0.9, ids.shape[0]) if labeled else None
+    with nm.using_dtype(np.float64):
+        loss, got, next_draw, rows = _loss_and_grads(params, ids, y)
+        _full_last_block(monkeypatch)
+        want_loss, want, want_next_draw, full_rows = _loss_and_grads(params, ids, y)
+    assert rows < full_rows
+    assert next_draw == want_next_draw
+    assert abs(loss - want_loss) <= GRAD_TOL * abs(want_loss)
+    assert got.keys() == want.keys()
+    assert any(n.startswith("pred.") for n in got) == labeled
+    for name in got:
+        if name.endswith("attn.bk"):
+            # a key bias shifts a row of scores by a constant, which the softmax
+            # ignores: the gradient is 0 and both sides hold only rounding
+            assert np.abs(got[name]).max() < 1e-12 and np.abs(want[name]).max() < 1e-12
+        else:
+            assert rel_error(got[name], want[name]) < GRAD_TOL, name
+
+
+def test_predict_target_matches_the_full_last_block(monkeypatch):
+    params, ids = _random_model()
+    with nm.using_dtype(np.float64):
+        got = M.predict_target(params, ids)
+        _full_last_block(monkeypatch)
+        want = M.predict_target(params, ids)
+    np.testing.assert_allclose(got, want, rtol=GRAD_TOL, atol=0)
+
+
+def test_read_positions_put_each_rows_reads_first():
+    reads = np.array([[0, 1, 0, 1], [0, 0, 0, 0], [1, 0, 0, 0]], dtype=bool)
+    np.testing.assert_array_equal(M._read_positions(reads), [[1, 3], [0, 1], [0, 1]])
