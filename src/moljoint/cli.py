@@ -179,6 +179,8 @@ def _sampled_strings(state: Checkpoint, n: int, seed: int) -> list[str]:
 
 
 def cmd_finetune(args) -> int:
+    if args.eval_samples < 0:
+        raise ConfigError(f"--eval-samples must be >= 0, got {args.eval_samples}")
     base = _load_checkpoint(args.checkpoint)
     data_path = _require_path(args.data, "data")
     objective = _objective(args)

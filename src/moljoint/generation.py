@@ -7,12 +7,12 @@ until either the sampling budget is spent or enough samples have been
 accepted, accepting on predicted target >= threshold; accepted samples
 can be re-scored with the true objective afterwards.
 
-Decoding is incremental: a ``model.KVCache`` holds every layer's keys
-and values, so each step runs only the newest column through the trunk.
-Rows that emit EOS leave both the step input and the cache (batch
-shrinking), so a step costs one trunk row per molecule still being
-decoded. The predictor then makes one all-visible pass over the
-finished strings.
+Decoding is incremental: each step runs only the newest column through
+the trunk's decode step, which writes every layer's keys and values in
+place into a ``model.KVCache`` allocated once per chunk at max_len. Rows
+that emit EOS leave both the step input and the cache (batch shrinking),
+so a step costs one trunk row per molecule still being decoded. The
+predictor then makes one all-visible pass over the finished strings.
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ DRAW_CHUNK = 64  # rows decoded together by sample_batch, and draws per optimiza
 class SamplerConfig:
     """Ancestral decoding knobs.
 
-    temperature 0 means argmax decoding; top_k 0 disables top-k
-    filtering. Special tokens other than EOS are never sampled. With
-    ``sample_y`` the target is drawn from the unit-variance Gaussian
-    around the predicted mean instead of returning the mean itself.
+    temperature 0 means argmax decoding, as does one so small that the
+    scaled logits overflow; top_k 0 disables top-k filtering. Special
+    tokens other than EOS are never sampled. With ``sample_y`` the target
+    is drawn from the unit-variance Gaussian around the predicted mean
+    instead of returning the mean itself.
     """
 
     temperature: float = 1.0
@@ -73,17 +74,22 @@ class Sample:
 
 def _next_token_ids(logits: np.ndarray, cfg: SamplerConfig, rng: Rng) -> np.ndarray:
     """Sample one token id per row from last-position logits (B, V)."""
-    z = logits.astype(np.float64).copy()
-    z[:, BOS_ID] = -np.inf
-    z[:, PAD_ID] = -np.inf
-    z[:, MASK_ID] = -np.inf
+    z = logits.astype(np.float64)
+    z[:, [BOS_ID, PAD_ID, MASK_ID]] = -np.inf
     if cfg.temperature == 0.0:
         return z.argmax(axis=-1)
-    z /= cfg.temperature
+    with np.errstate(over="ignore"):
+        scaled = z / cfg.temperature
+    peak = scaled.max(axis=-1, keepdims=True)  # top-k below keeps each row's peak
+    cold = ~np.isfinite(peak[:, 0])
+    if cold.any():  # overflowed rows take their argmax, the limit as the temperature goes to 0
+        scaled[cold] = np.where(np.arange(z.shape[-1]) == z[cold].argmax(axis=-1)[:, None], 0.0, -np.inf)
+        peak[cold] = 0.0
+    z = scaled
     if cfg.top_k > 0 and cfg.top_k < z.shape[-1]:
         kth = np.sort(z, axis=-1)[:, -cfg.top_k][:, None]
         z = np.where(z >= kth, z, -np.inf)
-    z -= z.max(axis=-1, keepdims=True)
+    z -= peak
     p = np.exp(z)
     p /= p.sum(axis=-1, keepdims=True)
     u = rng.random(z.shape[0])

@@ -14,19 +14,17 @@ Losses:
   * ``loss_joint``      per-step branch: generation -> decoder loss,
                         prediction -> encoder (+ prediction when labeled)
 
-Length groups: a trunk pass without a KV cache computes no PAD column
-that a whole group of rows can skip. Rows are sorted by non-PAD length
-(stable) and cut into ``min(MAX_GROUPS, B // MIN_GROUP_ROWS)`` groups of
-equal count; neighbours that trim to the same width merge. Each group is
-trimmed to its own longest row and the groups run every layer in
-lockstep under one tape. After the final layer norm, ``_transformer``
-joins them with ``numerics.scatter_rows`` into one output in batch
-order, zero past each group's width, so the heads never see the groups.
-Every dropout mask is drawn once for the full padded (B, S, ...) batch at
-the same point of the RNG stream as with one group, and then sliced per
-group (and gathered at read rows): RNG use and masks do not depend on the
-grouping, and only GEMM rounding can. The KV-cached decode path is
-always one group.
+Length groups: a trunk pass computes no PAD column that a whole group of
+rows can skip. Rows are sorted by non-PAD length (stable) and cut into
+``min(MAX_GROUPS, B // MIN_GROUP_ROWS)`` groups of equal count; neighbours
+that trim to the same width merge. Each group is trimmed to its own longest
+row and the groups run every layer in lockstep under one tape. After the
+final layer norm, ``_transformer`` joins them with ``numerics.scatter_rows``
+into one output in batch order, zero past each group's width, so the heads
+never see the groups. Every dropout mask is drawn once for the full padded
+(B, S, ...) batch at the same point of the RNG stream as with one group, and
+then sliced per group (and gathered at read rows): RNG use and masks do not
+depend on the grouping, and only GEMM rounding can.
 
 Read rows: ``loss_encoder`` reads the masked positions and
 ``forward_predictor`` position 0. Nothing after the last attention mixes
@@ -34,6 +32,12 @@ positions, so their passes run LN1 and the last block's keys and values
 at every position, and the rest of the block and the final norm only at
 each row's reads, padded per group with the row's first other positions:
 exact up to GEMM rounding. The decoder and ``forward_encoder`` read all.
+
+Decoding: ``forward_decoder`` with a ``KVCache`` runs ``_decode_step`` on
+the new columns only, one group without dropout; one new column needs no
+bias. Each layer caches its keys and values time-major, (max_len, B,
+n_heads, head_dim), in buffers allocated once and written in place; the
+attention reads them, and the keys' transpose, as strided views.
 """
 
 from __future__ import annotations
@@ -180,31 +184,47 @@ def _keep_mask(shape, rate: float, rng: Rng | None) -> np.ndarray | None:
 
 
 class KVCache:
-    """Each layer's keys and values for the columns decoded so far.
+    """Each layer's keys and values for the columns decoded so far (see "Decoding").
 
-    Inference only: the cached arrays are constants to the tape. Layer i
-    holds (B, n_heads, t, head_dim) keys and values; ``keep`` drops rows
-    that stopped decoding.
+    Inference only: the cached arrays are constants to the tape. ``keep``
+    drops rows that stopped decoding.
     """
 
     def __init__(self):
-        self.layers: list[tuple[np.ndarray, np.ndarray]] = []
+        self.capacity = 0  # columns per buffer; _decode_step sets the model's max_len
+        self._layers: list[list] = []  # per layer: [keys, values, filled columns]
+        self._rows = 0  # live rows, at the front of every buffer
 
     @property
     def length(self) -> int:
-        return self.layers[0][0].shape[2] if self.layers else 0
+        return self._layers[0][2] if self._layers else 0
+
+    @property
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [tuple(a[:t, :self._rows].transpose(1, 2, 0, 3) for a in (k, v)) for k, v, t in self._layers]
 
     def extend(self, i: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Append layer i's new columns; returns its keys and values over all columns."""
-        if i == len(self.layers):
-            self.layers.append((k, v))
-        else:
-            ck, cv = self.layers[i]
-            self.layers[i] = (np.concatenate([ck, k], axis=2), np.concatenate([cv, v], axis=2))
-        return self.layers[i]
+        """Write layer i's new columns in place; returns (B, n_heads, t, head_dim) views of all."""
+        B, S = k.shape[0], k.shape[2]
+        if i == len(self._layers):
+            self._layers.append([np.empty((0, B) + k.shape[1:2] + k.shape[3:], k.dtype)] * 2 + [0])
+        layer = self._layers[i]
+        t = layer[2]
+        for j, new in enumerate((k, v)):
+            old = layer[j]
+            if t + S > len(old):  # first use, or past the capacity of a cache no decode step sized
+                layer[j] = np.empty((max(self.capacity, t + S),) + old.shape[1:], old.dtype)
+                layer[j][:t] = old[:t]
+            layer[j][t:t + S, :B] = new.transpose(2, 0, 1, 3)
+        layer[2], self._rows = t + S, B
+        return tuple(a[:t + S, :B].transpose(1, 2, 0, 3) for a in layer[:2])
 
     def keep(self, rows: np.ndarray) -> None:
-        self.layers = [(k[rows], v[rows]) for k, v in self.layers]
+        """Keep the rows where the bool mask ``rows`` is True, in order."""
+        live = np.flatnonzero(rows)
+        for k, v, t in self._layers:
+            k[:t, :len(live)], v[:t, :len(live)] = k[:t, live], v[:t, live]
+        self._rows = len(live)
 
 
 def _length_groups(lengths: np.ndarray) -> list[np.ndarray]:
@@ -238,54 +258,43 @@ def _transformer(
     causal: bool,
     dropout: float = 0.0,
     rng: Rng | None = None,
-    cache: KVCache | None = None,
     reads: np.ndarray | None = None,
 ) -> Tensor:
     """Run the trunk; returns the final-normed hidden states (B, S_in, E).
 
-    The groups come from ``_length_groups``, or are one group with a
-    cache. Dropout masks are drawn for the whole (B, S, ...) batch, S its
-    longest row, and sliced per group (see the module docstring).
-
-    With a ``cache`` (causal only), ``ids`` holds just the new columns of
-    rows whose cached columns hold no PAD: positions start at the cached
-    length, and every new query attends to all cached keys.
-    With ``reads`` (bidirectional only; (B, S_in) bool, at non-PAD positions)
-    the output is (B, Q, E) at ``_read_positions(reads)`` (see "Read rows").
+    The groups come from ``_length_groups``. Dropout masks are drawn for
+    the whole (B, S, ...) batch, S its longest row, and sliced per group
+    (see the module docstring). With ``reads`` (bidirectional only; (B,
+    S_in) bool, at non-PAD positions) the output is (B, Q, E) at
+    ``_read_positions(reads)`` (see "Read rows").
     """
     cfg = params.config
     B, S_in = ids.shape
-    t0 = 0 if cache is None else cache.length
-    if t0 + S_in > cfg.max_len:
-        raise ValueError(f"sequence length {t0 + S_in} exceeds max_len {cfg.max_len}")
-    if cache is not None and nm.recording():
-        raise RuntimeError("a KV cache is inference only: its keys and values carry no gradient")
+    if S_in > cfg.max_len:
+        raise ValueError(f"sequence length {S_in} exceeds max_len {cfg.max_len}")
     # trailing PAD columns are trimmed so that appending PAD after EOS leaves
     # every pre-PAD output bit-identical
     lengths = (ids != PAD_ID).sum(axis=1)
     S = max(int(lengths.max()), 1)
-    groups = _length_groups(lengths) if cache is None else [np.arange(B)]
+    groups = _length_groups(lengths)
     rows = groups if len(groups) > 1 else [slice(None)]  # one group: views, no copies
     widths = [max(int(lengths[g].max()), 1) for g in groups]
     cells = [(r, slice(0, w)) for r, w in zip(rows, widths)]  # each group's part of (B, S, ...)
-    if cache is None:
-        biases = [attention_bias(ids[c], causal) for c in cells]
-    else:  # causal among the new columns, all of which see every cached key
-        biases = [np.triu(np.full((S, t0 + S), NEG_BIAS, dtype=nm.current_dtype()), k=t0 + 1)]
+    biases = [attention_bias(ids[c], causal) for c in cells]
 
     def drop(xs: list[Tensor]) -> list[Tensor]:
         keep = _keep_mask((B, S, cfg.embed_dim), dropout, rng)
         return xs if keep is None else [nm.mul(x, keep[c]) for x, c in zip(xs, cells)]
 
-    pos = [nm.embedding(params["pos_emb"], np.arange(t0, t0 + w)) for w in widths]
+    pos = [nm.embedding(params["pos_emb"], np.arange(w)) for w in widths]
     x = drop([nm.add(nm.embedding(params["tok_emb"], ids[c]), pe) for c, pe in zip(cells, pos)])
     for i in range(cfg.n_layers):
         p = f"h{i}."
         attn = [params[p + "attn." + n] for n in _ATTN_PARAMS]
-        keep = _keep_mask((B, cfg.n_heads, S, t0 + S), dropout, rng)
-        keeps = [None if keep is None else keep[r, :, :w, :t0 + w] for r, w in zip(rows, widths)]
+        keep = _keep_mask((B, cfg.n_heads, S, S), dropout, rng)
+        keeps = [None if keep is None else keep[r, :, :w, :w] for r, w in zip(rows, widths)]
         a = [nm.layer_norm(xg, params[p + "ln1.g"], params[p + "ln1.b"]) for xg in x]
-        kv = [None if cache is None else partial(cache.extend, i)] * len(a)
+        kv = [None] * len(a)
         if reads is not None and i == cfg.n_layers - 1:  # nothing later mixes positions
             queries, kv = [_read_positions(reads[r]) for r in rows], a
             cells = [(g[:, None], q) for g, q in zip(groups, queries)]
@@ -305,6 +314,26 @@ def _transformer(
     return nm.scatter_rows(h, groups, (B, S_out, cfg.embed_dim))
 
 
+def _decode_step(params: JointModelParams, ids: np.ndarray, cache: KVCache) -> Tensor:
+    """Final-normed hidden states (B, S, E) of a decode's new columns ``ids`` (see "Decoding")."""
+    cfg, t0, S = params.config, cache.length, ids.shape[1]
+    if t0 + S > cfg.max_len:
+        raise ValueError(f"sequence length {t0 + S} exceeds max_len {cfg.max_len}")
+    if nm.recording():
+        raise RuntimeError("a KV cache is inference only: its keys and values carry no gradient")
+    cache.capacity = cfg.max_len
+    bias = 0.0 if S == 1 else np.triu(np.full((S, t0 + S), NEG_BIAS, dtype=nm.current_dtype()), k=t0 + 1)
+    x = nm.add(nm.embedding(params["tok_emb"], ids), nm.embedding(params["pos_emb"], np.arange(t0, t0 + S)))
+    for i in range(cfg.n_layers):
+        p = f"h{i}."
+        a = nm.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"])
+        attn = [params[p + "attn." + n] for n in _ATTN_PARAMS]
+        x = nm.add(x, nm.attention(a, *attn, bias, cfg.n_heads, kv=partial(cache.extend, i)))
+        f = nm.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"])
+        x = nm.add(x, nm.matmul(nm.gelu(nm.matmul(f, params[p + "ff.w1"])), params[p + "ff.w2"]))
+    return nm.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
+
+
 def forward_decoder(
     params: JointModelParams,
     ids: np.ndarray,
@@ -315,9 +344,10 @@ def forward_decoder(
     """Causally masked forward; logits[i] depends only on tokens 0..i.
 
     With a ``cache``, ``ids`` are the columns after the cached ones and
-    their keys and values are appended to it (see ``KVCache``).
+    their keys and values are written into it (see ``_decode_step``).
     """
-    h = _transformer(params, ids, causal=True, dropout=dropout, rng=rng, cache=cache)
+    h = (_transformer(params, ids, causal=True, dropout=dropout, rng=rng) if cache is None
+         else _decode_step(params, ids, cache))
     return nm.matmul(h, params["head.w"])
 
 

@@ -37,6 +37,7 @@ would read as a masked key, not as NaN.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -413,18 +414,6 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _record(out, bwd)
 
 
-def _row_max(rows: np.ndarray) -> np.ndarray:
-    """Max over the last axis of a 2-D array, one strided column at a time.
-
-    Exact, NaN-propagating, and several times faster than ``max(axis=-1)``
-    when rows are short and many (attention scores).
-    """
-    m = rows[:, 0].copy()
-    for j in range(1, rows.shape[1]):
-        np.maximum(m, rows[:, j], out=m)
-    return m
-
-
 def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
               bq: Tensor, bk: Tensor, bv: Tensor, bo: Tensor, bias: np.ndarray,
               n_heads: int, keep: np.ndarray | None = None, kv=None) -> Tensor:
@@ -433,10 +422,11 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     The key/value source ``kv`` is None for x itself (``wq|wk|wv`` as one
     (E, 3E) GEMM), a (B, T, E) Tensor such as the rows x was gathered from
     (x @ wq and kv @ ``wk|wv``), or, inference only, a KV cache layer's
-    ``extend``: it takes x's new keys and values and returns every
-    column's, the cached ones first. ``bias`` is additive over the (B, h,
-    S, T) scores (0 or a large negative number) and may broadcast, ``keep``
-    the attention-dropout multipliers of that shape. One tape op: the
+    ``extend``: it takes x's new keys and values and returns (B, h, T, hd)
+    views of every column's, the cached ones first, which the scores and
+    the weighted sum read where they lie. ``bias`` is additive over the
+    (B, h, S, T) scores (0 or a large negative number) and may broadcast,
+    ``keep`` the attention-dropout multipliers of that shape. One tape op: the
     softmax runs in place, and backward uses the saved q (pre-scaled),
     k-transpose, v, probabilities and pre-projection y, splitting each
     GEMM's gradient back onto its parameters.
@@ -456,8 +446,8 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     q = heads[0] * scale
     k, v = heads[1:]
     if callable(kv):
-        k, v = kv(np.ascontiguousarray(k), np.ascontiguousarray(v))
-    kT = np.ascontiguousarray(k.swapaxes(-1, -2))
+        k, v = kv(k, v)
+    kT = k.swapaxes(-1, -2) if callable(kv) else np.ascontiguousarray(k.swapaxes(-1, -2))
     T = kT.shape[-1]
 
     p = q @ kT  # scores, (B, h, S, T)
@@ -465,7 +455,8 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     if not np.isfinite(p).all():
         raise NonFiniteError("non-finite values in attention scores")
     rows = p.reshape(-1, T)
-    rows -= _row_max(rows)[:, None]
+    # exact row max in one pass down a transposed copy (max(axis=-1) runs a loop per row)
+    rows -= np.ascontiguousarray(rows.T).max(axis=0)[:, None]
     np.exp(rows, out=rows)
     rows /= (rows @ np.ones(T, dtype=rows.dtype))[:, None]
     y = np.empty((B, S, n_heads, hd), dtype=p.dtype)  # pre-projection, heads side by side
@@ -504,13 +495,20 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
     return _record(out, bwd)
 
 
+@lru_cache(maxsize=16)
+def _mean_weights(n: int, dtype: np.dtype) -> np.ndarray:
+    w = np.full(n, 1.0 / n, dtype=dtype)
+    w.flags.writeable = False  # every call shares it
+    return w
+
+
 def _row_means(rows: np.ndarray) -> np.ndarray:
     """Mean over the last axis of a 2-D array, as one GEMV against a 1/E vector.
 
     numpy's reductions over a short last axis run a loop per row; BLAS
     does the whole array in one pass.
     """
-    return rows @ np.full(rows.shape[1], 1.0 / rows.shape[1], dtype=rows.dtype)
+    return rows @ _mean_weights(rows.shape[1], rows.dtype)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

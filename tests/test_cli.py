@@ -399,10 +399,11 @@ def test_evaluate_histogram_csv_rows_match_bins(workdir, tmp_path):
     ["optimize", "--y-c", "nan", "--eval-budget", "2", "--sample-budget", "4"],
     ["sample", "-n", "-3"],
     ["optimize", "--y-c", "inf", "--eval-budget", "2", "--sample-budget", "4"],
+    ["finetune", "--max-iters", "1", "--eval-samples", "-1"],
 ], ids=["n_heads", "batch_size", "sigma", "objective_key", "non_finite",
         "params_without_objective_optimize", "params_without_objective_finetune",
         "params_without_objective_evaluate", "max_new_tokens_negative", "max_new_tokens_past_max_len",
-        "temperature_nan", "temperature_inf", "y_c_nan", "n_negative", "y_c_inf"])
+        "temperature_nan", "temperature_inf", "y_c_nan", "n_negative", "y_c_inf", "eval_samples_negative"])
 def test_bad_setting_exits_1_before_the_run_starts(workdir, tmp_path, capsys, argv):
     source = [] if argv[0] == "pretrain" else ["--checkpoint", str(workdir / "pre" / "checkpoint")]
     if argv[0] in ("pretrain", "finetune"):

@@ -175,6 +175,34 @@ def test_extreme_uniform_draws_pick_an_in_vocabulary_id_with_mass(u, top_k):
             assert allowed[i] >= np.sort(allowed)[-top_k]
 
 
+@pytest.mark.parametrize("top_k", [0, 3])
+@pytest.mark.parametrize("temperature", [1e-310, 5e-324])
+def test_tiny_temperature_takes_the_argmax(temperature, top_k):
+    """Logits / temperature overflow; the limit as the temperature goes to 0 is the argmax."""
+    rows = Rng(3).normal((4, 20), std=2.0)
+    rows[1] = -np.abs(rows[1]) - 1.0  # every logit negative: all overflow to -inf
+    rows[2, [0, 7]] = 50.0  # BOS holds the largest logit, which is never sampled
+    allowed = rows.copy()
+    allowed[:, [BOS_ID, PAD_ID, MASK_ID]] = -np.inf
+    for u in (0.0, 0.5, 1.0 - 2.0**-53):
+        ids = G._next_token_ids(rows, SamplerConfig(temperature=temperature, top_k=top_k),
+                                _ConstantRng(u))
+        np.testing.assert_array_equal(ids, allowed.argmax(axis=1))
+
+
+def test_finite_scaled_logits_keep_their_draws():
+    rows = Rng(4).normal((16, 12), std=3.0)
+    for temperature in (1e-3, 0.7, 1.3):
+        cfg = SamplerConfig(temperature=temperature)
+        got = G._next_token_ids(rows, cfg, Rng(6))
+        z = rows / temperature
+        z[:, [BOS_ID, PAD_ID, MASK_ID]] = -np.inf
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        want = (p.cumsum(axis=1) < Rng(6).random(16)[:, None]).sum(axis=1)
+        np.testing.assert_array_equal(got, want)
+
+
 def test_pbbo_impossible_threshold_empties(memorized):
     params, vocab, _, _, _ = memorized
     cfg = PbboConfig(y_c=99.0, eval_budget=5, sample_budget=30)
