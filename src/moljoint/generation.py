@@ -8,11 +8,13 @@ accepted, accepting on predicted target >= threshold; accepted samples
 can be re-scored with the true objective afterwards.
 
 Decoding is incremental: each step runs only the newest column through
-the trunk's decode step, which writes every layer's keys and values in
-place into a ``model.KVCache`` allocated once per chunk at max_len. Rows
-that emit EOS leave both the step input and the cache (batch shrinking),
-so a step costs one trunk row per molecule still being decoded. The
-predictor then makes one all-visible pass over the finished strings.
+the trunk's tape-free decode step, over a ``model.KVCache`` made once per
+chunk: it packs the weights on the first step and keeps every layer's
+keys and values in buffers allocated at max_len and written in place.
+Rows that emit EOS leave both the step input and the cache (batch
+shrinking), so a step costs one trunk row per molecule still being
+decoded. The predictor then makes one all-visible pass over the finished
+strings.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .numerics import Rng
 from .smiles import BOS_ID, EOS_ID, MASK_ID, PAD_ID, Vocabulary, detokenize, validate
 
 DRAW_CHUNK = 64  # rows decoded together by sample_batch, and draws per optimization round
+_NEVER_SAMPLED = np.array([BOS_ID, PAD_ID, MASK_ID])  # special ids other than EOS
 
 
 @dataclass
@@ -75,11 +78,13 @@ class Sample:
 def _next_token_ids(logits: np.ndarray, cfg: SamplerConfig, rng: Rng) -> np.ndarray:
     """Sample one token id per row from last-position logits (B, V)."""
     z = logits.astype(np.float64)
-    z[:, [BOS_ID, PAD_ID, MASK_ID]] = -np.inf
+    z[:, _NEVER_SAMPLED] = -np.inf
     if cfg.temperature == 0.0:
         return z.argmax(axis=-1)
-    with np.errstate(over="ignore"):
-        scaled = z / cfg.temperature
+    scaled = z
+    if cfg.temperature != 1.0:  # z / 1.0 is z, bit for bit
+        with np.errstate(over="ignore"):
+            scaled = z / cfg.temperature
     peak = scaled.max(axis=-1, keepdims=True)  # top-k below keeps each row's peak
     cold = ~np.isfinite(peak[:, 0])
     if cold.any():  # overflowed rows take their argmax, the limit as the temperature goes to 0
@@ -99,7 +104,7 @@ def _next_token_ids(logits: np.ndarray, cfg: SamplerConfig, rng: Rng) -> np.ndar
     nonzero = p > 0
     first = nonzero.argmax(axis=-1)
     last = p.shape[-1] - 1 - nonzero[:, ::-1].argmax(axis=-1)
-    return np.clip(ids, first, last)
+    return np.minimum(np.maximum(ids, first), last)
 
 
 def _decode_chunk(
@@ -143,8 +148,8 @@ def sample_batch(
         ys = mdl.predict_target(params, ids)
         if cfg.sample_y:
             ys = ys + rng.normal(m)
-        for i in range(m):
-            out.append(Sample(detokenize(list(ids[i]), vocab), float(ys[i]), bool(truncated[i])))
+        out += [Sample(detokenize(row, vocab), y, t)
+                for row, y, t in zip(ids.tolist(), ys.tolist(), truncated.tolist())]
     return out
 
 

@@ -34,17 +34,19 @@ each row's reads, padded per group with the row's first other positions:
 exact up to GEMM rounding. The decoder and ``forward_encoder`` read all.
 
 Decoding: ``forward_decoder`` with a ``KVCache`` runs ``_decode_step`` on
-the new columns only, one group without dropout; one new column needs no
-bias. Each layer caches its keys and values time-major, (max_len, B,
-n_heads, head_dim), in buffers allocated once and written in place; the
-attention reads them, and the keys' transpose, as strided views.
+the new columns only, one group without dropout (one new column needs no
+bias), on plain arrays: the ``numerics`` kernels the tape ops run, with
+no Tensor but the logits and every check the tape ops make. The cache's
+first step packs the weights (a fused wq|wk|wv per block). Each layer
+caches its keys and values time-major, (max_len, B, n_heads, head_dim),
+in buffers allocated once and written in place; attention reads them,
+and the keys' transpose, as strided views.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, asdict
-from functools import partial
 
 import numpy as np
 
@@ -186,14 +188,18 @@ def _keep_mask(shape, rate: float, rng: Rng | None) -> np.ndarray | None:
 class KVCache:
     """Each layer's keys and values for the columns decoded so far (see "Decoding").
 
-    Inference only: the cached arrays are constants to the tape. ``keep``
-    drops rows that stopped decoding.
+    Inference only: the cached arrays are constants to the tape. Every step
+    must pass the params object the first one packed. ``keep`` drops rows
+    that stopped decoding.
     """
 
     def __init__(self):
-        self.capacity = 0  # columns per buffer; _decode_step sets the model's max_len
+        self.capacity = 0  # columns per buffer; packing sets the model's max_len
         self._layers: list[list] = []  # per layer: [keys, values, filled columns]
         self._rows = 0  # live rows, at the front of every buffer
+        self._spare: np.ndarray | None = None  # a free flat buffer that keep gathers into
+        self._params: JointModelParams | None = None
+        self._weights: dict[str, np.ndarray] = {}
 
     @property
     def length(self) -> int:
@@ -202,6 +208,20 @@ class KVCache:
     @property
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return [tuple(a[:t, :self._rows].transpose(1, 2, 0, 3) for a in (k, v)) for k, v, t in self._layers]
+
+    def packed(self, params: JointModelParams) -> dict[str, np.ndarray]:
+        """The first call's params as arrays by name, plus each block's fused ``attn.wqkv``
+        and ``attn.bqkv``; ValueError for other params."""
+        if self._params is None:
+            w = {n: t.data for n, t in params.tensors.items()}
+            for i in range(params.config.n_layers):
+                a = f"h{i}.attn."
+                w[a + "wqkv"] = np.concatenate([w[a + n] for n in _ATTN_PARAMS[:3]], axis=1)
+                w[a + "bqkv"] = np.concatenate([w[a + n] for n in _ATTN_PARAMS[4:7]])
+            self._params, self._weights, self.capacity = params, w, params.config.max_len
+        elif params is not self._params:
+            raise ValueError("a KV cache decodes only with the params its first step packed")
+        return self._weights
 
     def extend(self, i: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Write layer i's new columns in place; returns (B, n_heads, t, head_dim) views of all."""
@@ -220,10 +240,22 @@ class KVCache:
         return tuple(a[:t + S, :B].transpose(1, 2, 0, 3) for a in layer[:2])
 
     def keep(self, rows: np.ndarray) -> None:
-        """Keep the rows where the bool mask ``rows`` is True, in order."""
+        """Keep the rows where the bool mask ``rows`` is True, in order.
+
+        One gather per buffer into a free one, which takes its place: the
+        buffer it frees is the next gather's target, so only the first keep allocates.
+        """
         live = np.flatnonzero(rows)
-        for k, v, t in self._layers:
-            k[:t, :len(live)], v[:t, :len(live)] = k[:t, live], v[:t, live]
+        for layer in self._layers:
+            for j in (0, 1):
+                old = layer[j]
+                shape = (len(old), len(live)) + old.shape[2:]
+                size = int(np.prod(shape))
+                if self._spare is None or self._spare.size < size:
+                    self._spare = np.empty(old.size, old.dtype)
+                new = self._spare[:size].reshape(shape)
+                np.take(old[:layer[2]], live, axis=1, out=new[:layer[2]], mode="clip")
+                layer[j], self._spare = new, old.reshape(-1)
         self._rows = len(live)
 
 
@@ -315,23 +347,29 @@ def _transformer(
 
 
 def _decode_step(params: JointModelParams, ids: np.ndarray, cache: KVCache) -> Tensor:
-    """Final-normed hidden states (B, S, E) of a decode's new columns ``ids`` (see "Decoding")."""
-    cfg, t0, S = params.config, cache.length, ids.shape[1]
+    """Logits (B, S, V) of a decode's new columns ``ids``, on arrays (see "Decoding")."""
+    cfg, t0, (B, S) = params.config, cache.length, ids.shape
     if t0 + S > cfg.max_len:
         raise ValueError(f"sequence length {t0 + S} exceeds max_len {cfg.max_len}")
     if nm.recording():
         raise RuntimeError("a KV cache is inference only: its keys and values carry no gradient")
-    cache.capacity = cfg.max_len
+    w = cache.packed(params)
+    ok = nm.check_finite  # every output the tape ops would check, under the same names
     bias = 0.0 if S == 1 else np.triu(np.full((S, t0 + S), NEG_BIAS, dtype=nm.current_dtype()), k=t0 + 1)
-    x = nm.add(nm.embedding(params["tok_emb"], ids), nm.embedding(params["pos_emb"], np.arange(t0, t0 + S)))
+    x = ok(ok(w["tok_emb"][ids], "embedding") + ok(w["pos_emb"][t0:t0 + S], "embedding"), "add")
+    x = x.reshape(B * S, -1)
     for i in range(cfg.n_layers):
         p = f"h{i}."
-        a = nm.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"])
-        attn = [params[p + "attn." + n] for n in _ATTN_PARAMS]
-        x = nm.add(x, nm.attention(a, *attn, bias, cfg.n_heads, kv=partial(cache.extend, i)))
-        f = nm.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"])
-        x = nm.add(x, nm.matmul(nm.gelu(nm.matmul(f, params[p + "ff.w1"])), params[p + "ff.w2"]))
-    return nm.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
+        a = ok(nm.layer_norm_fwd(x, w[p + "ln1.g"], w[p + "ln1.b"])[0], "layer_norm")
+        q, k, v = nm.project_heads(a, w[p + "attn.wqkv"], w[p + "attn.bqkv"], B, cfg.n_heads)
+        k, v = cache.extend(i, k, v)
+        y = nm.attention_fwd(q, k.swapaxes(-1, -2), v, bias, w[p + "attn.wo"], w[p + "attn.bo"])[3]
+        x = ok(x + ok(y, "attention"), "add")
+        f = ok(nm.layer_norm_fwd(x, w[p + "ln2.g"], w[p + "ln2.b"])[0], "layer_norm")
+        f = ok(nm.gelu_fwd(ok(f @ w[p + "ff.w1"], "matmul"))[0], "gelu")
+        x = ok(x + ok(f @ w[p + "ff.w2"], "matmul"), "add")
+    h = ok(nm.layer_norm_fwd(x, w["ln_f.g"], w["ln_f.b"])[0], "layer_norm")
+    return Tensor(ok(h @ w["head.w"], "matmul").reshape(B, S, -1), name="matmul")
 
 
 def forward_decoder(
@@ -346,9 +384,9 @@ def forward_decoder(
     With a ``cache``, ``ids`` are the columns after the cached ones and
     their keys and values are written into it (see ``_decode_step``).
     """
-    h = (_transformer(params, ids, causal=True, dropout=dropout, rng=rng) if cache is None
-         else _decode_step(params, ids, cache))
-    return nm.matmul(h, params["head.w"])
+    if cache is not None:
+        return _decode_step(params, ids, cache)
+    return nm.matmul(_transformer(params, ids, causal=True, dropout=dropout, rng=rng), params["head.w"])
 
 
 def forward_encoder(

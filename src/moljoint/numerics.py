@@ -19,19 +19,18 @@ gradient is released once its backward has run; leaves keep theirs.
 Every op validates its output: NaN or Inf anywhere is a hard error
 (``NonFiniteError``), never silently propagated.
 
-The trunk's kernels are fused, with hand-written backward:
-``attention`` is one op from the normed input through the output
-projection (it replaced about twenty recorded ops per block), and
-``layer_norm``, ``gelu`` and the ``embedding`` backward fill a few
-buffers in place, taking row means and sums as GEMVs. Inside
-``attention`` the fused q, k and v, the probabilities and the
-pre-projection y carry no check of their own; the scores (q k^T plus the
-bias) and the output do. That loses nothing: any NaN or Inf in q or k
-makes a score non-finite; probabilities of finite scores are finite;
-every row of y sums over every key's v, and a non-finite y entry makes
-its output row non-finite through the wo GEMM (Inf * 0 and Inf - Inf are
-NaN). The scores keep their check because an overflow to -Inf there
-would read as a masked key, not as NaN.
+The trunk's kernels are fused, with hand-written backward. Their forward
+math is array-level (``layer_norm_fwd``, ``gelu_fwd``, ``project_heads``,
+``attention_fwd``), shared by the tape ops, which keep what it returns
+for backward, and by the model's tape-free decode step; ``attention``
+takes its keys and values from x or a tensor, never a cache. Inside
+``attention_fwd`` q, k, v, the probabilities and y carry no check of
+their own; the scores (q k^T plus the bias) and the output do. That
+loses nothing: any NaN or Inf in q or k makes a score non-finite;
+probabilities of finite scores are finite; every row of y sums over every
+key's v, and a non-finite y entry makes its output row non-finite through
+the wo GEMM (Inf * 0 and Inf - Inf are NaN). The scores keep their check
+because an overflow to -Inf there would read as a masked key, not as NaN.
 """
 
 from __future__ import annotations
@@ -209,9 +208,15 @@ def recording() -> bool:
     return _TAPE is not None
 
 
+def check_finite(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` itself; NonFiniteError if it holds NaN or Inf."""
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"non-finite values in op output {name or '<unnamed>'}")
+    return a
+
+
 def _record(out: Tensor, backward_fn) -> Tensor:
-    if not np.isfinite(out.data).all():
-        raise NonFiniteError(f"non-finite values in op output {out.name or '<unnamed>'}")
+    check_finite(out.data, out.name)
     if _TAPE is not None:
         _TAPE._ops.append((out, backward_fn))
     return out
@@ -414,56 +419,66 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _record(out, bwd)
 
 
-def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
-              bq: Tensor, bk: Tensor, bv: Tensor, bo: Tensor, bias: np.ndarray,
-              n_heads: int, keep: np.ndarray | None = None, kv=None) -> Tensor:
-    """Multi-head attention of the normed query rows x (B, S, E), through the output projection.
+def project_heads(x: np.ndarray, w: np.ndarray, b: np.ndarray, B: int, n_heads: int) -> list[np.ndarray]:
+    """x (B * rows, E) @ w (E, n E) + b, as n (B, n_heads, rows, E / n_heads) head views."""
+    o = x @ w
+    o += b
+    E = x.shape[1]
+    return list(o.reshape(B, -1, w.shape[1] // E, n_heads, E // n_heads).transpose(2, 0, 3, 1, 4))
 
-    The key/value source ``kv`` is None for x itself (``wq|wk|wv`` as one
-    (E, 3E) GEMM), a (B, T, E) Tensor such as the rows x was gathered from
-    (x @ wq and kv @ ``wk|wv``), or, inference only, a KV cache layer's
-    ``extend``: it takes x's new keys and values and returns (B, h, T, hd)
-    views of every column's, the cached ones first, which the scores and
-    the weighted sum read where they lie. ``bias`` is additive over the
-    (B, h, S, T) scores (0 or a large negative number) and may broadcast,
-    ``keep`` the attention-dropout multipliers of that shape. One tape op: the
-    softmax runs in place, and backward uses the saved q (pre-scaled),
-    k-transpose, v, probabilities and pre-projection y, splitting each
-    GEMM's gradient back onto its parameters.
+
+def attention_fwd(q: np.ndarray, kT: np.ndarray, v: np.ndarray, bias, wo: np.ndarray, bo: np.ndarray,
+                  keep: np.ndarray | None = None):
+    """Attention of the query heads q (B, h, S, hd) over kT (B, h, hd, T) and v (B, h, T, hd).
+
+    ``bias`` adds to the (B, h, S, T) scores and may broadcast; ``keep``
+    multiplies the probabilities. Returns q / sqrt(hd), the probabilities,
+    the pre-projection y (B S, h hd) with the heads side by side, and y @ wo + bo.
     """
-    B, S, E = x.shape
-    hd = E // n_heads
-    # (input, weights, biases) per GEMM: one fused GEMM unless kv is a tensor of its own
-    gemms = ([(x, (wq,), (bq,)), (kv, (wk, wv), (bk, bv))] if isinstance(kv, Tensor)
-             else [(x, (wq, wk, wv), (bq, bk, bv))])
-    ws, heads = [], []  # heads: q, k and v as (B, h, rows, hd) views
-    for a, w_t, b_t in gemms:
-        ws.append(np.concatenate([t.data for t in w_t], axis=1))
-        o = a.data.reshape(-1, E) @ ws[-1]
-        o += np.concatenate([t.data for t in b_t])
-        heads += list(o.reshape(B, -1, len(w_t), n_heads, hd).transpose(2, 0, 3, 1, 4))
-    scale = float(1.0 / np.sqrt(hd))
-    q = heads[0] * scale
-    k, v = heads[1:]
-    if callable(kv):
-        k, v = kv(k, v)
-    kT = k.swapaxes(-1, -2) if callable(kv) else np.ascontiguousarray(k.swapaxes(-1, -2))
-    T = kT.shape[-1]
-
+    B, n_heads, S, hd = q.shape
+    q = q * float(1.0 / np.sqrt(hd))
     p = q @ kT  # scores, (B, h, S, T)
     p += bias
     if not np.isfinite(p).all():
         raise NonFiniteError("non-finite values in attention scores")
+    T = p.shape[-1]
     rows = p.reshape(-1, T)
     # exact row max in one pass down a transposed copy (max(axis=-1) runs a loop per row)
     rows -= np.ascontiguousarray(rows.T).max(axis=0)[:, None]
     np.exp(rows, out=rows)
     rows /= (rows @ np.ones(T, dtype=rows.dtype))[:, None]
-    y = np.empty((B, S, n_heads, hd), dtype=p.dtype)  # pre-projection, heads side by side
+    y = np.empty((B, S, n_heads, hd), dtype=p.dtype)
     np.matmul(p if keep is None else p * keep, v, out=y.transpose(0, 2, 1, 3))
-    y = y.reshape(-1, E)
-    o = y @ wo.data
-    o += bo.data
+    y = y.reshape(-1, n_heads * hd)
+    o = y @ wo
+    o += bo
+    return q, p, y, o
+
+
+def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+              bq: Tensor, bk: Tensor, bv: Tensor, bo: Tensor, bias: np.ndarray,
+              n_heads: int, keep: np.ndarray | None = None, kv: Tensor | None = None) -> Tensor:
+    """Multi-head attention of the normed query rows x (B, S, E), through the output projection.
+
+    Keys and values come from x itself (``wq|wk|wv`` as one (E, 3E) GEMM) or
+    from ``kv``, a (B, T, E) Tensor such as the rows x was gathered from.
+    ``bias`` adds to the (B, h, S, T) scores and ``keep`` holds the
+    attention-dropout multipliers (see ``attention_fwd``). One tape op:
+    backward splits each GEMM's gradient back onto its parameters.
+    """
+    B, S, E = x.shape
+    hd = E // n_heads
+    # (input, weights, biases) per GEMM: one fused GEMM unless kv is a tensor of its own
+    gemms = ([(x, (wq,), (bq,)), (kv, (wk, wv), (bk, bv))] if kv is not None
+             else [(x, (wq, wk, wv), (bq, bk, bv))])
+    ws, heads = [], []  # heads: q, k and v as (B, h, rows, hd) views
+    for a, w_t, b_t in gemms:
+        ws.append(np.concatenate([t.data for t in w_t], axis=1))
+        b = np.concatenate([t.data for t in b_t])
+        heads += project_heads(a.data.reshape(-1, E), ws[-1], b, B, n_heads)
+    k, v = heads[1:]
+    kT = np.ascontiguousarray(k.swapaxes(-1, -2))
+    q, p, y, o = attention_fwd(heads[0], kT, v, bias, wo.data, bo.data, keep)
     out = Tensor(o.reshape(B, S, E), name="attention")
 
     def bwd(g):
@@ -481,7 +496,7 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
         ds -= np.einsum("...t,...t->...", ds, p)[..., None]
         ds *= p
         np.matmul(ds, kT.swapaxes(-1, -2), out=dq)
-        dq *= scale
+        dq *= float(1.0 / np.sqrt(hd))
         np.matmul(ds.swapaxes(-1, -2), q, out=dk)
         for (a, w_t, b_t), w, di in zip(gemms, ws, d):
             d2 = di.reshape(-1, w.shape[1])
@@ -511,21 +526,28 @@ def _row_means(rows: np.ndarray) -> np.ndarray:
     return rows @ _mean_weights(rows.shape[1], rows.dtype)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
+def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+    """Layer norm of the rows of x (N, E); returns (output, x-hat, 1 / std).
 
-    Forward keeps two (N, E) buffers: the centred input, scaled in place
-    into x-hat (saved for backward), and the output, which first holds
-    the squared deviations for the variance GEMV.
+    The centred input is scaled in place into x-hat; the output buffer first
+    holds the squared deviations for the variance GEMV.
     """
-    E = a.shape[-1]
-    xhat = a.data.reshape(-1, E)
-    xhat = xhat - _row_means(xhat)[:, None]
+    xhat = x - _row_means(x)[:, None]
     y = np.multiply(xhat, xhat)
     rstd = 1.0 / np.sqrt(_row_means(y) + eps)
     xhat *= rstd[:, None]
-    np.multiply(xhat, gain.data, out=y)
-    y += bias.data
+    np.multiply(xhat, gain, out=y)
+    y += bias
+    return y, xhat, rstd
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then affine (``layer_norm_fwd``).
+
+    Backward reuses the saved x-hat and 1 / std.
+    """
+    E = a.shape[-1]
+    y, xhat, rstd = layer_norm_fwd(a.data.reshape(-1, E), gain.data, bias.data, eps)
     out = Tensor(y.reshape(a.shape), name="layer_norm")
 
     def bwd(g):
@@ -548,14 +570,13 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(out, bwd)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Gaussian-error linear unit, tanh approximation.
+def gelu_fwd(x: np.ndarray):
+    """Gaussian-error linear unit, tanh approximation; returns (output, tanh term).
 
     0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3))); differs from
-    the exact erf form by < 1e-3 over the working range. Forward and
-    backward each fill two buffers in place; backward keeps only the tanh.
+    the exact erf form by < 1e-3 over the working range. Fills two buffers
+    in place.
     """
-    x = a.data
     t = np.multiply(x, x)
     t *= _GELU_A
     t += 1.0
@@ -565,6 +586,13 @@ def gelu(a: Tensor) -> Tensor:
     np.add(t, 1.0, out=y)
     y *= x
     y *= 0.5
+    return y, t
+
+
+def gelu(a: Tensor) -> Tensor:
+    """``gelu_fwd`` as a tape op; backward fills two buffers in place and keeps only the tanh."""
+    x = a.data
+    y, t = gelu_fwd(x)
     out = Tensor(y, name="gelu")
 
     def bwd(g):

@@ -203,6 +203,25 @@ def test_finite_scaled_logits_keep_their_draws():
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("top_k", [0, 3])
+def test_temperature_one_skips_the_division_and_keeps_the_draws(top_k):
+    """Temperature 1 takes a shortcut past the division; the draws and the RNG use stay."""
+    rows = Rng(7).normal((32, 12), std=3.0).astype(np.float32)
+    rng, want_rng = Rng(8), Rng(8)
+    got = G._next_token_ids(rows, SamplerConfig(temperature=1.0, top_k=top_k), rng)
+    z = rows.astype(np.float64)
+    z[:, [BOS_ID, PAD_ID, MASK_ID]] = -np.inf
+    with np.errstate(over="ignore"):
+        z = z / 1.0
+    if top_k:
+        z = np.where(z >= np.sort(z, axis=1)[:, -top_k][:, None], z, -np.inf)
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    want = (p.cumsum(axis=1) < want_rng.random(32)[:, None]).sum(axis=1)
+    np.testing.assert_array_equal(got, want)
+    assert rng.get_state() == want_rng.get_state()
+
+
 def test_pbbo_impossible_threshold_empties(memorized):
     params, vocab, _, _, _ = memorized
     cfg = PbboConfig(y_c=99.0, eval_budget=5, sample_budget=30)

@@ -2,7 +2,6 @@
 
 import inspect
 import zlib
-from functools import partial
 
 import numpy as np
 import pytest
@@ -236,11 +235,16 @@ def test_attention_key_value_sources_agree():
     rows = nm.attention(nm.gather(x, idx), *params, bias, n_heads, kv=x).data
     want = np.take_along_axis(full, idx[:, :, None], 1)
     np.testing.assert_allclose(rows, want, rtol=1e-5, atol=1e-6)
-    # a KV cache filled by columns 0..3 answers the last column's query over all five
-    layer = partial(KVCache().extend, 0)
-    nm.attention(Tensor(x.data[:, :4]), *params, bias[..., :4], n_heads, kv=layer)
-    last = nm.attention(Tensor(x.data[:, 4:]), *params, bias, n_heads, kv=layer)
-    np.testing.assert_allclose(last.data[:, 0], full[:, 4], rtol=1e-5, atol=1e-6)
+    # a KV cache filled by columns 0..3 answers the last column's query over all five,
+    # through the array kernels the decode step runs
+    cache = KVCache()
+    wqkv = np.concatenate([t.data for t in params[:3]], axis=1)
+    bqkv = np.concatenate([t.data for t in params[4:7]])
+    for cols in (slice(0, 4), slice(4, 5)):
+        q, k, v = nm.project_heads(x.data[:, cols].reshape(-1, E), wqkv, bqkv, 2, n_heads)
+        k, v = cache.extend(0, k, v)
+    last = nm.attention_fwd(q, k.swapaxes(-1, -2), v, bias, params[3].data, params[7].data)[3]
+    np.testing.assert_allclose(last, full[:, 4], rtol=1e-5, atol=1e-6)
 
 
 def test_rng_determinism_bitwise():

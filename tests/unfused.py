@@ -22,15 +22,13 @@ _GELU_A = 0.044715
 def attention(x, wq, wk, wv, wo, bq, bk, bv, bo, bias, n_heads, keep=None, kv=None):
     B, S, E = x.shape
     hd = E // n_heads
-    src = kv if isinstance(kv, Tensor) else x
+    src = x if kv is None else kv
     q = nm.add(nm.matmul(x, wq), bq)
     k = nm.add(nm.matmul(src, wk), bk)
     v = nm.add(nm.matmul(src, wv), bv)
     q = nm.transpose(nm.reshape(q, (B, S, n_heads, hd)), (0, 2, 1, 3))
     k = nm.transpose(nm.reshape(k, (B, -1, n_heads, hd)), (0, 2, 1, 3))
     v = nm.transpose(nm.reshape(v, (B, -1, n_heads, hd)), (0, 2, 1, 3))
-    if callable(kv):
-        k, v = (Tensor(t) for t in kv(k.data, v.data))
     att = nm.mul(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
     att = nm.softmax_rows(nm.add(att, bias))
     if keep is not None:
