@@ -31,9 +31,9 @@ def _ids(params, rows=5, seed=1):
     return ids
 
 
-def _decode(params, ids, cols=4, cache=None):
+def _decode(params, ids, cols=4):
     """Logits of a prefill of ``cols`` columns and then one step per column."""
-    cache = M.KVCache() if cache is None else cache
+    cache = M.KVCache()
     out = [M.forward_decoder(params, ids[:, :cols], cache=cache).data]
     for t in range(cols + 1, ids.shape[1] + 1):
         out.append(M.forward_decoder(params, ids[:, t - 1:t], cache=cache).data)
