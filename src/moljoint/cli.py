@@ -145,6 +145,18 @@ def _load_checkpoint(path: str) -> Checkpoint:
         raise DataError(f"cannot load checkpoint {path}: {e}") from None
 
 
+def _train_run(args, start: Checkpoint, dataset, resolved: dict, metrics) -> int:
+    """Train ``start`` into a new run directory; ``metrics(state, ckpt_dir)`` is metrics.json's text."""
+    out_dir = _start_run(args, resolved)
+    ckpt_dir = out_dir / "checkpoint"
+    with _loss_log(out_dir) as log_cb:
+        state = tr.train(start, dataset, log_cb=log_cb, checkpoint_dir=ckpt_dir)
+    (out_dir / "metrics.json").write_text(metrics(state, ckpt_dir))
+    _write_manifest(out_dir, ["loss.log", "checkpoint", "metrics.json"])
+    print(f"{args.command.rstrip('e')}ed {state.iteration} iterations -> {ckpt_dir}")
+    return EXIT_OK
+
+
 def cmd_pretrain(args) -> int:
     data_path = _require_path(args.data, "data")
     lines = tr.read_smiles_lines(data_path)
@@ -157,20 +169,12 @@ def cmd_pretrain(args) -> int:
         raise DataError(str(e)) from None
     mcfg = mdl.ModelConfig(vocab_size=len(vocab), **{n: getattr(args, n) for n in _MODEL_FLAGS})
     tcfg = _train_config(args)
-    out_dir = _start_run(args, {
+    return _train_run(args, Checkpoint.start(vocab, mcfg, tcfg), dataset, {
         "data": str(data_path), "model": mcfg.to_dict(), "train": tcfg.to_dict(),
-    })
-    ckpt_dir = out_dir / "checkpoint"
-    with _loss_log(out_dir) as log_cb:
-        state = tr.train(Checkpoint.start(vocab, mcfg, tcfg), dataset, log_cb=log_cb, checkpoint_dir=ckpt_dir)
-    report = ev.MetricsReport(sample_count=0, metadata={
+    }, lambda state, ckpt_dir: ev.MetricsReport(sample_count=0, metadata={
         "seed": args.seed, "checkpoint": str(ckpt_dir), "iterations": state.iteration,
         "config_hash": _config_hash(tcfg.to_dict() | mcfg.to_dict()),
-    })
-    (out_dir / "metrics.json").write_text(report.to_json())
-    _write_manifest(out_dir, ["loss.log", "checkpoint", "metrics.json"])
-    print(f"pretrained {state.iteration} iterations -> {ckpt_dir}")
-    return EXIT_OK
+    }).to_json())
 
 
 def _sampled_strings(state: Checkpoint, n: int, seed: int) -> list[str]:
@@ -194,31 +198,22 @@ def cmd_finetune(args) -> int:
             dataset = tr.encode_corpus(lines, base.vocab, base.model_config.max_len, targets=ys)
     except (TokenizeError, ValueError) as e:
         raise DataError(str(e)) from None
-
     tcfg = _train_config(args)
-    out_dir = _start_run(args, {
+    before = _sampled_strings(base, args.eval_samples, args.seed) if args.eval_samples else []
+
+    def metrics(state, ckpt_dir) -> str:
+        doc = {"seed": args.seed, "config_hash": _config_hash(tcfg.to_dict())}
+        if args.eval_samples:
+            doc["validity_before"] = ev.validity(before)
+            doc["validity_after"] = ev.validity(_sampled_strings(state, args.eval_samples, args.seed))
+        return json.dumps(doc, indent=1, sort_keys=True)
+
+    start = Checkpoint.start(base.vocab, base.model_config, tcfg,
+                             weights={n: t.data for n, t in base.params.tensors.items()})
+    return _train_run(args, start, dataset, {
         "checkpoint": args.checkpoint, "data": args.data,
-        "objective": objective.params_dict() if objective else None,
-        "train": tcfg.to_dict(),
-    })
-
-    eval_n = args.eval_samples
-    before = _sampled_strings(base, eval_n, args.seed) if eval_n else []
-    ckpt_dir = out_dir / "checkpoint"
-    with _loss_log(out_dir) as log_cb:
-        start = Checkpoint.start(base.vocab, base.model_config, tcfg,
-                                 weights={n: t.data for n, t in base.params.tensors.items()})
-        state = tr.train(start, dataset, log_cb=log_cb, checkpoint_dir=ckpt_dir)
-
-    metrics = {"seed": args.seed, "config_hash": _config_hash(tcfg.to_dict())}
-    if eval_n:
-        after = _sampled_strings(state, eval_n, args.seed)
-        metrics["validity_before"] = ev.validity(before)
-        metrics["validity_after"] = ev.validity(after)
-    (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=1, sort_keys=True))
-    _write_manifest(out_dir, ["loss.log", "checkpoint", "metrics.json"])
-    print(f"finetuned {state.iteration} iterations -> {ckpt_dir}")
-    return EXIT_OK
+        "objective": objective.params_dict() if objective else None, "train": tcfg.to_dict(),
+    }, metrics)
 
 
 def cmd_sample(args) -> int:
@@ -279,6 +274,8 @@ def cmd_optimize(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.samples is None and args.checkpoint is None:
         raise ConfigError("evaluate needs --samples and/or --checkpoint")
+    if args.n_samples < 0:
+        raise ConfigError(f"--n-samples must be >= 0, got {args.n_samples}")
     if (args.test is not None or args.objective is not None) and args.checkpoint is None:
         raise ConfigError("evaluate --test and --objective need --checkpoint")
     objective = _objective(args)
@@ -291,10 +288,11 @@ def cmd_evaluate(args) -> int:
         sample_lines = [ln.split("\t", 1)[0].strip() for ln in text.splitlines() if ln.strip()]
         if not sample_lines:
             raise DataError(f"no usable lines in {args.samples}")
-    reference = None
+    reference = ref_reports = None  # each string is validated once, here or below
     if args.data is not None:
         reference = tr.read_smiles_lines(_require_path(args.data, "data"))
-        if not any(validate(s) for s in reference):
+        ref_reports = [validate(s) for s in reference]
+        if not any(ref_reports):
             raise DataError(f"no valid SMILES in {args.data}")
     if args.test is not None:
         try:
@@ -316,25 +314,23 @@ def cmd_evaluate(args) -> int:
     report = ev.MetricsReport(sample_count=len(sample_lines))
     report.metadata = {"seed": args.seed, "checkpoint": args.checkpoint,
                        "config_hash": _config_hash(resolved)}
+    reports = [validate(s) for s in sample_lines]
     if sample_lines:
-        report.validity = ev.validity(sample_lines)
+        report.validity = ev.validity(reports)
         report.uniqueness = ev.uniqueness(sample_lines)
     if reference is not None:
         if sample_lines:
             report.novelty = ev.novelty(sample_lines, reference)
         if report.validity:  # no valid sample: no feature distribution to compare
-            report.feature_kl = ev.feature_kl(sample_lines, reference)
+            report.feature_kl = ev.feature_kl(reports, ref_reports)
     if args.test is not None:
         report.mae = ev.mae(state.params, test_set)
     if objective is not None:
-        if any(validate(s.smiles) for s in draws):
-            report.mae_sampled, report.mae_sampled_retained = ev.mae_sampled(draws, objective)
-        else:
-            report.mae_sampled_retained = 0
+        report.mae_sampled, report.mae_sampled_retained = ev.mae_sampled(draws, objective)
 
     outputs = ["metrics.json"]
     if args.histograms and report.feature_kl is not None:
-        rows = ev.feature_histograms(sample_lines, reference)
+        rows = ev.feature_histograms(reports, ref_reports)
         with (out_dir / "histograms.csv").open("w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()

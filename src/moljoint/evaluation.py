@@ -24,16 +24,22 @@ import numpy as np
 from . import model as mdl
 from .model import JointModelParams
 from .objectives import ObjectiveSpec, evaluate as evaluate_objective
-from .smiles import validate
+from .smiles import ValidityReport, validate
 from .training import Dataset
 
 _FEATURES = ("length", "rings", "hetero_fraction", "branch_depth")
 
 
-def validity(samples: list[str]) -> float:
+def _reports(items: list) -> list[ValidityReport]:
+    """Each item's ValidityReport: a string is validated here, a report passes through."""
+    return [s if isinstance(s, ValidityReport) else validate(s) for s in items]
+
+
+def validity(samples: list) -> float:
+    """Valid share of the samples: strings, or their ``validate`` reports."""
     if not samples:
         raise ValueError("empty sample list")
-    return sum(bool(validate(s)) for s in samples) / len(samples)
+    return sum(bool(r) for r in _reports(samples)) / len(samples)
 
 
 def uniqueness(samples: list[str]) -> float:
@@ -49,58 +55,48 @@ def novelty(samples: list[str], train_corpus) -> float:
     return sum(s not in known for s in samples) / len(samples)
 
 
-def _feature_matrix(strings: list[str]) -> np.ndarray:
-    """(n, 4) feature rows for the syntactically valid strings."""
-    feats = [validate(s).features for s in strings]
+def _feature_matrix(items: list) -> np.ndarray:
+    """(n, 4) feature rows for the syntactically valid strings (or reports)."""
+    feats = [r.features for r in _reports(items)]
     rows = [(f.n_tokens, f.ring_pairs, f.hetero_fraction, f.branch_depth) for f in feats if f is not None]
     return np.asarray(rows, dtype=np.float64).reshape(-1, 4)
 
 
-def _shared_bins(ref: np.ndarray, gen: np.ndarray, col: int) -> np.ndarray:
-    if col == 2:  # hetero fraction lives in [0, 1]
-        return np.linspace(0.0, 1.0, 11)
-    lo = min(ref[:, col].min(), gen[:, col].min())
-    hi = max(ref[:, col].max(), gen[:, col].max())
-    return np.arange(lo - 0.5, hi + 1.5)  # integer-valued features
+def _histograms(samples: list, reference: list):
+    """Per feature: its name, the shared bins, and the reference and sample counts in them."""
+    gen, ref = _feature_matrix(samples), _feature_matrix(reference)
+    if gen.shape[0] == 0 or ref.shape[0] == 0:
+        raise ValueError("no valid strings to compare")
+    for col, name in enumerate(_FEATURES):
+        if col == 2:  # hetero fraction lives in [0, 1]
+            bins = np.linspace(0.0, 1.0, 11)
+        else:  # integer-valued features
+            lo = min(ref[:, col].min(), gen[:, col].min())
+            bins = np.arange(lo - 0.5, max(ref[:, col].max(), gen[:, col].max()) + 1.5)
+        yield name, bins, np.histogram(ref[:, col], bins=bins)[0], np.histogram(gen[:, col], bins=bins)[0]
 
-def _smoothed_hist(values: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    counts, _ = np.histogram(values, bins=bins)
-    counts = counts.astype(np.float64) + 1.0  # Laplace smoothing
-    return counts / counts.sum()
 
-
-def feature_kl(samples: list[str], reference: list[str]) -> float:
+def feature_kl(samples: list, reference: list) -> float:
     """Similarity of sample and reference feature distributions in [0, 1].
 
-    Mean over features of exp(-KL(reference || samples)) on smoothed
-    shared-bin histograms; 1.0 means indistinguishable. Only valid
-    strings from each set enter the histograms.
+    Mean over features of exp(-KL(reference || samples)) on Laplace-smoothed
+    shared-bin histograms; 1.0 means indistinguishable. Only valid strings
+    from each set enter the histograms; either set may be given as reports.
     """
     if not samples or not reference:
         raise ValueError("empty sample or reference set")
-    gen = _feature_matrix(samples)
-    ref = _feature_matrix(reference)
-    if gen.shape[0] == 0 or ref.shape[0] == 0:
-        raise ValueError("no valid strings to compare")
     scores = []
-    for col in range(len(_FEATURES)):
-        bins = _shared_bins(ref, gen, col)
-        p = _smoothed_hist(ref[:, col], bins)
-        q = _smoothed_hist(gen[:, col], bins)
+    for _, _, p, q in _histograms(samples, reference):
+        p, q = ((c + 1.0) / (c + 1.0).sum() for c in (p, q))
         kl = float((p * np.log(p / q)).sum())
         scores.append(np.exp(-kl))
     return float(np.mean(scores))
 
 
-def feature_histograms(samples: list[str], reference: list[str]) -> list[dict]:
+def feature_histograms(samples: list, reference: list) -> list[dict]:
     """Shared-bin histogram rows per feature, for CSV export."""
-    gen = _feature_matrix(samples)
-    ref = _feature_matrix(reference)
     rows = []
-    for col, name in enumerate(_FEATURES):
-        bins = _shared_bins(ref, gen, col)
-        p, _ = np.histogram(ref[:, col], bins=bins)
-        q, _ = np.histogram(gen[:, col], bins=bins)
+    for name, bins, p, q in _histograms(samples, reference):
         for i in range(len(bins) - 1):
             rows.append({
                 "feature": name,
@@ -125,17 +121,14 @@ def mae(params: JointModelParams, dataset: Dataset, batch_size: int = 64) -> flo
     return float(np.concatenate(errs).mean())
 
 
-def mae_sampled(draws: list, objective: ObjectiveSpec) -> tuple[float, int]:
+def mae_sampled(draws: list, objective: ObjectiveSpec) -> tuple[float | None, int]:
     """MAE of sampled (SMILES, predicted y) draws against the true objective.
 
-    Invalid draws are dropped; returns (mae, retained count). Raises if
-    every draw was invalid.
+    Invalid draws are dropped; returns (mae, retained count), or (None, 0)
+    when every draw is invalid.
     """
-    kept = [s for s in draws if validate(s.smiles)]
-    if not kept:
-        raise ValueError(f"all {len(draws)} samples invalid; nothing to score")
-    errs = [abs(s.y - evaluate_objective(objective, s.smiles)) for s in kept]
-    return float(np.mean(errs)), len(kept)
+    errs = [abs(s.y - evaluate_objective(objective, s.smiles)) for s in draws if validate(s.smiles)]
+    return (float(np.mean(errs)) if errs else None), len(errs)
 
 
 @dataclass

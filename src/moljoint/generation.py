@@ -9,8 +9,8 @@ can be re-scored with the true objective afterwards.
 
 Decoding is incremental: each step runs only the newest column through
 the trunk's tape-free decode step, over a ``model.KVCache`` made once per
-chunk: it packs the weights on the first step and keeps every layer's
-keys and values in buffers allocated at max_len and written in place.
+chunk: it keeps every layer's keys and values in buffers allocated at
+max_len and written in place.
 Rows that emit EOS leave both the step input and the cache (batch
 shrinking), so a step costs one trunk row per molecule still being
 decoded. The predictor then makes one all-visible pass over the finished

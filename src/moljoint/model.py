@@ -36,11 +36,12 @@ exact up to GEMM rounding. The decoder and ``forward_encoder`` read all.
 Decoding: ``forward_decoder`` with a ``KVCache`` runs ``_decode_step`` on
 the new columns only, one group without dropout (one new column needs no
 bias), on plain arrays: the ``numerics`` kernels the tape ops run, with
-no Tensor but the logits and every check the tape ops make. The cache's
-first step packs the weights (a fused wq|wk|wv per block). Each layer
-caches its keys and values time-major, (max_len, B, n_heads, head_dim),
-in buffers allocated once and written in place; attention reads them,
-and the keys' transpose, as strided views.
+no Tensor but the logits and every check the tape ops make. Each step
+reads the live parameter arrays by name (q|k|v is one GEMM on a block's
+``attn.wqkv``), and a cache serves only its first step's params. Each
+layer caches its keys and values time-major, (max_len, B, n_heads,
+head_dim), in buffers allocated once and written in place; attention
+reads them, and the keys' transpose, as strided views.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ NEG_BIAS = -1e9  # additive attention bias for disallowed key positions
 # rows (a group's per-op overhead outweighs the PAD cells it saves on fewer)
 MAX_GROUPS = 4
 MIN_GROUP_ROWS = 16
-# per-block attention parameters, in the order numerics.attention takes them
-_ATTN_PARAMS = ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")
 
 
 @dataclass
@@ -94,7 +93,9 @@ class JointModelParams:
     """All trainable tensors, keyed by name in a fixed order.
 
     Trunk tensors (embeddings, blocks, final norm, token head) serve both
-    masking modes; names under ``pred.`` belong to the predictor MLP.
+    masking modes; names under ``pred.`` belong to the predictor MLP. Each
+    block's q, k and v projections sit side by side in one (E, 3E)
+    ``attn.wqkv`` and one (3E) ``attn.bqkv``, as GPT-2's ``c_attn`` does.
     """
 
     def __init__(self, config: ModelConfig, rng: Rng | None = None, init_std: float = 0.02):
@@ -103,9 +104,11 @@ class JointModelParams:
         E, F, V = config.embed_dim, config.ff_dim, config.vocab_size
         H = config.predictor_hidden_dim
 
-        def w(name, *shape):
+        def w(name, *shape, parts=1):
+            # ``parts`` blocks of ``shape``, drawn one after another and joined side by side
+            shape = (parts,) + shape
             data = rng.normal(shape, std=init_std) if rng is not None else np.zeros(shape)
-            self.tensors[name] = Tensor(data, name=name)
+            self.tensors[name] = Tensor(np.hstack(data), name=name)
 
         def zeros(name, *shape):
             self.tensors[name] = Tensor(np.zeros(shape), name=name)
@@ -119,10 +122,10 @@ class JointModelParams:
             p = f"h{i}."
             ones(p + "ln1.g", E)
             zeros(p + "ln1.b", E)
-            for proj in _ATTN_PARAMS[:4]:
-                w(p + "attn." + proj, E, E)
-            for b in _ATTN_PARAMS[4:]:
-                zeros(p + "attn." + b, E)
+            w(p + "attn.wqkv", E, E, parts=3)
+            w(p + "attn.wo", E, E)
+            zeros(p + "attn.bqkv", 3 * E)
+            zeros(p + "attn.bo", E)
             ones(p + "ln2.g", E)
             zeros(p + "ln2.b", E)
             w(p + "ff.w1", E, F)  # feed-forward carries no biases
@@ -189,17 +192,16 @@ class KVCache:
     """Each layer's keys and values for the columns decoded so far (see "Decoding").
 
     Inference only: the cached arrays are constants to the tape. Every step
-    must pass the params object the first one packed. ``keep`` drops rows
+    must pass the params object of the first one. ``keep`` drops rows
     that stopped decoding.
     """
 
     def __init__(self):
-        self.capacity = 0  # columns per buffer; packing sets the model's max_len
+        self.capacity = 0  # columns per buffer; the first step sets the model's max_len
         self._layers: list[list] = []  # per layer: [keys, values, filled columns]
         self._rows = 0  # live rows, at the front of every buffer
         self._spare: np.ndarray | None = None  # a free flat buffer that keep gathers into
         self._params: JointModelParams | None = None
-        self._weights: dict[str, np.ndarray] = {}
 
     @property
     def length(self) -> int:
@@ -209,19 +211,12 @@ class KVCache:
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return [tuple(a[:t, :self._rows].transpose(1, 2, 0, 3) for a in (k, v)) for k, v, t in self._layers]
 
-    def packed(self, params: JointModelParams) -> dict[str, np.ndarray]:
-        """The first call's params as arrays by name, plus each block's fused ``attn.wqkv``
-        and ``attn.bqkv``; ValueError for other params."""
+    def bind(self, params: JointModelParams) -> None:
+        """Tie the cache to the first step's params, sized for their max_len; ValueError for others."""
         if self._params is None:
-            w = {n: t.data for n, t in params.tensors.items()}
-            for i in range(params.config.n_layers):
-                a = f"h{i}.attn."
-                w[a + "wqkv"] = np.concatenate([w[a + n] for n in _ATTN_PARAMS[:3]], axis=1)
-                w[a + "bqkv"] = np.concatenate([w[a + n] for n in _ATTN_PARAMS[4:7]])
-            self._params, self._weights, self.capacity = params, w, params.config.max_len
+            self._params, self.capacity = params, params.config.max_len
         elif params is not self._params:
-            raise ValueError("a KV cache decodes only with the params its first step packed")
-        return self._weights
+            raise ValueError("a KV cache decodes only with the params of its first step")
 
     def extend(self, i: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Write layer i's new columns in place; returns (B, n_heads, t, head_dim) views of all."""
@@ -322,7 +317,7 @@ def _transformer(
     x = drop([nm.add(nm.embedding(params["tok_emb"], ids[c]), pe) for c, pe in zip(cells, pos)])
     for i in range(cfg.n_layers):
         p = f"h{i}."
-        attn = [params[p + "attn." + n] for n in _ATTN_PARAMS]
+        attn = [params[p + "attn." + n] for n in ("wqkv", "bqkv", "wo", "bo")]
         keep = _keep_mask((B, cfg.n_heads, S, S), dropout, rng)
         keeps = [None if keep is None else keep[r, :, :w, :w] for r, w in zip(rows, widths)]
         a = [nm.layer_norm(xg, params[p + "ln1.g"], params[p + "ln1.b"]) for xg in x]
@@ -353,7 +348,8 @@ def _decode_step(params: JointModelParams, ids: np.ndarray, cache: KVCache) -> T
         raise ValueError(f"sequence length {t0 + S} exceeds max_len {cfg.max_len}")
     if nm.recording():
         raise RuntimeError("a KV cache is inference only: its keys and values carry no gradient")
-    w = cache.packed(params)
+    cache.bind(params)
+    w = {n: t.data for n, t in params.tensors.items()}
     ok = nm.check_finite  # every output the tape ops would check, under the same names
     bias = 0.0 if S == 1 else np.triu(np.full((S, t0 + S), NEG_BIAS, dtype=nm.current_dtype()), k=t0 + 1)
     x = ok(ok(w["tok_emb"][ids], "embedding") + ok(w["pos_emb"][t0:t0 + S], "embedding"), "add")

@@ -455,27 +455,24 @@ def attention_fwd(q: np.ndarray, kT: np.ndarray, v: np.ndarray, bias, wo: np.nda
     return q, p, y, o
 
 
-def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
-              bq: Tensor, bk: Tensor, bv: Tensor, bo: Tensor, bias: np.ndarray,
+def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wo: Tensor, bo: Tensor, bias: np.ndarray,
               n_heads: int, keep: np.ndarray | None = None, kv: Tensor | None = None) -> Tensor:
     """Multi-head attention of the normed query rows x (B, S, E), through the output projection.
 
-    Keys and values come from x itself (``wq|wk|wv`` as one (E, 3E) GEMM) or
-    from ``kv``, a (B, T, E) Tensor such as the rows x was gathered from.
-    ``bias`` adds to the (B, h, S, T) scores and ``keep`` holds the
-    attention-dropout multipliers (see ``attention_fwd``). One tape op:
-    backward splits each GEMM's gradient back onto its parameters.
+    ``wqkv`` (E, 3E) and ``bqkv`` (3E) hold q, k and v side by side. Keys and
+    values come from x itself, in one GEMM, or from ``kv``, a (B, T, E) Tensor
+    such as the rows x was gathered from: x then takes the q columns and kv
+    the k|v columns, as views. ``bias`` adds to the (B, h, S, T) scores and
+    ``keep`` holds the attention-dropout multipliers (see ``attention_fwd``).
+    One tape op: backward writes each GEMM's gradient into its columns.
     """
     B, S, E = x.shape
     hd = E // n_heads
-    # (input, weights, biases) per GEMM: one fused GEMM unless kv is a tensor of its own
-    gemms = ([(x, (wq,), (bq,)), (kv, (wk, wv), (bk, bv))] if kv is not None
-             else [(x, (wq, wk, wv), (bq, bk, bv))])
-    ws, heads = [], []  # heads: q, k and v as (B, h, rows, hd) views
-    for a, w_t, b_t in gemms:
-        ws.append(np.concatenate([t.data for t in w_t], axis=1))
-        b = np.concatenate([t.data for t in b_t])
-        heads += project_heads(a.data.reshape(-1, E), ws[-1], b, B, n_heads)
+    # (input, its columns of wqkv) per GEMM: one fused GEMM unless kv is a tensor of its own
+    gemms = [(x, slice(0, E)), (kv, slice(E, 3 * E))] if kv is not None else [(x, slice(0, 3 * E))]
+    heads = []  # q, k and v as (B, h, rows, hd) views
+    for a, c in gemms:
+        heads += project_heads(a.data.reshape(-1, E), wqkv.data[:, c], bqkv.data[c], B, n_heads)
     k, v = heads[1:]
     kT = np.ascontiguousarray(k.swapaxes(-1, -2))
     q, p, y, o = attention_fwd(heads[0], kT, v, bias, wo.data, bo.data, keep)
@@ -486,7 +483,7 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
         wo.accum_fresh_grad(y.T @ g2)
         bo.accum_fresh_grad(np.ones(g2.shape[0], dtype=g2.dtype) @ g2)
         dy = (g2 @ wo.data.T).reshape(B, S, n_heads, hd).transpose(0, 2, 1, 3)
-        d = [np.empty((B, a.shape[1], len(w_t), n_heads, hd), dtype=g.dtype) for a, w_t, _ in gemms]
+        d = [np.empty((B, a.shape[1], (c.stop - c.start) // E, n_heads, hd), g.dtype) for a, c in gemms]
         dq, dk, dv = (t for di in d for t in di.transpose(2, 0, 3, 1, 4))  # (B, h, rows, hd) views
         np.matmul((p if keep is None else p * keep).swapaxes(-1, -2), dy, out=dv)
         ds = dy @ v.swapaxes(-1, -2)
@@ -498,14 +495,14 @@ def attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
         np.matmul(ds, kT.swapaxes(-1, -2), out=dq)
         dq *= float(1.0 / np.sqrt(hd))
         np.matmul(ds.swapaxes(-1, -2), q, out=dk)
-        for (a, w_t, b_t), w, di in zip(gemms, ws, d):
-            d2 = di.reshape(-1, w.shape[1])
-            dw = a.data.reshape(-1, E).T @ d2
-            db = np.ones(d2.shape[0], dtype=d2.dtype) @ d2
-            for i, (wt, bt) in enumerate(zip(w_t, b_t)):  # views: copied
-                wt.accum_grad(dw[:, i * E:(i + 1) * E])
-                bt.accum_grad(db[i * E:(i + 1) * E])
-            a.accum_fresh_grad((d2 @ w.T).reshape(a.shape))
+        dw, db = np.empty_like(wqkv.data), np.empty_like(bqkv.data)
+        for (a, c), di in zip(gemms, d):
+            d2 = di.reshape(-1, c.stop - c.start)
+            np.matmul(a.data.reshape(-1, E).T, d2, out=dw[:, c])
+            np.matmul(np.ones(d2.shape[0], dtype=d2.dtype), d2, out=db[c])
+            a.accum_fresh_grad((d2 @ wqkv.data[:, c].T).reshape(a.shape))
+        wqkv.accum_fresh_grad(dw)
+        bqkv.accum_fresh_grad(db)
 
     return _record(out, bwd)
 

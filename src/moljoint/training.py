@@ -25,6 +25,7 @@ without a masked-token term never move the token head.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Callable
@@ -187,17 +188,13 @@ class AdamW:
             t.data -= (lr * upd).astype(t.data.dtype)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for n in self.m:
-            out[f"m:{n}"] = self.m[n]
-            out[f"v:{n}"] = self.v[n]
-        return out
+        return {f"{k}:{n}": moments[n] for n in self.m for k, moments in (("m", self.m), ("v", self.v))}
 
     def load_state(self, arrays: dict[str, np.ndarray], steps: dict[str, int]) -> None:
         for n in self.m:
             self.m[n] = arrays[f"m:{n}"].astype(self.m[n].dtype)
             self.v[n] = arrays[f"v:{n}"].astype(self.v[n].dtype)
-        self.steps = dict(steps)
+        self.steps = {n: steps[n] for n in self.m}
 
 
 def lr_at(it: int, cfg: TrainConfig) -> float:
@@ -278,6 +275,26 @@ _RETIRED_KEYS = {
 }
 
 
+# a per-block attention tensor of older bundles, split into q, k and v: group 1 is its stem
+_SPLIT_ATTENTION = re.compile(r"(h\d+\.attn\.[wb])[qkv]")
+
+
+def _join_split_attention(params: dict, moments: dict, steps: dict) -> None:
+    """Join an older bundle's attn.wq|wk|wv and attn.bq|bk|bv, their AdamW moments and step counts,
+    in place; ValueError for a mix of both layouts or unequal step counts."""
+    stems = {m[1] for m in map(_SPLIT_ATTENTION.fullmatch, params) if m}
+    if stems and any(n.endswith("qkv") for n in params):
+        raise ValueError("checkpoint mixes split attn.wq|wk|wv tensors with fused attn.wqkv ones")
+    for stem in stems:
+        names = [stem + c for c in "qkv"]
+        counts = {steps.pop(n) for n in names}
+        if len(counts) != 1:
+            raise ValueError(f"checkpoint counts unequal AdamW steps {sorted(counts)} for {'|'.join(names)}")
+        steps[stem + "qkv"] = counts.pop()
+        for arrays, prefix in ((params, ""), (moments, "m:"), (moments, "v:")):
+            arrays[prefix + stem + "qkv"] = np.concatenate([arrays.pop(prefix + n) for n in names], -1)
+
+
 def _config_from(cls, section: str, doc: dict):
     doc = dict(doc)
     for key, implemented in _RETIRED_KEYS[section].items():
@@ -326,15 +343,15 @@ class Checkpoint:
         params = JointModelParams(model_config, rng if weights is None else None)
         if weights is not None:
             for n, t in params.tensors.items():
-                arr = weights[n]
-                if tuple(arr.shape) != t.shape:
-                    raise ValueError(f"checkpoint tensor {n} has shape {arr.shape}, expected {t.shape}")
-                t.data[...] = arr
+                if tuple(weights[n].shape) != t.shape:
+                    raise ValueError(f"checkpoint tensor {n} has shape {weights[n].shape}, expected {t.shape}")
+                t.data[...] = weights[n]
         return cls(model_config, cfg, vocab, params, AdamW(params), 0, rng)
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
         bundle = ckpt_io.load_bundle(path)
+        _join_split_attention(bundle["params"], bundle["optim_arrays"], bundle["optim_extra"]["steps"])
         model_config = _config_from(ModelConfig, "model", bundle["config"]["model"])
         train_config = _config_from(TrainConfig, "train", bundle["config"]["train"])
         vocab = Vocabulary.from_lines(bundle["vocab_lines"])

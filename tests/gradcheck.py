@@ -54,3 +54,22 @@ def tape_grads(build, tensors):
         loss = build()
     tape.backward(loss)
     return [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
+
+
+def assert_grads_match(got: dict, want: dict, tol: float) -> None:
+    """Same parameters with gradients, each within ``tol`` norm-wise relative.
+
+    A block's fused ``attn.wqkv`` and ``attn.bqkv`` are compared block by
+    block. A key bias shifts a row of scores by a constant, which the
+    softmax ignores: the k block of ``attn.bqkv`` has gradient 0, and both
+    sides hold only rounding there.
+    """
+    assert got.keys() == want.keys()
+    for name in got:
+        fused = name.endswith(("attn.wqkv", "attn.bqkv"))
+        parts = zip(*(np.split(g, 3 if fused else 1, axis=-1) for g in (got[name], want[name])))
+        for i, (g, w) in enumerate(parts):
+            if name.endswith("attn.bqkv") and i == 1:
+                assert np.abs(g).max() < 1e-12 and np.abs(w).max() < 1e-12, name
+            else:
+                assert rel_error(g, w) < tol, f"{name} block {i}"

@@ -380,6 +380,31 @@ def test_evaluate_histogram_csv_rows_match_bins(workdir, tmp_path):
     assert len(rows) == len(want) + 1  # header + one row per bin
 
 
+@pytest.mark.parametrize("source", ["samples", "checkpoint"])
+def test_evaluate_validates_each_string_once(workdir, tmp_path, monkeypatch, source):
+    """One validate call per reference line and per sample, histograms included."""
+    from moljoint import evaluation, generation, objectives, smiles
+
+    reference = (workdir / "corpus.txt").read_text().split()
+    if source == "samples":
+        samples = ["CCO", "C1CC1", "C((", "CCO", reference[0]]
+        (tmp_path / "hand.txt").write_text("\n".join(samples) + "\n")
+        argv = ["--samples", str(tmp_path / "hand.txt")]
+    else:
+        state = Checkpoint.load(workdir / "pre" / "checkpoint")
+        samples = [s.smiles for s in generation.sample_batch(
+            state.params, state.vocab, generation.SamplerConfig(seed=2), 24)]
+        argv = ["--checkpoint", str(workdir / "pre" / "checkpoint"), "--n-samples", "24"]
+    calls, validate = [], smiles.validate
+    for module in (cli, evaluation, generation, objectives):
+        monkeypatch.setattr(module, "validate", lambda s, *a: calls.append(s) or validate(s, *a))
+    out = tmp_path / "ev"
+    assert main(["evaluate", *argv, "--data", str(workdir / "corpus.txt"), "--histograms", "--seed", "2",
+                 "--out-dir", str(out)]) == 0
+    assert (out / "histograms.csv").exists()
+    assert calls == reference + samples
+
+
 @pytest.mark.parametrize("argv", [
     ["pretrain", "--n-heads", "0"],
     ["pretrain", "--batch-size", "0"],
@@ -400,10 +425,12 @@ def test_evaluate_histogram_csv_rows_match_bins(workdir, tmp_path):
     ["sample", "-n", "-3"],
     ["optimize", "--y-c", "inf", "--eval-budget", "2", "--sample-budget", "4"],
     ["finetune", "--max-iters", "1", "--eval-samples", "-1"],
+    ["evaluate", "--n-samples", "-3", "--objective", "toy_mpo"],
 ], ids=["n_heads", "batch_size", "sigma", "objective_key", "non_finite",
         "params_without_objective_optimize", "params_without_objective_finetune",
         "params_without_objective_evaluate", "max_new_tokens_negative", "max_new_tokens_past_max_len",
-        "temperature_nan", "temperature_inf", "y_c_nan", "n_negative", "y_c_inf", "eval_samples_negative"])
+        "temperature_nan", "temperature_inf", "y_c_nan", "n_negative", "y_c_inf", "eval_samples_negative",
+        "n_samples_negative"])
 def test_bad_setting_exits_1_before_the_run_starts(workdir, tmp_path, capsys, argv):
     source = [] if argv[0] == "pretrain" else ["--checkpoint", str(workdir / "pre" / "checkpoint")]
     if argv[0] in ("pretrain", "finetune"):

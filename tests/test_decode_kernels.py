@@ -1,10 +1,10 @@
-"""The tape-free decode step: its checks, its packed weights and the kernels it shares.
+"""The tape-free decode step: its checks, the weights it reads and the kernels it shares.
 
-``model._decode_step`` runs the array kernels of ``numerics`` over weights
-that the ``KVCache`` packs on its first step. It must raise the same
-``NonFiniteError`` as the tape ops would, decode with the weights a cache
-was built from, refuse another params object, and every tape op must
-return its kernel's output bit for bit.
+``model._decode_step`` runs the array kernels of ``numerics`` over the live
+parameter arrays. It must raise the same ``NonFiniteError`` as the tape ops
+would, decode with the weights as they are, refuse a params object other
+than its first step's, and every tape op must return its kernel's output
+bit for bit.
 """
 
 import tracemalloc
@@ -46,9 +46,13 @@ def _decode(params, ids, cols=4):
     ("h1.attn.wv", (0, 2), np.nan, "attention"),
     ("head.w", (4, 6), np.nan, "matmul"),
     ("tok_emb", (BOS_ID, 0), np.inf, "embedding"),
+    ("h0.attn.wk", (5, 1), np.inf, "attention scores"),
 ])
 def test_non_finite_weight_raises_from_the_decode_step(name, at, value, message):
     params = _params()
+    block = {"wq": 0, "wk": 1, "wv": 2}.get(name.split(".")[-1])
+    if block is not None:  # a weight in one block of the fused attn.wqkv
+        name, at = name[:-2] + "wqkv", (at[0], block * params.config.embed_dim + at[1])
     params[name].data[at] = value
     with pytest.raises(NonFiniteError, match=message):
         M.forward_decoder(params, _ids(params)[:, :1], cache=M.KVCache())
@@ -57,8 +61,8 @@ def test_non_finite_weight_raises_from_the_decode_step(name, at, value, message)
 @pytest.mark.parametrize("cols", [1, 3])
 def test_score_overflow_raises_from_the_decode_step(cols):
     params = _params()
-    for name in ("h0.attn.wq", "h0.attn.wk"):  # q and k stay finite, q . k overflows
-        params[name].data *= 1e19
+    # q and k stay finite, q . k overflows
+    params["h0.attn.wqkv"].data[:, :2 * params.config.embed_dim] *= 1e19
     with pytest.raises(NonFiniteError, match="attention scores"), np.errstate(over="ignore"):
         M.forward_decoder(params, _ids(params)[:, :cols], cache=M.KVCache())
 
@@ -66,7 +70,7 @@ def test_score_overflow_raises_from_the_decode_step(cols):
 def test_cache_built_after_an_in_place_update_decodes_with_the_new_weights():
     params, ids = _params(), _ids(_params())
     before = _decode(params, ids)
-    for name in ("h0.attn.wk", "h1.attn.bq", "h1.ff.w2", "tok_emb"):
+    for name in ("h0.attn.wqkv", "h1.attn.bqkv", "h1.ff.w2", "tok_emb"):
         params[name].data += 0.1  # in place, as the optimizer updates
     after = _decode(params, ids)
     assert not np.allclose(after, before)
@@ -122,23 +126,20 @@ def test_tape_ops_return_their_kernels_output_bit_for_bit():
         nm.layer_norm_fwd(x.data.reshape(-1, 12), gain.data, bias.data)[0])
     assert _bits(nm.gelu(x).data) == _bits(nm.gelu_fwd(x.data)[0])
 
-    w = [Tensor(rng.normal((12, 12))) for _ in range(4)] + [Tensor(rng.normal((12,))) for _ in range(4)]
+    wqkv, bqkv, wo, bo = (Tensor(rng.normal(s)) for s in ((12, 36), (36,), (12, 12), (12,)))
     mask = np.triu(np.full((5, 5), M.NEG_BIAS, dtype=np.float32), k=1)
     keep = (rng.random((3, 4, 5, 5)) >= 0.2).astype(np.float32) / 0.8
     x2 = x.data.reshape(-1, 12)
 
-    def cat(ts, axis=0):
-        return np.concatenate([t.data for t in ts], axis=axis)
-
     for kv in (None, Tensor(rng.normal((3, 5, 12)))):
-        want = nm.attention(x, *w, mask, 4, keep=keep, kv=kv).data
+        want = nm.attention(x, wqkv, bqkv, wo, bo, mask, 4, keep=keep, kv=kv).data
         if kv is None:  # one fused GEMM for q, k and v
-            q, k, v = nm.project_heads(x2, cat(w[:3], 1), cat(w[4:7]), 3, 4)
-        else:
-            (q,) = nm.project_heads(x2, w[0].data, w[4].data, 3, 4)
-            k, v = nm.project_heads(kv.data.reshape(-1, 12), cat(w[1:3], 1), cat(w[5:7]), 3, 4)
+            q, k, v = nm.project_heads(x2, wqkv.data, bqkv.data, 3, 4)
+        else:  # x on the q columns, kv on the k|v columns
+            (q,) = nm.project_heads(x2, wqkv.data[:, :12], bqkv.data[:12], 3, 4)
+            k, v = nm.project_heads(kv.data.reshape(-1, 12), wqkv.data[:, 12:], bqkv.data[12:], 3, 4)
         kT = np.ascontiguousarray(k.swapaxes(-1, -2))
-        assert _bits(want) == _bits(nm.attention_fwd(q, kT, v, mask, w[3].data, w[7].data, keep)[3])
+        assert _bits(want) == _bits(nm.attention_fwd(q, kT, v, mask, wo.data, bo.data, keep)[3])
 
 
 def test_decode_step_records_nothing_and_checks_every_output(monkeypatch):

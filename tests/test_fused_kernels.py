@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import unfused
-from gradcheck import rel_error
+from gradcheck import assert_grads_match, rel_error
 from moljoint import datagen
 from moljoint import model as M
 from moljoint import numerics as nm
@@ -81,14 +81,7 @@ def test_trunk_gradients_match_unfused_in_float64(task, monkeypatch):
         unfused.install(monkeypatch)
         want_loss, want = _loss_and_grads(params, ids, task)
     assert abs(loss - want_loss) <= GRAD_TOL * abs(want_loss)
-    assert got.keys() == want.keys()
-    for name in got:
-        if name.endswith("attn.bk"):
-            # a key bias shifts a row of scores by a constant, which the softmax
-            # ignores: the gradient is 0 and both sides hold only rounding
-            assert np.abs(got[name]).max() < 1e-12 and np.abs(want[name]).max() < 1e-12
-        else:
-            assert rel_error(got[name], want[name]) < GRAD_TOL, name
+    assert_grads_match(got, want, GRAD_TOL)
 
 
 def test_cached_decoding_matches_unfused(monkeypatch):
@@ -152,8 +145,8 @@ def test_attention_softmax_is_stable_at_large_scores():
     rng = Rng(8)
     x = rng.normal((3, 6, 4))
     x[:, -1] *= 2.0  # the last key holds the largest scores of many rows
-    eye, zero = np.eye(4) * 30.0, np.zeros(4)
-    args = [eye, eye, np.eye(4), np.eye(4), zero, zero, zero, zero]
+    eye = np.eye(4) * 30.0
+    args = [np.hstack([eye, eye, np.eye(4)]), np.zeros(12), np.eye(4), np.zeros(4)]
     got = nm.attention(Tensor(x), *map(Tensor, args), np.zeros((3, 1, 6, 6), np.float32), 1)
     with nm.using_dtype(np.float64):
         want = unfused.attention(Tensor(x), *map(Tensor, args), np.zeros((3, 1, 6, 6)), 1)
@@ -166,8 +159,9 @@ def test_non_finite_input_raises_from_attention(where, value):
     rng = Rng(6)
     E, n_heads = 8, 2
     x = Tensor(rng.normal((2, 5, E)))
-    params = [Tensor(rng.normal((E, E))) for _ in range(4)] + [Tensor(np.zeros(E)) for _ in range(4)]
-    (x if where == "x" else params[0]).data[1, 2] = value
+    wqkv = Tensor(np.hstack([rng.normal((E, E)) for _ in range(3)]))
+    params = [wqkv, Tensor(np.zeros(3 * E)), Tensor(rng.normal((E, E))), Tensor(np.zeros(E))]
+    (x if where == "x" else wqkv).data[1, 2] = value  # "wq": a weight in the q block
     bias = np.triu(np.full((5, 5), M.NEG_BIAS, dtype=np.float32), k=1)
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NonFiniteError):
         nm.attention(x, *params, bias, n_heads)

@@ -59,10 +59,10 @@ def test_single_trunk_shared_between_modes(params, batch):
     """A trunk perturbation moves decoder logits AND predictor output."""
     dec0 = M.forward_decoder(params, batch).data.copy()
     pred0 = M.predict_target(params, batch).copy()
-    w = params["h0.attn.wq"]
+    w = params["h0.attn.wqkv"]
     old = w.data.copy()
     # random, not uniform: layer norm makes each input row sum to zero, so a
-    # constant added to every entry of wq cancels up to float32 rounding
+    # constant added to every entry of the q block cancels up to float32 rounding
     w.data += Rng(5).normal(w.shape, std=0.05)
     dec1 = M.forward_decoder(params, batch).data
     pred1 = M.predict_target(params, batch)

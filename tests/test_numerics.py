@@ -225,8 +225,8 @@ def test_attention_key_value_sources_agree():
     rng = Rng(12)
     E, n_heads = 6, 2
     x = Tensor(rng.normal((2, 5, E)))
-    params = [Tensor(rng.normal((E, E))) for _ in range(4)]
-    params += [Tensor(rng.normal((E,))) for _ in range(4)]
+    params = [Tensor(rng.normal((E, 3 * E))), Tensor(rng.normal((3 * E,))),
+              Tensor(rng.normal((E, E))), Tensor(rng.normal((E,)))]
     bias = np.zeros((2, 1, 1, 5))
     full = nm.attention(x, *params, bias, n_heads).data
     copy = nm.attention(x, *params, bias, n_heads, kv=Tensor(x.data)).data
@@ -238,12 +238,11 @@ def test_attention_key_value_sources_agree():
     # a KV cache filled by columns 0..3 answers the last column's query over all five,
     # through the array kernels the decode step runs
     cache = KVCache()
-    wqkv = np.concatenate([t.data for t in params[:3]], axis=1)
-    bqkv = np.concatenate([t.data for t in params[4:7]])
+    wqkv, bqkv, wo, bo = (t.data for t in params)
     for cols in (slice(0, 4), slice(4, 5)):
         q, k, v = nm.project_heads(x.data[:, cols].reshape(-1, E), wqkv, bqkv, 2, n_heads)
         k, v = cache.extend(0, k, v)
-    last = nm.attention_fwd(q, k.swapaxes(-1, -2), v, bias, params[3].data, params[7].data)[3]
+    last = nm.attention_fwd(q, k.swapaxes(-1, -2), v, bias, wo, bo)[3]
     np.testing.assert_allclose(last, full[:, 4], rtol=1e-5, atol=1e-6)
 
 
@@ -286,12 +285,14 @@ def _projected(build_out, proj):
     return lambda: nm.sum_all(nm.mul(build_out(), proj))
 
 
-def _check(build_out, tensors, proj, case_tag):
+def _check(build_out, tensors, proj, case_tag, blocks=None):
+    """``blocks`` maps a tensor's position to the last-axis slices checked one by one."""
     grads = tape_grads(_projected(build_out, proj), tensors)
-    for t, g in zip(tensors, grads):
+    for i, (t, g) in enumerate(zip(tensors, grads)):
         fd = numeric_grad(lambda: float((build_out().data * proj).sum()), t.data)
-        err = rel_error(g, fd)
-        assert err < FD_TOL, f"{case_tag}: rel err {err:.2e}"
+        for c in (blocks or {}).get(i, [slice(None)]):
+            err = rel_error(g[..., c], fd[..., c])
+            assert err < FD_TOL, f"{case_tag}: rel err {err:.2e}"
 
 
 RANDOM_GRAD_CASES = [
@@ -317,6 +318,7 @@ def test_randomized_gradients(op_name):
     rng = Rng(zlib.crc32(op_name.encode()))
     with nm.using_dtype(np.float64):
         for case in range(N_RANDOM_CASES):
+            blocks = None
             if op_name in ("add", "sub", "mul"):
                 shape = _random_shape(rng)
                 # second operand broadcastable: same shape or trailing slice
@@ -396,8 +398,8 @@ def test_randomized_gradients(op_name):
                 T = S + int(rng.integers(0, 3)) if op_name == "attention_kv" else S
                 x = Tensor(rng.normal((B, S, E)))
                 kv = Tensor(rng.normal((B, T, E))) if op_name == "attention_kv" else None
-                params = [Tensor(rng.normal((E, E))) for _ in range(4)]
-                params += [Tensor(rng.normal((E,))) for _ in range(4)]
+                params = [Tensor(rng.normal((E, 3 * E))), Tensor(rng.normal((3 * E,))),
+                          Tensor(rng.normal((E, E))), Tensor(rng.normal((E,)))]
                 if case % 2:
                     bias = np.triu(np.full((S, T), -1e9), k=T - S + 1)
                 else:  # key 0 stays visible, so no row is all masked
@@ -405,9 +407,12 @@ def test_randomized_gradients(op_name):
                     bias[..., 0] = 0.0
                 keep = None if case % 4 < 2 else (rng.random((B, n_heads, S, T)) >= 0.3) / 0.7
                 out = lambda: nm.attention(x, *params, bias, n_heads, keep=keep, kv=kv)
-                # not bk (params[5]): it shifts a row of scores by a constant, which the
-                # softmax ignores, so its gradient is 0 and differences see only rounding
-                tensors = [x, *params[:5], *params[6:]] + ([kv] if kv is not None else [])
+                tensors = [x, *params] + ([kv] if kv is not None else [])
+                # wqkv and bqkv block by block, but not the k block of bqkv: it shifts a row
+                # of scores by a constant, which the softmax ignores, so its gradient is 0
+                # and differences see only rounding
+                q, k, v = (slice(i * E, (i + 1) * E) for i in range(3))
+                blocks = {1: [q, k, v], 2: [q, v]}
             elif op_name == "scatter_rows":
                 # the rows split into 1-3 disjoint groups, each part narrower than the output
                 B, S, E = int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
@@ -431,4 +436,4 @@ def test_randomized_gradients(op_name):
             proj = np.asarray(rng.normal(out().shape)) if op_name != "cross_entropy" else np.asarray(1.0)
             if op_name in ("sum_all", "mean_all"):
                 proj = np.asarray(rng.normal())
-            _check(out, tensors, proj, f"{op_name}[{case}]")
+            _check(out, tensors, proj, f"{op_name}[{case}]", blocks)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from moljoint import datagen, model as M, training as T
+from moljoint import checkpoint as ckpt_io, datagen, model as M, training as T
 from moljoint.cli import main
 from moljoint.model import JointModelParams, ModelConfig, Task
 from moljoint.numerics import Rng
@@ -236,7 +236,7 @@ def test_resume_runs_under_the_config_it_is_given(tmp_path, setup):
         T.train(state, dataset, checkpoint_dir=tmp_path / f"wd{wd}")
         saved = json.loads((tmp_path / f"wd{wd}" / "config.json").read_text())["train"]
         assert saved == state.train_config.to_dict()
-        ends[wd] = state.params["h0.attn.wq"].data.tobytes()
+        ends[wd] = state.params["h0.attn.wqkv"].data.tobytes()
     assert ends[0.1] != ends[0.0]
 
 
@@ -335,6 +335,78 @@ def test_checkpoint_load_retired_and_unknown_keys(tmp_path, setup, capsys, secti
     assert not out.exists()
 
 
+_SPLIT = {"attn.wqkv": ("attn.wq", "attn.wk", "attn.wv"), "attn.bqkv": ("attn.bq", "attn.bk", "attn.bv")}
+
+
+def _save_split_attention(src, dst, blocks=("h0", "h1")) -> dict:
+    """Copy the bundle at ``src`` to ``dst`` in the older layout: in each of ``blocks``, the
+    fused attention tensors, their AdamW moments and step counts as q, k and v entries."""
+    bundle = ckpt_io.load_bundle(src)
+
+    def split(entries, cut):
+        out = {}
+        for key, value in entries.items():
+            head, sep, name = key.rpartition(":")  # "m:h0.attn.wqkv" -> "m", ":", "h0.attn.wqkv"
+            block, _, tail = name.partition(".")
+            if block in blocks and tail in _SPLIT:
+                out.update((f"{head}{sep}{block}.{part}", piece) for part, piece in zip(_SPLIT[tail], cut(value)))
+            else:
+                out[key] = value
+        return out
+
+    thirds = lambda a: np.split(a, 3, axis=-1)  # noqa: E731
+    old = dict(bundle, params=split(bundle["params"], thirds), optim_arrays=split(bundle["optim_arrays"], thirds),
+               optim_extra=dict(bundle["optim_extra"], steps=split(bundle["optim_extra"]["steps"], lambda k: [k] * 3)))
+    ckpt_io.save_bundle(dst, **old)
+    return old
+
+
+def test_new_bundles_hold_fused_attention_tensors(tmp_path, setup):
+    _train(setup, max_iters=1).save(tmp_path / "ck")
+    bundle = ckpt_io.load_bundle(tmp_path / "ck")
+    want = {f"h{i}.attn.{n}" for i in range(2) for n in ("wqkv", "bqkv", "wo", "bo")}
+    assert {n for n in bundle["params"] if ".attn." in n} == want
+    assert {n for n in bundle["optim_arrays"] if ".attn." in n} == {f"{m}:{n}" for m in "mv" for n in want}
+    assert {n for n in bundle["optim_extra"]["steps"] if ".attn." in n} == want
+
+
+def test_split_attention_bundle_loads_joined(tmp_path, setup):
+    """An older bundle's wq|wk|wv and bq|bk|bv load as the fused tensors, moments and steps."""
+    # p_task 0.5: the predictor head trains on fewer steps than the trunk
+    new = _train(setup, dataset=Dataset(setup[3].sequences, np.linspace(0, 1, len(setup[3]))),
+                 max_iters=4, p_task=0.5)
+    new.save(tmp_path / "new")
+    old = _save_split_attention(tmp_path / "new", tmp_path / "old")
+    assert "h1.attn.wk" in old["params"] and "v:h0.attn.bv" in old["optim_arrays"]
+    assert not any(n.endswith("qkv") for n in [*old["params"], *old["optim_extra"]["steps"]])
+    loaded = Checkpoint.load(tmp_path / "old")
+    assert loaded.params.names() == new.params.names()
+    for n in new.params.names():
+        assert loaded.params[n].data.tobytes() == new.params[n].data.tobytes(), n
+        assert loaded.opt.m[n].tobytes() == new.opt.m[n].tobytes(), n
+        assert loaded.opt.v[n].tobytes() == new.opt.v[n].tobytes(), n
+    assert loaded.opt.steps == new.opt.steps and len(set(new.opt.steps.values())) > 1
+    assert loaded.rng.get_state() == new.rng.get_state() and loaded.iteration == 4
+
+
+@pytest.mark.parametrize("fault", ["mixed", "unequal_steps"])
+def test_inconsistent_split_attention_bundle_exits_2(tmp_path, setup, capsys, fault):
+    _train(setup, max_iters=2).save(tmp_path / "new")
+    if fault == "mixed":  # h0 split, h1 fused
+        _save_split_attention(tmp_path / "new", tmp_path / "old", blocks=("h0",))
+    else:
+        _save_split_attention(tmp_path / "new", tmp_path / "old")
+        doc = json.loads((tmp_path / "old" / "optim.json").read_text())
+        doc["steps"]["h1.attn.wk"] += 1
+        (tmp_path / "old" / "optim.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="mixes" if fault == "mixed" else "unequal"):
+        Checkpoint.load(tmp_path / "old")
+    out = tmp_path / "s"
+    assert main(["sample", "--checkpoint", str(tmp_path / "old"), "-n", "2", "--out-dir", str(out)]) == 2
+    assert "cannot load checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_finetune_leaves_base_checkpoint_untouched(setup):
     _, _, _, dataset = setup
     base = _train(setup, max_iters=5)
@@ -375,8 +447,8 @@ def test_weight_decay_partition(setup):
     assert "tok_emb" not in opt.decay_set
     assert "pos_emb" not in opt.decay_set
     assert "h0.ln1.g" not in opt.decay_set
-    assert "h0.attn.bq" not in opt.decay_set
-    assert "h0.attn.wq" in opt.decay_set
+    assert "h0.attn.bqkv" not in opt.decay_set
+    assert "h0.attn.wqkv" in opt.decay_set
     assert "pred.l0.w" in opt.decay_set
 
 

@@ -1,7 +1,8 @@
 """The unfused kernels the fused ``numerics`` ops replaced, kept as references.
 
 ``attention`` is the trunk's former composition of about twenty recorded
-ops (matmul, add, reshape, transpose, mul, softmax_rows); ``layer_norm``,
+ops (matmul, add, reshape, transpose, mul, softmax_rows), with the q, k
+and v projections taken as column blocks of the fused weights; ``layer_norm``,
 ``gelu`` and ``embedding`` are the former single ops, with numpy
 reductions and a scatter-add backward. Each takes the signature of the
 fused op it stands for, so ``install`` can swap all four into
@@ -19,10 +20,23 @@ _GELU_C = 0.7978845608028654
 _GELU_A = 0.044715
 
 
-def attention(x, wq, wk, wv, wo, bq, bk, bv, bo, bias, n_heads, keep=None, kv=None):
+def _columns(a, lo, hi):
+    """a[..., lo:hi] as a tape op: one of the q, k and v blocks of a fused projection."""
+    out = Tensor(a.data[..., lo:hi], name="columns")
+
+    def bwd(g):
+        grad = np.zeros_like(a.data)
+        grad[..., lo:hi] = g
+        a.accum_fresh_grad(grad)
+
+    return _record(out, bwd)
+
+
+def attention(x, wqkv, bqkv, wo, bo, bias, n_heads, keep=None, kv=None):
     B, S, E = x.shape
     hd = E // n_heads
     src = x if kv is None else kv
+    wq, wk, wv, bq, bk, bv = (_columns(t, i * E, (i + 1) * E) for t in (wqkv, bqkv) for i in range(3))
     q = nm.add(nm.matmul(x, wq), bq)
     k = nm.add(nm.matmul(src, wk), bk)
     v = nm.add(nm.matmul(src, wv), bv)
