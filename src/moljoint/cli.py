@@ -276,6 +276,8 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate needs --samples and/or --checkpoint")
     if args.n_samples < 0:
         raise ConfigError(f"--n-samples must be >= 0, got {args.n_samples}")
+    if args.objective is not None and args.n_samples == 0:
+        raise ConfigError("evaluate --objective scores sampled draws: it needs --n-samples >= 1")
     if (args.test is not None or args.objective is not None) and args.checkpoint is None:
         raise ConfigError("evaluate --test and --objective need --checkpoint")
     objective = _objective(args)
@@ -306,10 +308,9 @@ def cmd_evaluate(args) -> int:
     # one set of draws serves both the sample metrics and the sampled MAE
     draws = []
     if objective is not None or (args.samples is None and args.n_samples > 0):
-        draws = gen.sample_batch(state.params, state.vocab, gen.SamplerConfig(seed=args.seed),
-                                 max(args.n_samples, 1))
+        draws = gen.sample_batch(state.params, state.vocab, gen.SamplerConfig(seed=args.seed), args.n_samples)
     if args.samples is None:
-        sample_lines = [s.smiles for s in draws] if args.n_samples > 0 else []
+        sample_lines = [s.smiles for s in draws]
 
     report = ev.MetricsReport(sample_count=len(sample_lines))
     report.metadata = {"seed": args.seed, "checkpoint": args.checkpoint,
@@ -326,7 +327,8 @@ def cmd_evaluate(args) -> int:
     if args.test is not None:
         report.mae = ev.mae(state.params, test_set)
     if objective is not None:
-        report.mae_sampled, report.mae_sampled_retained = ev.mae_sampled(draws, objective)
+        draw_reports = reports if args.samples is None else [validate(s.smiles) for s in draws]
+        report.mae_sampled, report.mae_sampled_retained = ev.mae_sampled(draws, draw_reports, objective)
 
     outputs = ["metrics.json"]
     if args.histograms and report.feature_kl is not None:

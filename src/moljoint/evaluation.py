@@ -23,7 +23,7 @@ import numpy as np
 
 from . import model as mdl
 from .model import JointModelParams
-from .objectives import ObjectiveSpec, evaluate as evaluate_objective
+from .objectives import ObjectiveSpec, score
 from .smiles import ValidityReport, validate
 from .training import Dataset
 
@@ -121,13 +121,14 @@ def mae(params: JointModelParams, dataset: Dataset, batch_size: int = 64) -> flo
     return float(np.concatenate(errs).mean())
 
 
-def mae_sampled(draws: list, objective: ObjectiveSpec) -> tuple[float | None, int]:
+def mae_sampled(draws: list, reports: list[ValidityReport], objective: ObjectiveSpec) -> tuple[float | None, int]:
     """MAE of sampled (SMILES, predicted y) draws against the true objective.
 
-    Invalid draws are dropped; returns (mae, retained count), or (None, 0)
-    when every draw is invalid.
+    ``reports`` are the draws' ``validate`` reports, in order. Invalid draws
+    are dropped; returns (mae, retained count), or (None, 0) when every
+    draw is invalid.
     """
-    errs = [abs(s.y - evaluate_objective(objective, s.smiles)) for s in draws if validate(s.smiles)]
+    errs = [abs(s.y - score(objective, r.features)) for s, r in zip(draws, reports, strict=True) if r]
     return (float(np.mean(errs)) if errs else None), len(errs)
 
 

@@ -10,11 +10,12 @@ can be re-scored with the true objective afterwards.
 Decoding is incremental: each step runs only the newest column through
 the trunk's tape-free decode step, over a ``model.KVCache`` made once per
 chunk: it keeps every layer's keys and values in buffers allocated at
-max_len and written in place.
+max_len and written in place, and layer 0's (token, position) table once
+the chunk has run layer 0 on as many cells as the table holds.
 Rows that emit EOS leave both the step input and the cache (batch
 shrinking), so a step costs one trunk row per molecule still being
-decoded. The predictor then makes one all-visible pass over the finished
-strings.
+decoded. The predictor then makes one tape-free, all-visible pass over
+the finished strings, reading layer 0 from the same cache's table.
 """
 
 from __future__ import annotations
@@ -82,15 +83,14 @@ def _next_token_ids(logits: np.ndarray, cfg: SamplerConfig, rng: Rng) -> np.ndar
     if cfg.temperature == 0.0:
         return z.argmax(axis=-1)
     scaled = z
-    if cfg.temperature != 1.0:  # z / 1.0 is z, bit for bit
+    if cfg.temperature != 1.0:  # z / 1.0 is z, bit for bit, and only a division overflows finite logits
         with np.errstate(over="ignore"):
             scaled = z / cfg.temperature
-    peak = scaled.max(axis=-1, keepdims=True)  # top-k below keeps each row's peak
-    cold = ~np.isfinite(peak[:, 0])
-    if cold.any():  # overflowed rows take their argmax, the limit as the temperature goes to 0
-        scaled[cold] = np.where(np.arange(z.shape[-1]) == z[cold].argmax(axis=-1)[:, None], 0.0, -np.inf)
-        peak[cold] = 0.0
+        cold = ~np.isfinite(scaled.max(axis=-1))
+        if cold.any():  # overflowed rows take their argmax, the limit as the temperature goes to 0
+            scaled[cold] = np.where(np.arange(z.shape[-1]) == z[cold].argmax(axis=-1)[:, None], 0.0, -np.inf)
     z = scaled
+    peak = z.max(axis=-1, keepdims=True)  # top-k below keeps each row's peak
     if cfg.top_k > 0 and cfg.top_k < z.shape[-1]:
         kth = np.sort(z, axis=-1)[:, -cfg.top_k][:, None]
         z = np.where(z >= kth, z, -np.inf)
@@ -102,20 +102,22 @@ def _next_token_ids(logits: np.ndarray, cfg: SamplerConfig, rng: Rng) -> np.ndar
     # rounding can leave the summed mass below u (id V or a zero-mass tail
     # id) and u = 0 picks id 0; clamp each row to its nonzero-mass span
     nonzero = p > 0
+    if (ids < p.shape[-1]).all() and nonzero[np.arange(len(ids)), ids].all():
+        return ids  # every pick has mass: the clamp would keep it
     first = nonzero.argmax(axis=-1)
     last = p.shape[-1] - 1 - nonzero[:, ::-1].argmax(axis=-1)
     return np.minimum(np.maximum(ids, first), last)
 
 
 def _decode_chunk(
-    params: JointModelParams, cfg: SamplerConfig, n: int, rng: Rng
+    params: JointModelParams, cfg: SamplerConfig, n: int, rng: Rng, cache: mdl.KVCache
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ancestrally decode n sequences; returns (ids (n, S), truncated (n,))."""
+    """Ancestrally decode n sequences through a new ``cache``, whose keys and values it frees when
+    done; returns (ids (n, S), truncated (n,))."""
     max_new = cfg.new_tokens(params.config.max_len)
     ids = np.full((n, max_new + 1), PAD_ID, dtype=np.int64)
     ids[:, 0] = BOS_ID
     live = np.arange(n)  # rows still decoding, in cache order
-    cache = mdl.KVCache()
     length = 1
     while length <= max_new and live.size:
         logits = mdl.forward_decoder(params, ids[live, length - 1 : length], cache=cache).data[:, -1, :]
@@ -126,6 +128,7 @@ def _decode_chunk(
             live = live[going]
             cache.keep(going)
         length += 1
+    cache.release()
     truncated = np.zeros(n, dtype=bool)
     truncated[live] = True
     return ids[:, :length], truncated
@@ -144,8 +147,9 @@ def sample_batch(
     out: list[Sample] = []
     for start in range(0, n, DRAW_CHUNK):
         m = min(DRAW_CHUNK, n - start)
-        ids, truncated = _decode_chunk(params, cfg, m, rng)
-        ys = mdl.predict_target(params, ids)
+        cache = mdl.KVCache()
+        ids, truncated = _decode_chunk(params, cfg, m, rng, cache)
+        ys = mdl.predict_target(params, ids, cache)
         if cfg.sample_y:
             ys = ys + rng.normal(m)
         out += [Sample(detokenize(row, vocab), y, t)

@@ -36,17 +36,35 @@ exact up to GEMM rounding. The decoder and ``forward_encoder`` read all.
 Decoding: ``forward_decoder`` with a ``KVCache`` runs ``_decode_step`` on
 the new columns only, one group without dropout (one new column needs no
 bias), on plain arrays: the ``numerics`` kernels the tape ops run, with
-no Tensor but the logits and every check the tape ops make. Each step
-reads the live parameter arrays by name (q|k|v is one GEMM on a block's
-``attn.wqkv``), and a cache serves only its first step's params. Each
-layer caches its keys and values time-major, (max_len, B, n_heads,
-head_dim), in buffers allocated once and written in place; attention
-reads them, and the keys' transpose, as strided views.
+no Tensor but the logits and every check the tape ops make. A cache
+serves only its first step's params, whose arrays it reads by name (q|k|v
+is one GEMM on a block's ``attn.wqkv``). Each layer caches its keys and
+values time-major, (max_len, B, n_heads, head_dim), in buffers allocated
+once and written in place; attention reads them, and the keys' transpose,
+as strided views. Without dropout, layer 0's residual row tok_emb[v] +
+pos_emb[p] and its LN1 and q|k|v GEMM depend on (token, position) alone.
+Once a cache has run layer 0 on vocab_size * max_len cells, it builds
+that table (checked under the op names ``embedding``, ``add`` and
+``layer_norm``) and reads layer 0 at row v * max_len + p; a build so
+costs at most about what layer 0 has already cost the chunk.
+
+Inference: ``predict_target`` is ``forward_predictor`` without dropout,
+on the same kernels and checks and with no tape. The length groups' cells
+are packed into rows: position-wise ops (layer norms, GEMMs, GELU,
+residual adds) run over the packed non-PAD cells at once (the
+feed-forward in blocks of ``ROW_BLOCK`` rows), and attention runs per
+group on a (rows, width) copy of them, with zero keys and values at PAD
+cells, which the bias masks. The last block runs past its keys and values
+at each row's first cell only. ``_decode_step`` shares the block's
+position-wise half (``_block_rest``), and with the chunk's cache the pass
+reads layer 0 from its table. Training keeps the tape
+``forward_predictor``.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -60,6 +78,10 @@ NEG_BIAS = -1e9  # additive attention bias for disallowed key positions
 # rows (a group's per-op overhead outweighs the PAD cells it saves on fewer)
 MAX_GROUPS = 4
 MIN_GROUP_ROWS = 16
+# rows per feed-forward call of the packed predictor pass: a multiple of MIN_GROUP_ROWS that
+# keeps its (rows, ff_dim) activations near one length group's, as in the tape pass (0.4 MB at
+# the README size), so that the pass does not raise the process's peak memory
+ROW_BLOCK = 512
 
 
 @dataclass
@@ -181,15 +203,17 @@ def attention_bias(ids: np.ndarray, causal: bool) -> np.ndarray:
 
 
 def _keep_mask(shape, rate: float, rng: Rng | None) -> np.ndarray | None:
-    """Inverted-dropout multipliers (0, or 1 / (1 - rate)); None when dropout is off."""
+    """Inverted-dropout multipliers (0, or 1 / (1 - rate)) where a float32 uniform
+    is >= rate; None when dropout is off."""
     if rate <= 0.0 or rng is None:
         return None
-    u = rng.random(shape, dtype=np.float32)
-    return (u >= rate).astype(nm.current_dtype()) / (1.0 - rate)
+    dtype = nm.current_dtype()
+    return np.multiply(rng.random_at_least(shape, rate), dtype(1) / dtype(1.0 - rate), dtype=dtype)
 
 
 class KVCache:
-    """Each layer's keys and values for the columns decoded so far (see "Decoding").
+    """One chunk's inference state: each layer's keys and values for the columns
+    decoded so far, and layer 0's (token, position) table (see "Decoding").
 
     Inference only: the cached arrays are constants to the tape. Every step
     must pass the params object of the first one. ``keep`` drops rows
@@ -202,6 +226,9 @@ class KVCache:
         self._rows = 0  # live rows, at the front of every buffer
         self._spare: np.ndarray | None = None  # a free flat buffer that keep gathers into
         self._params: JointModelParams | None = None
+        self._w: dict[str, np.ndarray] = {}  # the params' arrays by name
+        self._fed = 0  # cells layer 0 has run on
+        self._table: tuple[np.ndarray, np.ndarray] | None = None  # layer 0 at row v * max_len + p
 
     @property
     def length(self) -> int:
@@ -211,12 +238,32 @@ class KVCache:
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return [tuple(a[:t, :self._rows].transpose(1, 2, 0, 3) for a in (k, v)) for k, v, t in self._layers]
 
-    def bind(self, params: JointModelParams) -> None:
-        """Tie the cache to the first step's params, sized for their max_len; ValueError for others."""
+    def bind(self, params: JointModelParams) -> dict[str, np.ndarray]:
+        """Tie the cache to the first step's params, sized for their max_len, and return their
+        arrays by name; ValueError for other params."""
         if self._params is None:
             self._params, self.capacity = params, params.config.max_len
+            self._w = {n: t.data for n, t in params.tensors.items()}
         elif params is not self._params:
             raise ValueError("a KV cache decodes only with the params of its first step")
+        return self._w
+
+    def first_layer(self, ids: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_first_layer`` of the bound params at the cells (ids, pos), read from the table once it is built.
+
+        The table is built, from the arrays as they are then, once the chunk
+        has run layer 0 on as many cells as it holds: a build then costs
+        about as much as the layer-0 work it has already cost.
+        """
+        cfg = self._params.config
+        V, P = cfg.vocab_size, cfg.max_len
+        if self._table is None and self._fed >= V * P:
+            self._table = _first_layer(self._w, np.arange(V)[:, None], np.arange(P))
+        self._fed += ids.size
+        if self._table is None:
+            return _first_layer(self._w, ids, pos)
+        at = (ids * P + pos).reshape(-1)
+        return self._table[0][at], self._table[1][at]
 
     def extend(self, i: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Write layer i's new columns in place; returns (B, n_heads, t, head_dim) views of all."""
@@ -234,6 +281,10 @@ class KVCache:
         layer[2], self._rows = t + S, B
         return tuple(a[:t + S, :B].transpose(1, 2, 0, 3) for a in layer[:2])
 
+    def release(self) -> None:
+        """Free the key and value buffers once decoding is done; the layer-0 table stays."""
+        self._layers, self._rows, self._spare = [], 0, None
+
     def keep(self, rows: np.ndarray) -> None:
         """Keep the rows where the bool mask ``rows`` is True, in order.
 
@@ -245,7 +296,7 @@ class KVCache:
             for j in (0, 1):
                 old = layer[j]
                 shape = (len(old), len(live)) + old.shape[2:]
-                size = int(np.prod(shape))
+                size = math.prod(shape)
                 if self._spare is None or self._spare.size < size:
                     self._spare = np.empty(old.size, old.dtype)
                 new = self._spare[:size].reshape(shape)
@@ -341,6 +392,33 @@ def _transformer(
     return nm.scatter_rows(h, groups, (B, S_out, cfg.embed_dim))
 
 
+def _ln(w: dict, name: str, x: np.ndarray) -> np.ndarray:
+    """Layer norm ``name`` of the rows x, checked as the tape op is."""
+    return nm.check_finite(nm.layer_norm_fwd(x, w[name + ".g"], w[name + ".b"])[0], "layer_norm")
+
+
+def _qkv(w: dict, p: str, a: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
+    """Block ``p``'s q|k|v GEMM of the normed rows a (only its ``cols``)."""
+    return nm.linear(a, w[p + "attn.wqkv"][:, cols], w[p + "attn.bqkv"][cols])
+
+
+def _first_layer(w: dict, ids: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Layer 0's residual rows (N, E) and q|k|v rows (N, 3E) at the N cells (ids, pos), in
+    the row-major order of the shape the two broadcast to."""
+    ok = nm.check_finite  # every output the tape ops would check, under the same names
+    x = ok(ok(w["tok_emb"][ids], "embedding") + ok(w["pos_emb"][pos], "embedding"), "add")
+    x = x.reshape(-1, x.shape[-1])
+    return x, _qkv(w, "h0.", _ln(w, "h0.ln1", x))
+
+
+def _block_rest(w: dict, p: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Block ``p`` past its attention, on rows: x + y, then LN2 and the feed-forward, with residual."""
+    ok = nm.check_finite
+    x = ok(x + ok(y, "attention"), "add")
+    f = ok(nm.gelu_fwd(ok(_ln(w, p + "ln2", x) @ w[p + "ff.w1"], "matmul"), inplace=True)[0], "gelu")
+    return ok(x + ok(f @ w[p + "ff.w2"], "matmul"), "add")
+
+
 def _decode_step(params: JointModelParams, ids: np.ndarray, cache: KVCache) -> Tensor:
     """Logits (B, S, V) of a decode's new columns ``ids``, on arrays (see "Decoding")."""
     cfg, t0, (B, S) = params.config, cache.length, ids.shape
@@ -348,24 +426,19 @@ def _decode_step(params: JointModelParams, ids: np.ndarray, cache: KVCache) -> T
         raise ValueError(f"sequence length {t0 + S} exceeds max_len {cfg.max_len}")
     if nm.recording():
         raise RuntimeError("a KV cache is inference only: its keys and values carry no gradient")
-    cache.bind(params)
-    w = {n: t.data for n, t in params.tensors.items()}
-    ok = nm.check_finite  # every output the tape ops would check, under the same names
-    bias = 0.0 if S == 1 else np.triu(np.full((S, t0 + S), NEG_BIAS, dtype=nm.current_dtype()), k=t0 + 1)
-    x = ok(ok(w["tok_emb"][ids], "embedding") + ok(w["pos_emb"][t0:t0 + S], "embedding"), "add")
-    x = x.reshape(B * S, -1)
+    w = cache.bind(params)
+    bias = None if S == 1 else np.triu(np.full((S, t0 + S), NEG_BIAS, dtype=nm.current_dtype()), k=t0 + 1)
+    x, qkv = cache.first_layer(ids, np.arange(t0, t0 + S))
     for i in range(cfg.n_layers):
         p = f"h{i}."
-        a = ok(nm.layer_norm_fwd(x, w[p + "ln1.g"], w[p + "ln1.b"])[0], "layer_norm")
-        q, k, v = nm.project_heads(a, w[p + "attn.wqkv"], w[p + "attn.bqkv"], B, cfg.n_heads)
+        if i:
+            qkv = _qkv(w, p, _ln(w, p + "ln1", x))
+        q, k, v = nm.split_heads(qkv, B, cfg.n_heads, cfg.embed_dim)
         k, v = cache.extend(i, k, v)
         y = nm.attention_fwd(q, k.swapaxes(-1, -2), v, bias, w[p + "attn.wo"], w[p + "attn.bo"])[3]
-        x = ok(x + ok(y, "attention"), "add")
-        f = ok(nm.layer_norm_fwd(x, w[p + "ln2.g"], w[p + "ln2.b"])[0], "layer_norm")
-        f = ok(nm.gelu_fwd(ok(f @ w[p + "ff.w1"], "matmul"))[0], "gelu")
-        x = ok(x + ok(f @ w[p + "ff.w2"], "matmul"), "add")
-    h = ok(nm.layer_norm_fwd(x, w["ln_f.g"], w["ln_f.b"])[0], "layer_norm")
-    return Tensor(ok(h @ w["head.w"], "matmul").reshape(B, S, -1), name="matmul")
+        x = _block_rest(w, p, x, y)
+    logits = nm.check_finite(_ln(w, "ln_f", x) @ w["head.w"], "matmul")
+    return Tensor(logits.reshape(B, S, -1), name="matmul")
 
 
 def forward_decoder(
@@ -418,9 +491,67 @@ def forward_predictor(
     return nm.add(nm.matmul(z, params[f"pred.l{last}.w"]), params[f"pred.l{last}.b"])
 
 
-def predict_target(params: JointModelParams, ids: np.ndarray) -> np.ndarray:
-    """Predicted target means (B,); dropout is always off here."""
-    return forward_predictor(params, ids).data[:, 0].copy()
+def predict_target(params: JointModelParams, ids: np.ndarray, cache: KVCache | None = None) -> np.ndarray:
+    """Predicted target means (B,): ``forward_predictor`` without dropout, on arrays (see "Inference").
+
+    A ``cache`` (the chunk's that decoded ``ids``) lends its layer-0 table.
+    """
+    cfg, E, H = params.config, params.config.embed_dim, params.config.n_heads
+    if ids.shape[1] > cfg.max_len:
+        raise ValueError(f"sequence length {ids.shape[1]} exceeds max_len {cfg.max_len}")
+    cache = KVCache() if cache is None else cache
+    w = cache.bind(params)
+    ok = nm.check_finite
+    lengths = (ids != PAD_ID).sum(axis=1)
+    groups = _length_groups(lengths)
+    widths = [max(int(lengths[g].max()), 1) for g in groups]
+    cells = np.concatenate([ids[g, :n].reshape(-1) for g, n in zip(groups, widths)])
+    pos = np.concatenate([np.tile(np.arange(n), len(g)) for g, n in zip(groups, widths)])
+    spans = np.split(np.arange(len(cells)), np.cumsum([len(g) * n for g, n in zip(groups, widths)])[:-1])
+    biases = [attention_bias(ids[g, :n], causal=False) for g, n in zip(groups, widths)]
+    # the position-wise ops run on the non-PAD cells and on PAD ones up to a multiple of
+    # MIN_GROUP_ROWS rows, so that a row-wise BLAS kernel that rounds the last rows of a call its own
+    # way (the layer-norm GEMV does, by row count mod 4) meets such rows only where the tape pass does
+    run = cells != PAD_ID
+    run[np.flatnonzero(~run)[:(-run.sum()) % MIN_GROUP_ROWS]] = True
+    at = np.cumsum(run) - 1  # each cell's row among those that run
+    firsts = at[np.concatenate([c[::n] for c, n in zip(spans, widths)])]  # each row's first cell
+    starts = np.cumsum([0] + [len(g) for g in groups[:-1]])  # each group's first row
+
+    def group_cells(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """The rows of the group with cells c, in its (rows * width) cell layout with zeros at the rest."""
+        out = np.zeros((len(c), rows.shape[1]), rows.dtype)
+        out[run[c]] = rows[at[c[run[c]]]]
+        return out
+
+    x, qkv = cache.first_layer(cells[run], pos[run])
+    for i in range(cfg.n_layers):
+        p, last = f"h{i}.", i == cfg.n_layers - 1
+        a = _ln(w, p + "ln1", x) if i else None
+        if last:  # nothing later mixes positions: queries at each row's first cell only
+            q = qkv[firsts, :E] if a is None else _qkv(w, p, a[firsts], slice(0, E))
+            qkv = qkv[:, E:] if a is None else _qkv(w, p, a, slice(E, 3 * E))
+            x = x[firsts]
+        elif a is not None:
+            qkv = _qkv(w, p, a)
+        y = []
+        for g, c, bias, r in zip(groups, spans, biases, starts):
+            heads = nm.split_heads(group_cells(qkv, c), len(g), H, E)  # q, k, v; or k, v in the last block
+            if last:
+                heads = nm.split_heads(q[r:r + len(g)], len(g), H, E) + heads
+            o = nm.attention_fwd(heads[0], np.ascontiguousarray(heads[1].swapaxes(-1, -2)), heads[2], bias,
+                                 w[p + "attn.wo"], w[p + "attn.bo"])[3]
+            y.append(o if last else o[run[c]])
+        del qkv, a  # the feed-forward's wide arrays can reuse their memory
+        y = np.concatenate(y)
+        x = np.concatenate([_block_rest(w, p, x[r:r + ROW_BLOCK], y[r:r + ROW_BLOCK])
+                            for r in range(0, len(x), ROW_BLOCK)])
+    z = _ln(w, "ln_f", x)[np.argsort(np.concatenate(groups))]  # batch order
+    for i in range(cfg.predictor_layers + 1):
+        z = ok(ok(z @ w[f"pred.l{i}.w"], "matmul") + w[f"pred.l{i}.b"], "add")
+        if i < cfg.predictor_layers:
+            z = ok(nm.gelu_fwd(z, inplace=True)[0], "gelu")
+    return z[:, 0]
 
 
 def loss_decoder(

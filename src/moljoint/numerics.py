@@ -20,21 +20,24 @@ Every op validates its output: NaN or Inf anywhere is a hard error
 (``NonFiniteError``), never silently propagated.
 
 The trunk's kernels are fused, with hand-written backward. Their forward
-math is array-level (``layer_norm_fwd``, ``gelu_fwd``, ``project_heads``,
-``attention_fwd``), shared by the tape ops, which keep what it returns
-for backward, and by the model's tape-free decode step; ``attention``
-takes its keys and values from x or a tensor, never a cache. Inside
-``attention_fwd`` q, k, v, the probabilities and y carry no check of
-their own; the scores (q k^T plus the bias) and the output do. That
-loses nothing: any NaN or Inf in q or k makes a score non-finite;
-probabilities of finite scores are finite; every row of y sums over every
-key's v, and a non-finite y entry makes its output row non-finite through
-the wo GEMM (Inf * 0 and Inf - Inf are NaN). The scores keep their check
-because an overflow to -Inf there would read as a masked key, not as NaN.
+math is array-level (``layer_norm_fwd``, ``gelu_fwd``, ``linear``,
+``split_heads``, ``attention_fwd``), shared by the tape ops, which keep
+what it returns for backward, and by the model's tape-free decode step
+and predictor pass; ``attention`` takes its keys and values from x or a
+tensor, never a cache. Inside ``attention_fwd`` q, k, v, the
+probabilities and y carry no check of their own; the scores (q k^T plus
+the bias) and the output do. That loses nothing: any NaN or Inf in q or
+k makes a score non-finite; probabilities of finite scores are finite;
+every row of y sums over every key's v, and a non-finite y entry makes
+its output row non-finite through the wo GEMM (Inf * 0 and Inf - Inf are
+NaN). The scores keep their check because an overflow to -Inf there
+would read as a masked key, not as NaN.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -46,6 +49,7 @@ _TAPE: "Tape | None" = None
 # tanh-form GELU constant sqrt(2/pi)
 _GELU_C = 0.7978845608028654
 _GELU_A = 0.044715
+_GELU_BLOCK = 1 << 16  # elements per block of gelu_fwd: 256 KiB of float32 per buffer
 
 
 class NonFiniteError(FloatingPointError):
@@ -88,6 +92,26 @@ class Rng:
     def random(self, shape=None, dtype=np.float64):
         """Uniform floats in [0, 1); scalar when shape is None."""
         return self._gen.random() if shape is None else self._gen.random(shape, dtype=dtype)
+
+    def random_at_least(self, shape, threshold: float) -> np.ndarray:
+        """``random(shape, float32) >= threshold``, from the same draws and leaving the same state.
+
+        A float32 uniform is the top 24 bits of a 32-bit half of a PCG64 word
+        (low half first) times 2^-24, so the raw words are compared against an
+        integer threshold, and the buffered half is set as the float path sets
+        it. An odd count, or a half still buffered, takes the float path.
+        """
+        n = math.prod(shape)
+        bits = self._gen.bit_generator
+        state = bits.state
+        if n == 0 or n % 2 or state["has_uint32"] or sys.byteorder != "little":
+            return self.random(shape, dtype=np.float32) >= threshold
+        words = bits.random_raw(n // 2)
+        state = bits.state
+        state["uinteger"] = int(words[-1] >> 32)
+        bits.state = state
+        # u >= t  <=>  (w >> 8) >= ceil(t * 2^24)  <=>  w >= ceil(t * 2^24) << 8, t as a float32
+        return (words.view(np.uint32) >= math.ceil(float(np.float32(threshold)) * (1 << 24)) << 8).reshape(shape)
 
     def normal(self, shape=None, std=1.0, mean=0.0):
         return self._gen.normal(mean, std, shape)
@@ -209,8 +233,14 @@ def recording() -> bool:
 
 
 def check_finite(a: np.ndarray, name: str) -> np.ndarray:
-    """``a`` itself; NonFiniteError if it holds NaN or Inf."""
-    if not np.isfinite(a).all():
+    """``a`` itself; NonFiniteError if it holds NaN or Inf.
+
+    A NaN or Inf entry makes the dot product of ``a`` with itself NaN or
+    Inf, so a finite one clears ``a`` in one BLAS pass; only a non-finite
+    one (or an overflow) takes the elementwise test.
+    """
+    flat = a.reshape(-1)
+    if not math.isfinite(flat @ flat) and not np.isfinite(a).all():
         raise NonFiniteError(f"non-finite values in op output {name or '<unnamed>'}")
     return a
 
@@ -419,26 +449,37 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _record(out, bwd)
 
 
-def project_heads(x: np.ndarray, w: np.ndarray, b: np.ndarray, B: int, n_heads: int) -> list[np.ndarray]:
-    """x (B * rows, E) @ w (E, n E) + b, as n (B, n_heads, rows, E / n_heads) head views."""
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b, in the GEMM's own output buffer."""
     o = x @ w
     o += b
-    E = x.shape[1]
-    return list(o.reshape(B, -1, w.shape[1] // E, n_heads, E // n_heads).transpose(2, 0, 3, 1, 4))
+    return o
+
+
+def split_heads(o: np.ndarray, B: int, n_heads: int, E: int) -> list[np.ndarray]:
+    """The n column blocks of width E of o (B * rows, n E) as n (B, n_heads, rows, E / n_heads) head views."""
+    return list(o.reshape(B, -1, o.shape[1] // E, n_heads, E // n_heads).transpose(2, 0, 3, 1, 4))
+
+
+def project_heads(x: np.ndarray, w: np.ndarray, b: np.ndarray, B: int, n_heads: int) -> list[np.ndarray]:
+    """x (B * rows, E) @ w (E, n E) + b, as n (B, n_heads, rows, E / n_heads) head views."""
+    return split_heads(linear(x, w, b), B, n_heads, x.shape[1])
 
 
 def attention_fwd(q: np.ndarray, kT: np.ndarray, v: np.ndarray, bias, wo: np.ndarray, bo: np.ndarray,
                   keep: np.ndarray | None = None):
     """Attention of the query heads q (B, h, S, hd) over kT (B, h, hd, T) and v (B, h, T, hd).
 
-    ``bias`` adds to the (B, h, S, T) scores and may broadcast; ``keep``
-    multiplies the probabilities. Returns q / sqrt(hd), the probabilities,
-    the pre-projection y (B S, h hd) with the heads side by side, and y @ wo + bo.
+    ``bias`` adds to the (B, h, S, T) scores and may broadcast, or is None
+    for none; ``keep`` multiplies the probabilities. Returns q / sqrt(hd),
+    the probabilities, the pre-projection y (B S, h hd) with the heads side
+    by side, and y @ wo + bo.
     """
     B, n_heads, S, hd = q.shape
     q = q * float(1.0 / np.sqrt(hd))
     p = q @ kT  # scores, (B, h, S, T)
-    p += bias
+    if bias is not None:
+        p += bias
     if not np.isfinite(p).all():
         raise NonFiniteError("non-finite values in attention scores")
     T = p.shape[-1]
@@ -446,7 +487,7 @@ def attention_fwd(q: np.ndarray, kT: np.ndarray, v: np.ndarray, bias, wo: np.nda
     # exact row max in one pass down a transposed copy (max(axis=-1) runs a loop per row)
     rows -= np.ascontiguousarray(rows.T).max(axis=0)[:, None]
     np.exp(rows, out=rows)
-    rows /= (rows @ np.ones(T, dtype=rows.dtype))[:, None]
+    rows /= (rows @ _filled(T, 1.0, rows.dtype))[:, None]
     y = np.empty((B, S, n_heads, hd), dtype=p.dtype)
     np.matmul(p if keep is None else p * keep, v, out=y.transpose(0, 2, 1, 3))
     y = y.reshape(-1, n_heads * hd)
@@ -507,9 +548,9 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wo: Tensor, bo: Tensor, bia
     return _record(out, bwd)
 
 
-@lru_cache(maxsize=16)
-def _mean_weights(n: int, dtype: np.dtype) -> np.ndarray:
-    w = np.full(n, 1.0 / n, dtype=dtype)
+@lru_cache(maxsize=256)  # a few widths and every key count up to max_len, per dtype
+def _filled(n: int, value: float, dtype: np.dtype) -> np.ndarray:
+    w = np.full(n, value, dtype=dtype)
     w.flags.writeable = False  # every call shares it
     return w
 
@@ -520,7 +561,7 @@ def _row_means(rows: np.ndarray) -> np.ndarray:
     numpy's reductions over a short last axis run a loop per row; BLAS
     does the whole array in one pass.
     """
-    return rows @ _mean_weights(rows.shape[1], rows.dtype)
+    return rows @ _filled(rows.shape[1], 1.0 / rows.shape[1], rows.dtype)
 
 
 def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
@@ -567,23 +608,45 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(out, bwd)
 
 
-def gelu_fwd(x: np.ndarray):
+def _gelu_block(x: np.ndarray, y: np.ndarray, t: np.ndarray, s: np.ndarray) -> None:
+    """``gelu_fwd`` of one block x into y and the tanh term into t; s is scratch and may be y,
+    and y may be x."""
+    np.multiply(x, x, out=t)
+    t *= _GELU_A
+    t += 1.0
+    np.multiply(x, _GELU_C, out=s)
+    t *= s
+    np.tanh(t, out=t)
+    np.add(t, 1.0, out=s)
+    s *= x
+    np.multiply(s, 0.5, out=y)
+
+
+def gelu_fwd(x: np.ndarray, inplace: bool = False):
     """Gaussian-error linear unit, tanh approximation; returns (output, tanh term).
 
     0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3))); differs from
-    the exact erf form by < 1e-3 over the working range. Fills two buffers
-    in place.
+    the exact erf form by < 1e-3 over the working range. A large x runs
+    block by block, so that the nine passes over a block find it in cache.
+    With ``inplace`` (inference) the output overwrites x, which must then
+    be C-contiguous, and the tanh term, which only backward reads, is not
+    kept: it returns (x, None).
     """
-    t = np.multiply(x, x)
-    t *= _GELU_A
-    t += 1.0
-    y = np.multiply(x, _GELU_C)
-    t *= y
-    np.tanh(t, out=t)
-    np.add(t, 1.0, out=y)
-    y *= x
-    y *= 0.5
-    return y, t
+    y = x if inplace else np.empty(x.shape, x.dtype)
+    if x.size <= _GELU_BLOCK:
+        t = np.empty(x.shape, x.dtype)
+        _gelu_block(x, y, t, np.empty(x.shape, x.dtype) if inplace else y)
+    else:
+        t = None if inplace else np.empty(x.shape, x.dtype)
+        scratch = np.empty((2, _GELU_BLOCK), x.dtype)
+        xf, yf = x.reshape(-1), y.reshape(-1)
+        for i in range(0, x.size, _GELU_BLOCK):
+            xb, yb = xf[i:i + _GELU_BLOCK], yf[i:i + _GELU_BLOCK]
+            if inplace:
+                _gelu_block(xb, yb, scratch[0, :len(xb)], scratch[1, :len(xb)])
+            else:
+                _gelu_block(xb, yb, t.reshape(-1)[i:i + _GELU_BLOCK], yb)
+    return y, None if inplace else t
 
 
 def gelu(a: Tensor) -> Tensor:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
-from .smiles import Vocabulary, detokenize, validate
+from .smiles import SyntaxFeatures, Vocabulary, detokenize, validate
 from .training import Dataset
 
 
@@ -45,7 +45,11 @@ def _kernel(value: float, target: float, sigma: float) -> float:
 
 def evaluate(obj: ObjectiveSpec, s: str) -> float:
     """Score a SMILES string in [0, 1]; invalid strings score 0."""
-    feats = validate(s).features
+    return score(obj, validate(s).features)
+
+
+def score(obj: ObjectiveSpec, feats: SyntaxFeatures | None) -> float:
+    """``evaluate`` from a string's ``validate(s).features``: None (invalid) scores 0."""
     if feats is None:
         return 0.0
     scores = [

@@ -337,11 +337,15 @@ class Checkpoint:
         """An iteration-0 state with a fresh optimizer and Rng(cfg.seed).
 
         Without ``weights`` the parameters are drawn from that RNG; with them
-        (fine-tuning) they are copies of the given arrays, one per name.
+        (fine-tuning) they are copies of the given arrays, one per name;
+        ValueError for a name the model lacks.
         """
         rng = Rng(cfg.seed)
         params = JointModelParams(model_config, rng if weights is None else None)
         if weights is not None:
+            stray = sorted(set(weights) - set(params.tensors))
+            if stray:
+                raise ValueError(f"checkpoint tensors {', '.join(stray)} are not in the model")
             for n, t in params.tensors.items():
                 if tuple(weights[n].shape) != t.shape:
                     raise ValueError(f"checkpoint tensor {n} has shape {weights[n].shape}, expected {t.shape}")

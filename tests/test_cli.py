@@ -15,10 +15,12 @@ import pytest
 
 import moljoint
 from moljoint import cli, datagen
+from moljoint.checkpoint import load_bundle, save_bundle
 from moljoint.cli import build_parser, main
 from moljoint.model import ModelConfig
 from moljoint.training import Checkpoint
 
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "checkpoint"  # split q|k|v tensors
 TRAIN_ARGS = [
     "--embed-dim", "16", "--n-layers", "1", "--n-heads", "2", "--ff-dim", "32",
     "--predictor-hidden-dim", "8", "--max-len", "32",
@@ -126,6 +128,18 @@ def test_sample_loads_bundle_with_legacy_dropout_rate(workdir, tmp_path):
                  "--out-dir", str(out)])
     assert code == 0
     assert len((out / "samples.tsv").read_text().splitlines()) == 5
+
+
+def test_bundle_with_a_tensor_the_model_lacks_exits_2(tmp_path, capsys):
+    """A stray tensor is a data error, as an unknown config key is; the fixture's split q|k|v still loads."""
+    bundle = load_bundle(FIXTURE)
+    bundle["params"]["h9.attn.wo"] = np.zeros((3, 3), dtype=np.float32)
+    save_bundle(tmp_path / "stray", **bundle)
+    code = main(["sample", "--checkpoint", str(tmp_path / "stray"), "-n", "2", "--out-dir", str(tmp_path / "s")])
+    assert code == 2
+    assert "h9.attn.wo" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+    assert main(["sample", "--checkpoint", str(FIXTURE), "-n", "2", "--out-dir", str(tmp_path / "ok")]) == 0
 
 
 @pytest.mark.parametrize("damage", ["flip", "truncate"])
@@ -380,9 +394,9 @@ def test_evaluate_histogram_csv_rows_match_bins(workdir, tmp_path):
     assert len(rows) == len(want) + 1  # header + one row per bin
 
 
-@pytest.mark.parametrize("source", ["samples", "checkpoint"])
+@pytest.mark.parametrize("source", ["samples", "checkpoint", "objective"])
 def test_evaluate_validates_each_string_once(workdir, tmp_path, monkeypatch, source):
-    """One validate call per reference line and per sample, histograms included."""
+    """One validate call per reference line and per sample, histograms and the sampled MAE included."""
     from moljoint import evaluation, generation, objectives, smiles
 
     reference = (workdir / "corpus.txt").read_text().split()
@@ -395,6 +409,8 @@ def test_evaluate_validates_each_string_once(workdir, tmp_path, monkeypatch, sou
         samples = [s.smiles for s in generation.sample_batch(
             state.params, state.vocab, generation.SamplerConfig(seed=2), 24)]
         argv = ["--checkpoint", str(workdir / "pre" / "checkpoint"), "--n-samples", "24"]
+        if source == "objective":  # the sampled MAE scores the same draws
+            argv += ["--objective", "toy_mpo"]
     calls, validate = [], smiles.validate
     for module in (cli, evaluation, generation, objectives):
         monkeypatch.setattr(module, "validate", lambda s, *a: calls.append(s) or validate(s, *a))
@@ -426,11 +442,12 @@ def test_evaluate_validates_each_string_once(workdir, tmp_path, monkeypatch, sou
     ["optimize", "--y-c", "inf", "--eval-budget", "2", "--sample-budget", "4"],
     ["finetune", "--max-iters", "1", "--eval-samples", "-1"],
     ["evaluate", "--n-samples", "-3", "--objective", "toy_mpo"],
+    ["evaluate", "--n-samples", "0", "--objective", "toy_mpo"],
 ], ids=["n_heads", "batch_size", "sigma", "objective_key", "non_finite",
         "params_without_objective_optimize", "params_without_objective_finetune",
         "params_without_objective_evaluate", "max_new_tokens_negative", "max_new_tokens_past_max_len",
         "temperature_nan", "temperature_inf", "y_c_nan", "n_negative", "y_c_inf", "eval_samples_negative",
-        "n_samples_negative"])
+        "n_samples_negative", "objective_without_samples"])
 def test_bad_setting_exits_1_before_the_run_starts(workdir, tmp_path, capsys, argv):
     source = [] if argv[0] == "pretrain" else ["--checkpoint", str(workdir / "pre" / "checkpoint")]
     if argv[0] in ("pretrain", "finetune"):

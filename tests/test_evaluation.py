@@ -10,6 +10,7 @@ from moljoint import model as M
 from moljoint.generation import SamplerConfig, sample_batch
 from moljoint.numerics import Rng
 from moljoint.objectives import ObjectiveSpec
+from moljoint.smiles import validate
 from moljoint.training import Dataset
 
 
@@ -125,7 +126,7 @@ def test_mae_sampled_near_zero_when_predictor_matches_objective(memorized):
                         sigma_length=4.0, sigma_rings=0.8, sigma_hetero=0.15)
     true_val = eval_obj(obj, string)
     draws = sample_batch(params, vocab, SamplerConfig(temperature=0.0, seed=0), 16)
-    m, kept = E.mae_sampled(draws, obj)
+    m, kept = E.mae_sampled(draws, [validate(d.smiles) for d in draws], obj)
     assert kept == 16
     assert m == pytest.approx(abs(target - true_val), abs=0.05)
 
@@ -135,7 +136,7 @@ def test_mae_sampled_positive_for_untrained_predictor(memorized):
     obj = ObjectiveSpec(target_length=30, target_rings=0, target_hetero=0.0,
                         sigma_length=1.0)
     draws = sample_batch(params, vocab, SamplerConfig(temperature=0.0, seed=0), 8)
-    m, kept = E.mae_sampled(draws, obj)
+    m, kept = E.mae_sampled(draws, [validate(d.smiles) for d in draws], obj)
     assert m > 0.1  # objective disagrees with the memorized target
 
 

@@ -41,21 +41,22 @@ def _fixture_model():
     return state.params, M.pad_batch([tokenize(s, state.vocab, 32) for s in lines])
 
 
-def _outputs(params, ids):
+def _outputs(params, ids, predictor):
     mask = M.sample_mask_vector(ids, 0.3, Rng(2))
     return {
         "decoder": M.forward_decoder(params, ids).data,
         "encoder": M.forward_encoder(params, ids, mask).data,
-        "predictor": M.predict_target(params, ids),
+        "predictor": predictor(params, ids),
     }
 
 
 @pytest.mark.parametrize("source", [_random_model, _fixture_model], ids=["random", "fixture"])
 def test_trunk_forward_matches_unfused(source, monkeypatch):
+    """predict_target runs the array kernels; its reference is the unfused tape predictor."""
     params, ids = source()
-    got = _outputs(params, ids)
+    got = _outputs(params, ids, M.predict_target)
     unfused.install(monkeypatch)
-    want = _outputs(params, ids)
+    want = _outputs(params, ids, lambda params, ids: M.forward_predictor(params, ids).data[:, 0])
     for name in got:
         np.testing.assert_allclose(got[name], want[name], rtol=0, atol=FWD_TOL, err_msg=name)
 

@@ -30,17 +30,17 @@ def fixture():
 
 
 def _views(monkeypatch, copy: bool) -> list[bool]:
-    """Route ``project_heads`` through a spy that records whether its weights are a view,
-    and with ``copy`` hands it contiguous copies instead."""
-    seen, project = [], nm.project_heads
+    """Route ``linear``, which runs every q|k|v GEMM, through a spy that records whether
+    its weights are a view, and with ``copy`` hands it contiguous copies instead."""
+    seen, linear = [], nm.linear
 
-    def spy(x, w, b, B, n_heads):
+    def spy(x, w, b):
         seen.append(not w.flags.c_contiguous)
         if copy:
             w, b = np.ascontiguousarray(w), np.ascontiguousarray(b)
-        return project(x, w, b, B, n_heads)
+        return linear(x, w, b)
 
-    monkeypatch.setattr(nm, "project_heads", spy)
+    monkeypatch.setattr(nm, "linear", spy)
     return seen
 
 

@@ -81,11 +81,12 @@ def test_read_rows_match_the_full_last_block_in_float64(labeled, grouped, monkey
 
 
 def test_predict_target_matches_the_full_last_block(monkeypatch):
+    """predict_target runs the array kernels; its reference is the tape predictor with the full last block."""
     params, ids = _random_model()
     with nm.using_dtype(np.float64):
         got = M.predict_target(params, ids)
         _full_last_block(monkeypatch)
-        want = M.predict_target(params, ids)
+        want = M.forward_predictor(params, ids).data[:, 0]
     np.testing.assert_allclose(got, want, rtol=GRAD_TOL, atol=0)
 
 
