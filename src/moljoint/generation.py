@@ -10,12 +10,11 @@ can be re-scored with the true objective afterwards.
 Decoding is incremental: each step runs only the newest column through
 the trunk's tape-free decode step, over a ``model.KVCache`` made once per
 chunk: it keeps every layer's keys and values in buffers allocated at
-max_len and written in place, and layer 0's (token, position) table once
-the chunk has run layer 0 on as many cells as the table holds.
+max_len and written in place.
 Rows that emit EOS leave both the step input and the cache (batch
 shrinking), so a step costs one trunk row per molecule still being
 decoded. The predictor then makes one tape-free, all-visible pass over
-the finished strings, reading layer 0 from the same cache's table.
+the finished strings.
 """
 
 from __future__ import annotations
@@ -110,14 +109,14 @@ def _next_token_ids(logits: np.ndarray, cfg: SamplerConfig, rng: Rng) -> np.ndar
 
 
 def _decode_chunk(
-    params: JointModelParams, cfg: SamplerConfig, n: int, rng: Rng, cache: mdl.KVCache
+    params: JointModelParams, cfg: SamplerConfig, n: int, rng: Rng
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ancestrally decode n sequences through a new ``cache``, whose keys and values it frees when
-    done; returns (ids (n, S), truncated (n,))."""
+    """Ancestrally decode n sequences; returns (ids (n, S), truncated (n,))."""
     max_new = cfg.new_tokens(params.config.max_len)
     ids = np.full((n, max_new + 1), PAD_ID, dtype=np.int64)
     ids[:, 0] = BOS_ID
     live = np.arange(n)  # rows still decoding, in cache order
+    cache = mdl.KVCache()
     length = 1
     while length <= max_new and live.size:
         logits = mdl.forward_decoder(params, ids[live, length - 1 : length], cache=cache).data[:, -1, :]
@@ -128,7 +127,6 @@ def _decode_chunk(
             live = live[going]
             cache.keep(going)
         length += 1
-    cache.release()
     truncated = np.zeros(n, dtype=bool)
     truncated[live] = True
     return ids[:, :length], truncated
@@ -147,9 +145,8 @@ def sample_batch(
     out: list[Sample] = []
     for start in range(0, n, DRAW_CHUNK):
         m = min(DRAW_CHUNK, n - start)
-        cache = mdl.KVCache()
-        ids, truncated = _decode_chunk(params, cfg, m, rng, cache)
-        ys = mdl.predict_target(params, ids, cache)
+        ids, truncated = _decode_chunk(params, cfg, m, rng)
+        ys = mdl.predict_target(params, ids)
         if cfg.sample_y:
             ys = ys + rng.normal(m)
         out += [Sample(detokenize(row, vocab), y, t)

@@ -36,17 +36,12 @@ exact up to GEMM rounding. The decoder and ``forward_encoder`` read all.
 Decoding: ``forward_decoder`` with a ``KVCache`` runs ``_decode_step`` on
 the new columns only, one group without dropout (one new column needs no
 bias), on plain arrays: the ``numerics`` kernels the tape ops run, with
-no Tensor but the logits and every check the tape ops make. A cache
-serves only its first step's params, whose arrays it reads by name (q|k|v
-is one GEMM on a block's ``attn.wqkv``). Each layer caches its keys and
-values time-major, (max_len, B, n_heads, head_dim), in buffers allocated
-once and written in place; attention reads them, and the keys' transpose,
-as strided views. Without dropout, layer 0's residual row tok_emb[v] +
-pos_emb[p] and its LN1 and q|k|v GEMM depend on (token, position) alone.
-Once a cache has run layer 0 on vocab_size * max_len cells, it builds
-that table (checked under the op names ``embedding``, ``add`` and
-``layer_norm``) and reads layer 0 at row v * max_len + p; a build so
-costs at most about what layer 0 has already cost the chunk.
+no Tensor but the logits and every check the tape ops make. Each step
+reads the live parameter arrays by name (q|k|v is one GEMM on a block's
+``attn.wqkv``), and a cache serves only its first step's params. Each
+layer caches its keys and values time-major, (max_len, B, n_heads,
+head_dim), in buffers allocated once and written in place; attention
+reads them, and the keys' transpose, as strided views.
 
 Inference: ``predict_target`` is ``forward_predictor`` without dropout,
 on the same kernels and checks and with no tape. The length groups' cells
@@ -55,16 +50,14 @@ residual adds) run over the packed non-PAD cells at once (the
 feed-forward in blocks of ``ROW_BLOCK`` rows), and attention runs per
 group on a (rows, width) copy of them, with zero keys and values at PAD
 cells, which the bias masks. The last block runs past its keys and values
-at each row's first cell only. ``_decode_step`` shares the block's
-position-wise half (``_block_rest``), and with the chunk's cache the pass
-reads layer 0 from its table. Training keeps the tape
-``forward_predictor``.
+at each row's first cell only. ``_decode_step`` shares layer 0's
+embedding and q|k|v GEMM (``_first_layer``) and the block's position-wise
+half (``_block_rest``). Training keeps the tape ``forward_predictor``.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -212,8 +205,7 @@ def _keep_mask(shape, rate: float, rng: Rng | None) -> np.ndarray | None:
 
 
 class KVCache:
-    """One chunk's inference state: each layer's keys and values for the columns
-    decoded so far, and layer 0's (token, position) table (see "Decoding").
+    """Each layer's keys and values for the columns decoded so far (see "Decoding").
 
     Inference only: the cached arrays are constants to the tape. Every step
     must pass the params object of the first one. ``keep`` drops rows
@@ -226,9 +218,6 @@ class KVCache:
         self._rows = 0  # live rows, at the front of every buffer
         self._spare: np.ndarray | None = None  # a free flat buffer that keep gathers into
         self._params: JointModelParams | None = None
-        self._w: dict[str, np.ndarray] = {}  # the params' arrays by name
-        self._fed = 0  # cells layer 0 has run on
-        self._table: tuple[np.ndarray, np.ndarray] | None = None  # layer 0 at row v * max_len + p
 
     @property
     def length(self) -> int:
@@ -238,32 +227,12 @@ class KVCache:
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return [tuple(a[:t, :self._rows].transpose(1, 2, 0, 3) for a in (k, v)) for k, v, t in self._layers]
 
-    def bind(self, params: JointModelParams) -> dict[str, np.ndarray]:
-        """Tie the cache to the first step's params, sized for their max_len, and return their
-        arrays by name; ValueError for other params."""
+    def bind(self, params: JointModelParams) -> None:
+        """Tie the cache to the first step's params, sized for their max_len; ValueError for others."""
         if self._params is None:
             self._params, self.capacity = params, params.config.max_len
-            self._w = {n: t.data for n, t in params.tensors.items()}
         elif params is not self._params:
             raise ValueError("a KV cache decodes only with the params of its first step")
-        return self._w
-
-    def first_layer(self, ids: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``_first_layer`` of the bound params at the cells (ids, pos), read from the table once it is built.
-
-        The table is built, from the arrays as they are then, once the chunk
-        has run layer 0 on as many cells as it holds: a build then costs
-        about as much as the layer-0 work it has already cost.
-        """
-        cfg = self._params.config
-        V, P = cfg.vocab_size, cfg.max_len
-        if self._table is None and self._fed >= V * P:
-            self._table = _first_layer(self._w, np.arange(V)[:, None], np.arange(P))
-        self._fed += ids.size
-        if self._table is None:
-            return _first_layer(self._w, ids, pos)
-        at = (ids * P + pos).reshape(-1)
-        return self._table[0][at], self._table[1][at]
 
     def extend(self, i: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Write layer i's new columns in place; returns (B, n_heads, t, head_dim) views of all."""
@@ -281,10 +250,6 @@ class KVCache:
         layer[2], self._rows = t + S, B
         return tuple(a[:t + S, :B].transpose(1, 2, 0, 3) for a in layer[:2])
 
-    def release(self) -> None:
-        """Free the key and value buffers once decoding is done; the layer-0 table stays."""
-        self._layers, self._rows, self._spare = [], 0, None
-
     def keep(self, rows: np.ndarray) -> None:
         """Keep the rows where the bool mask ``rows`` is True, in order.
 
@@ -296,7 +261,7 @@ class KVCache:
             for j in (0, 1):
                 old = layer[j]
                 shape = (len(old), len(live)) + old.shape[2:]
-                size = math.prod(shape)
+                size = int(np.prod(shape))
                 if self._spare is None or self._spare.size < size:
                     self._spare = np.empty(old.size, old.dtype)
                 new = self._spare[:size].reshape(shape)
@@ -402,9 +367,10 @@ def _qkv(w: dict, p: str, a: np.ndarray, cols: slice = slice(None)) -> np.ndarra
     return nm.linear(a, w[p + "attn.wqkv"][:, cols], w[p + "attn.bqkv"][cols])
 
 
-def _first_layer(w: dict, ids: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _first_layer(w: dict, ids: np.ndarray, pos) -> tuple[np.ndarray, np.ndarray]:
     """Layer 0's residual rows (N, E) and q|k|v rows (N, 3E) at the N cells (ids, pos), in
-    the row-major order of the shape the two broadcast to."""
+    the row-major order of the shape the two broadcast to; ``pos`` indexes ``pos_emb`` (an
+    array or a slice)."""
     ok = nm.check_finite  # every output the tape ops would check, under the same names
     x = ok(ok(w["tok_emb"][ids], "embedding") + ok(w["pos_emb"][pos], "embedding"), "add")
     x = x.reshape(-1, x.shape[-1])
@@ -415,7 +381,7 @@ def _block_rest(w: dict, p: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Block ``p`` past its attention, on rows: x + y, then LN2 and the feed-forward, with residual."""
     ok = nm.check_finite
     x = ok(x + ok(y, "attention"), "add")
-    f = ok(nm.gelu_fwd(ok(_ln(w, p + "ln2", x) @ w[p + "ff.w1"], "matmul"), inplace=True)[0], "gelu")
+    f = ok(nm.gelu_fwd(ok(_ln(w, p + "ln2", x) @ w[p + "ff.w1"], "matmul"))[0], "gelu")
     return ok(x + ok(f @ w[p + "ff.w2"], "matmul"), "add")
 
 
@@ -426,9 +392,10 @@ def _decode_step(params: JointModelParams, ids: np.ndarray, cache: KVCache) -> T
         raise ValueError(f"sequence length {t0 + S} exceeds max_len {cfg.max_len}")
     if nm.recording():
         raise RuntimeError("a KV cache is inference only: its keys and values carry no gradient")
-    w = cache.bind(params)
+    cache.bind(params)
+    w = {n: t.data for n, t in params.tensors.items()}
     bias = None if S == 1 else np.triu(np.full((S, t0 + S), NEG_BIAS, dtype=nm.current_dtype()), k=t0 + 1)
-    x, qkv = cache.first_layer(ids, np.arange(t0, t0 + S))
+    x, qkv = _first_layer(w, ids, slice(t0, t0 + S))
     for i in range(cfg.n_layers):
         p = f"h{i}."
         if i:
@@ -491,16 +458,12 @@ def forward_predictor(
     return nm.add(nm.matmul(z, params[f"pred.l{last}.w"]), params[f"pred.l{last}.b"])
 
 
-def predict_target(params: JointModelParams, ids: np.ndarray, cache: KVCache | None = None) -> np.ndarray:
-    """Predicted target means (B,): ``forward_predictor`` without dropout, on arrays (see "Inference").
-
-    A ``cache`` (the chunk's that decoded ``ids``) lends its layer-0 table.
-    """
+def predict_target(params: JointModelParams, ids: np.ndarray) -> np.ndarray:
+    """Predicted target means (B,): ``forward_predictor`` without dropout, on arrays (see "Inference")."""
     cfg, E, H = params.config, params.config.embed_dim, params.config.n_heads
     if ids.shape[1] > cfg.max_len:
         raise ValueError(f"sequence length {ids.shape[1]} exceeds max_len {cfg.max_len}")
-    cache = KVCache() if cache is None else cache
-    w = cache.bind(params)
+    w = {n: t.data for n, t in params.tensors.items()}
     ok = nm.check_finite
     lengths = (ids != PAD_ID).sum(axis=1)
     groups = _length_groups(lengths)
@@ -524,7 +487,7 @@ def predict_target(params: JointModelParams, ids: np.ndarray, cache: KVCache | N
         out[run[c]] = rows[at[c[run[c]]]]
         return out
 
-    x, qkv = cache.first_layer(cells[run], pos[run])
+    x, qkv = _first_layer(w, cells[run], pos[run])
     for i in range(cfg.n_layers):
         p, last = f"h{i}.", i == cfg.n_layers - 1
         a = _ln(w, p + "ln1", x) if i else None
@@ -550,7 +513,7 @@ def predict_target(params: JointModelParams, ids: np.ndarray, cache: KVCache | N
     for i in range(cfg.predictor_layers + 1):
         z = ok(ok(z @ w[f"pred.l{i}.w"], "matmul") + w[f"pred.l{i}.b"], "add")
         if i < cfg.predictor_layers:
-            z = ok(nm.gelu_fwd(z, inplace=True)[0], "gelu")
+            z = ok(nm.gelu_fwd(z)[0], "gelu")
     return z[:, 0]
 
 

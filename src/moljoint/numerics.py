@@ -49,7 +49,6 @@ _TAPE: "Tape | None" = None
 # tanh-form GELU constant sqrt(2/pi)
 _GELU_C = 0.7978845608028654
 _GELU_A = 0.044715
-_GELU_BLOCK = 1 << 16  # elements per block of gelu_fwd: 256 KiB of float32 per buffer
 
 
 class NonFiniteError(FloatingPointError):
@@ -233,14 +232,8 @@ def recording() -> bool:
 
 
 def check_finite(a: np.ndarray, name: str) -> np.ndarray:
-    """``a`` itself; NonFiniteError if it holds NaN or Inf.
-
-    A NaN or Inf entry makes the dot product of ``a`` with itself NaN or
-    Inf, so a finite one clears ``a`` in one BLAS pass; only a non-finite
-    one (or an overflow) takes the elementwise test.
-    """
-    flat = a.reshape(-1)
-    if not math.isfinite(flat @ flat) and not np.isfinite(a).all():
+    """``a`` itself; NonFiniteError if it holds NaN or Inf."""
+    if not np.isfinite(a).all():
         raise NonFiniteError(f"non-finite values in op output {name or '<unnamed>'}")
     return a
 
@@ -608,45 +601,23 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(out, bwd)
 
 
-def _gelu_block(x: np.ndarray, y: np.ndarray, t: np.ndarray, s: np.ndarray) -> None:
-    """``gelu_fwd`` of one block x into y and the tanh term into t; s is scratch and may be y,
-    and y may be x."""
-    np.multiply(x, x, out=t)
-    t *= _GELU_A
-    t += 1.0
-    np.multiply(x, _GELU_C, out=s)
-    t *= s
-    np.tanh(t, out=t)
-    np.add(t, 1.0, out=s)
-    s *= x
-    np.multiply(s, 0.5, out=y)
-
-
-def gelu_fwd(x: np.ndarray, inplace: bool = False):
+def gelu_fwd(x: np.ndarray):
     """Gaussian-error linear unit, tanh approximation; returns (output, tanh term).
 
     0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3))); differs from
-    the exact erf form by < 1e-3 over the working range. A large x runs
-    block by block, so that the nine passes over a block find it in cache.
-    With ``inplace`` (inference) the output overwrites x, which must then
-    be C-contiguous, and the tanh term, which only backward reads, is not
-    kept: it returns (x, None).
+    the exact erf form by < 1e-3 over the working range. Fills two buffers
+    in place.
     """
-    y = x if inplace else np.empty(x.shape, x.dtype)
-    if x.size <= _GELU_BLOCK:
-        t = np.empty(x.shape, x.dtype)
-        _gelu_block(x, y, t, np.empty(x.shape, x.dtype) if inplace else y)
-    else:
-        t = None if inplace else np.empty(x.shape, x.dtype)
-        scratch = np.empty((2, _GELU_BLOCK), x.dtype)
-        xf, yf = x.reshape(-1), y.reshape(-1)
-        for i in range(0, x.size, _GELU_BLOCK):
-            xb, yb = xf[i:i + _GELU_BLOCK], yf[i:i + _GELU_BLOCK]
-            if inplace:
-                _gelu_block(xb, yb, scratch[0, :len(xb)], scratch[1, :len(xb)])
-            else:
-                _gelu_block(xb, yb, t.reshape(-1)[i:i + _GELU_BLOCK], yb)
-    return y, None if inplace else t
+    t = np.multiply(x, x)
+    t *= _GELU_A
+    t += 1.0
+    y = np.multiply(x, _GELU_C)
+    t *= y
+    np.tanh(t, out=t)
+    np.add(t, 1.0, out=y)
+    y *= x
+    y *= 0.5
+    return y, t
 
 
 def gelu(a: Tensor) -> Tensor:

@@ -40,8 +40,8 @@ def _token_ids(params, rows, cols, seed):
     return ids
 
 
-def _reference_decode(params, cfg, n, rng, cache):
-    """The full-prefix decoder: every step re-runs the whole prefix, finished rows stay; ``cache`` stays unused."""
+def _reference_decode(params, cfg, n, rng):
+    """The full-prefix decoder: every step re-runs the whole prefix, finished rows stay."""
     max_new = cfg.max_new_tokens if cfg.max_new_tokens is not None else params.config.max_len - 1
     ids = np.full((n, max_new + 1), PAD_ID, dtype=np.int64)
     ids[:, 0] = BOS_ID
@@ -96,8 +96,8 @@ def test_cached_prefill_then_steps_with_dropped_rows(model):
 def test_cached_draws_match_full_prefix_decoding(model, sampler, monkeypatch):
     params, vocab = model
     rng_ref, rng = Rng(sampler.seed), Rng(sampler.seed)
-    want_ids, want_trunc = _reference_decode(params, sampler, 37, rng_ref, M.KVCache())
-    got_ids, got_trunc = G._decode_chunk(params, sampler, 37, rng, M.KVCache())
+    want_ids, want_trunc = _reference_decode(params, sampler, 37, rng_ref)
+    got_ids, got_trunc = G._decode_chunk(params, sampler, 37, rng)
     np.testing.assert_array_equal(got_ids, want_ids)
     np.testing.assert_array_equal(got_trunc, want_trunc)
     assert rng.get_state() == rng_ref.get_state()  # same number of uniform draws
@@ -118,7 +118,7 @@ def test_cached_decoding_shrinks_rows_that_finish_early(random_model, monkeypatc
         return real(params, ids, *args, **kwargs)
 
     monkeypatch.setattr(M, "forward_decoder", spy)
-    ids, truncated = G._decode_chunk(params, SamplerConfig(seed=7), 40, Rng(7), M.KVCache())
+    ids, truncated = G._decode_chunk(params, SamplerConfig(seed=7), 40, Rng(7))
     ends = [int(np.flatnonzero(row == EOS_ID)[0]) for row, t in zip(ids, truncated) if not t]
     assert len(set(ends)) > 1, "rows must finish at different steps"
     # one new column per step, over exactly the rows still decoding

@@ -1,14 +1,13 @@
-"""The layer-0 table and the packed, tape-free predictor pass against the tape passes.
+"""The decode step and the packed, tape-free predictor pass against the tape passes.
 
-A chunk's ``KVCache`` serves layer 0 from a (token, position) table once the
-chunk has run layer 0 on as many cells as the table holds, and
 ``predict_target`` runs the predictor's all-visible pass on the ``numerics``
-array kernels over the length groups' packed cells. Decode logits must match
-the full-prefix tape pass to 1e-5 before and after the table is built;
-``predict_target`` must match the tape ``forward_predictor`` bit for bit on
-the benchmark fixture's 64-draw chunks and to 1e-6 on random models. Both
-raise the tape ops' ``NonFiniteError`` under the same op names, and the
-predictor pass records nothing.
+array kernels over the length groups' packed cells, and shares layer 0 and
+each block's position-wise half with the decode step. Decode logits must
+match the full-prefix tape pass to 1e-5; ``predict_target`` must match the
+tape ``forward_predictor`` bit for bit on the benchmark fixture's 64-draw
+chunks and to 1e-6 on random models. Both raise the tape ops'
+``NonFiniteError`` under the same op names, and the predictor pass records
+nothing.
 """
 
 from pathlib import Path
@@ -44,11 +43,6 @@ def _ids(params, rows, seed=1):
     return ids
 
 
-def _table_now(cache):
-    """Make a cache build its table at its next layer-0 call."""
-    cache._fed = 10**9
-
-
 def _decode(params, ids, cache, prefill=3):
     out = [M.forward_decoder(params, ids[:, :prefill], cache=cache).data]
     for t in range(prefill + 1, ids.shape[1] + 1):
@@ -58,42 +52,28 @@ def _decode(params, ids, cache, prefill=3):
 
 @pytest.mark.parametrize("n_layers", [1, 3])
 @pytest.mark.parametrize("rows", [1, 7, 13])
-@pytest.mark.parametrize("table", ["by-the-rule", "from-the-start"])
-def test_decode_matches_the_full_prefix_before_and_after_the_table(n_layers, rows, table):
+def test_decode_matches_the_full_prefix(n_layers, rows):
     params = _params(n_layers)
     ids = _ids(params, rows)
-    cache = M.KVCache()
-    if table == "from-the-start":
-        _table_now(cache)
-    got = _decode(params, ids, cache)
-    # 8 tokens x 16 positions: 13 rows feed the 128 cells within the chunk, 1 and 7 rows never do
-    built = table == "from-the-start" or (table == "by-the-rule" and rows == 13)
-    assert (cache._table is not None) == built
+    got = _decode(params, ids, M.KVCache())
     want = M.forward_decoder(params, ids).data
     np.testing.assert_allclose(got, want, rtol=0, atol=LOGIT_TOL)
 
 
 def _fixture_chunks():
-    """The fixture's params and three decoded 64-draw chunks, each with the cache that decoded it."""
+    """The fixture's params, three decoded 64-draw chunks and 64 corpus lines."""
     state = Checkpoint.load(FIXTURE)
-    chunks = []
-    for seed in (1, 2, 3):
-        cache = M.KVCache()
-        ids, _ = G._decode_chunk(state.params, SamplerConfig(seed=seed), 64, Rng(seed), cache)
-        assert cache._table is not None  # 64 rows feed the fixture's 12 x 32 cells within the chunk
-        chunks.append((ids, cache))
+    chunks = [G._decode_chunk(state.params, SamplerConfig(seed=seed), 64, Rng(seed))[0] for seed in (1, 2, 3)]
     corpus = datagen.toy_corpus(64, seed=5, min_atoms=6)
-    chunks.append((M.pad_batch([tokenize(s, state.vocab, 32) for s in corpus]), None))
+    chunks.append(M.pad_batch([tokenize(s, state.vocab, 32) for s in corpus]))
     return state.params, chunks
 
 
 def test_predict_target_is_the_tape_predictor_bit_for_bit_on_the_fixture():
     params, chunks = _fixture_chunks()
-    for ids, cache in chunks:
+    for ids in chunks:
         want = M.forward_predictor(params, ids).data[:, 0]
         assert M.predict_target(params, ids).tobytes() == want.tobytes()
-        if cache is not None:  # with the chunk's layer-0 table
-            np.testing.assert_allclose(M.predict_target(params, ids, cache), want, rtol=0, atol=PRED_TOL)
 
 
 def _random_corpus_model(n_layers, dtype, rows):
@@ -113,12 +93,9 @@ def test_predict_target_matches_the_tape_predictor_on_random_models(dtype, n_lay
     params, ids = _random_corpus_model(n_layers, dtype, rows)
     with nm.using_dtype(dtype):
         want = M.forward_predictor(params, ids).data[:, 0]
-        cache = M.KVCache()
-        _table_now(cache)
-        for got in (M.predict_target(params, ids), M.predict_target(params, ids, cache)):
-            assert got.shape == (rows,) and got.dtype == dtype
-            np.testing.assert_allclose(got, want, rtol=0, atol=PRED_TOL)
-    assert cache._table is not None
+        got = M.predict_target(params, ids)
+    assert got.shape == (rows,) and got.dtype == dtype
+    np.testing.assert_allclose(got, want, rtol=0, atol=PRED_TOL)
 
 
 def test_predict_target_records_nothing(monkeypatch):
@@ -138,18 +115,14 @@ def test_predict_target_records_nothing(monkeypatch):
     ("pred.l0.b", (4,), np.nan, "add"),
     ("pred.l1.w", (0, 0), np.nan, "matmul"),
 ])
-@pytest.mark.parametrize("table", [False, True], ids=["direct", "table"])
-def test_non_finite_weight_raises_under_the_op_name(name, at, value, op, table):
+def test_non_finite_weight_raises_under_the_op_name(name, at, value, op):
     params = _params()
     params[name].data[at] = value
     ids = _ids(params, 6)
     ids[:, 1], ids[:, 2:] = 6, 5
-    passes = [lambda cache: M.predict_target(params, ids, cache)]
+    passes = [lambda: M.predict_target(params, ids)]
     if not name.startswith("pred."):
-        passes.append(lambda cache: M.forward_decoder(params, ids[:, :3], cache=cache))
+        passes.append(lambda: M.forward_decoder(params, ids[:, :3], cache=M.KVCache()))
     for run in passes:
-        cache = M.KVCache()
-        if table:
-            _table_now(cache)
         with pytest.raises(NonFiniteError, match=f"op output {op}$"):
-            run(cache)
+            run()
