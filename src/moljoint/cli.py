@@ -280,6 +280,8 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("evaluate --objective scores sampled draws: it needs --n-samples >= 1")
     if (args.test is not None or args.objective is not None) and args.checkpoint is None:
         raise ConfigError("evaluate --test and --objective need --checkpoint")
+    if args.histograms and args.data is None:
+        raise ConfigError("evaluate --histograms compares with reference SMILES: it needs --data")
     objective = _objective(args)
     # every input is read and checked before the run directory exists
     state = _load_checkpoint(args.checkpoint) if args.checkpoint else None
@@ -397,7 +399,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", help="training corpus for novelty/feature-distribution metrics")
     p.add_argument("--test", help="held-out SMILES<TAB>float file for MAE")
     _add_objective_flags(p, "objective for MAE on sampled molecules")
-    p.add_argument("--histograms", action="store_true", help="emit feature histogram CSV")
+    p.add_argument("--histograms", action="store_true", help="emit feature histogram CSV (needs --data)")
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
     return parser

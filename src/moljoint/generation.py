@@ -13,8 +13,8 @@ chunk: it keeps every layer's keys and values in buffers allocated at
 max_len and written in place.
 Rows that emit EOS leave both the step input and the cache (batch
 shrinking), so a step costs one trunk row per molecule still being
-decoded. The predictor then makes one tape-free, all-visible pass over
-the finished strings.
+decoded. The predictor then runs ``forward_predictor``'s all-visible
+pass over the finished strings' packed cells, with no tape recording.
 """
 
 from __future__ import annotations

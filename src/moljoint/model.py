@@ -14,24 +14,29 @@ Losses:
   * ``loss_joint``      per-step branch: generation -> decoder loss,
                         prediction -> encoder (+ prediction when labeled)
 
-Length groups: a trunk pass computes no PAD column that a whole group of
-rows can skip. Rows are sorted by non-PAD length (stable) and cut into
-``min(MAX_GROUPS, B // MIN_GROUP_ROWS)`` groups of equal count; neighbours
-that trim to the same width merge. Each group is trimmed to its own longest
-row and the groups run every layer in lockstep under one tape. After the
-final layer norm, ``_transformer`` joins them with ``numerics.scatter_rows``
-into one output in batch order, zero past each group's width, so the heads
-never see the groups. Every dropout mask is drawn once for the full padded
-(B, S, ...) batch at the same point of the RNG stream as with one group, and
-then sliced per group (and gathered at read rows): RNG use and masks do not
-depend on the grouping, and only GEMM rounding can.
-
-Read rows: ``loss_encoder`` reads the masked positions and
-``forward_predictor`` position 0. Nothing after the last attention mixes
-positions, so their passes run LN1 and the last block's keys and values
-at every position, and the rest of the block and the final norm only at
-each row's reads, padded per group with the row's first other positions:
-exact up to GEMM rounding. The decoder and ``forward_encoder`` read all.
+Packed cells: every trunk pass, for training and inference alike, runs
+its position-wise ops (embedding add, layer norms, feed-forward GEMMs,
+GELU, residual adds, dropout) as one tape op per layer over the batch's
+non-PAD cells, packed into rows, plus PAD cells as filler up to a
+multiple of ``MIN_GROUP_ROWS`` rows, so that a BLAS kernel that rounds the
+last rows of a call its own way (the layer-norm GEMV does, by row count
+mod 4) meets no real row there. Attention runs per length group: rows
+are sorted by non-PAD length (stable) and cut into ``min(MAX_GROUPS, B //
+MIN_GROUP_ROWS)`` groups of equal count, and neighbours that trim to the
+same width merge. ``numerics.attention``, one tape op per layer, projects
+every packed row in one q|k|v GEMM and runs each group on a zero-filled
+(rows, width) copy, the group's longest row wide, with the PAD keys
+masked. Every dropout mask is drawn once for the full padded (B, S, ...)
+batch, at the same point of the RNG stream as with one group, and
+gathered at the cells, so masks and RNG use depend on neither the
+grouping nor the packing; only GEMM rounding can. ``loss_encoder`` reads
+the masked positions and ``forward_predictor`` position 0: nothing after
+the last attention mixes positions, so that block's queries, the rest of
+the block and the final norm run only at each row's reads, padded per
+group with the row's first other positions (a zero row at a PAD cell).
+The final norm's rows are gathered into the (B, S, E) output, or (B, Q,
+E) at the reads, zero elsewhere, so the heads never see the packing.
+``predict_target`` is ``forward_predictor`` with no tape recording.
 
 Decoding: ``forward_decoder`` with a ``KVCache`` runs ``_decode_step`` on
 the new columns only, one group without dropout (one new column needs no
@@ -42,17 +47,6 @@ reads the live parameter arrays by name (q|k|v is one GEMM on a block's
 layer caches its keys and values time-major, (max_len, B, n_heads,
 head_dim), in buffers allocated once and written in place; attention
 reads them, and the keys' transpose, as strided views.
-
-Inference: ``predict_target`` is ``forward_predictor`` without dropout,
-on the same kernels and checks and with no tape. The length groups' cells
-are packed into rows: position-wise ops (layer norms, GEMMs, GELU,
-residual adds) run over the packed non-PAD cells at once (the
-feed-forward in blocks of ``ROW_BLOCK`` rows), and attention runs per
-group on a (rows, width) copy of them, with zero keys and values at PAD
-cells, which the bias masks. The last block runs past its keys and values
-at each row's first cell only. ``_decode_step`` shares layer 0's
-embedding and q|k|v GEMM (``_first_layer``) and the block's position-wise
-half (``_block_rest``). Training keeps the tape ``forward_predictor``.
 """
 
 from __future__ import annotations
@@ -71,10 +65,6 @@ NEG_BIAS = -1e9  # additive attention bias for disallowed key positions
 # rows (a group's per-op overhead outweighs the PAD cells it saves on fewer)
 MAX_GROUPS = 4
 MIN_GROUP_ROWS = 16
-# rows per feed-forward call of the packed predictor pass: a multiple of MIN_GROUP_ROWS that
-# keeps its (rows, ff_dim) activations near one length group's, as in the tape pass (0.4 MB at
-# the README size), so that the pass does not raise the process's peak memory
-ROW_BLOCK = 512
 
 
 @dataclass
@@ -235,18 +225,16 @@ class KVCache:
             raise ValueError("a KV cache decodes only with the params of its first step")
 
     def extend(self, i: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Write layer i's new columns in place; returns (B, n_heads, t, head_dim) views of all."""
+        """Write layer i's new columns in place, into buffers of ``capacity`` columns made on
+        first use; returns (B, n_heads, t, head_dim) views of all."""
         B, S = k.shape[0], k.shape[2]
         if i == len(self._layers):
-            self._layers.append([np.empty((0, B) + k.shape[1:2] + k.shape[3:], k.dtype)] * 2 + [0])
+            self._layers.append([np.empty((self.capacity, B) + k.shape[1:2] + k.shape[3:], k.dtype)
+                                 for _ in (k, v)] + [0])
         layer = self._layers[i]
         t = layer[2]
-        for j, new in enumerate((k, v)):
-            old = layer[j]
-            if t + S > len(old):  # first use, or past the capacity of a cache no decode step sized
-                layer[j] = np.empty((max(self.capacity, t + S),) + old.shape[1:], old.dtype)
-                layer[j][:t] = old[:t]
-            layer[j][t:t + S, :B] = new.transpose(2, 0, 1, 3)
+        for buf, new in zip(layer, (k, v)):
+            buf[t:t + S, :B] = new.transpose(2, 0, 1, 3)
         layer[2], self._rows = t + S, B
         return tuple(a[:t + S, :B].transpose(1, 2, 0, 3) for a in layer[:2])
 
@@ -303,86 +291,69 @@ def _transformer(
     rng: Rng | None = None,
     reads: np.ndarray | None = None,
 ) -> Tensor:
-    """Run the trunk; returns the final-normed hidden states (B, S_in, E).
+    """Run the trunk; returns the final-normed hidden states (B, S_in, E), zero at the cells it skips.
 
-    The groups come from ``_length_groups``. Dropout masks are drawn for
-    the whole (B, S, ...) batch, S its longest row, and sliced per group
-    (see the module docstring). With ``reads`` (bidirectional only; (B,
-    S_in) bool, at non-PAD positions) the output is (B, Q, E) at
-    ``_read_positions(reads)`` (see "Read rows").
+    Each row of ``ids`` is one or more non-PAD ids followed only by PAD;
+    ValueError otherwise. The position-wise ops run on the packed cells and
+    attention per length group (see "Packed cells"). Dropout masks are drawn
+    for the whole (B, S, ...) batch, S its longest row, and gathered at the
+    cells. With ``reads`` (bidirectional only; (B, S_in) bool, at non-PAD
+    positions) the output is (B, Q, E) at ``_read_positions(reads)``.
     """
     cfg = params.config
     B, S_in = ids.shape
     if S_in > cfg.max_len:
         raise ValueError(f"sequence length {S_in} exceeds max_len {cfg.max_len}")
-    # trailing PAD columns are trimmed so that appending PAD after EOS leaves
-    # every pre-PAD output bit-identical
-    lengths = (ids != PAD_ID).sum(axis=1)
-    S = max(int(lengths.max()), 1)
+    real = ids != PAD_ID
+    lengths = real.sum(axis=1)
+    if not (lengths.all() and np.array_equal(real, np.arange(S_in) < lengths[:, None])):
+        raise ValueError("each id row must hold one or more non-PAD ids followed only by PAD")
+    S = int(lengths.max())
     groups = _length_groups(lengths)
-    rows = groups if len(groups) > 1 else [slice(None)]  # one group: views, no copies
-    widths = [max(int(lengths[g].max()), 1) for g in groups]
-    cells = [(r, slice(0, w)) for r, w in zip(rows, widths)]  # each group's part of (B, S, ...)
-    biases = [attention_bias(ids[c], causal) for c in cells]
+    widths = [int(lengths[g].max()) for g in groups]
+    # the packed cells: the non-PAD ones, then PAD ones inside a group's width up to a multiple
+    # of MIN_GROUP_ROWS, where there are enough
+    run = np.zeros_like(real)
+    for g, w in zip(groups, widths):
+        run[g, :w] = True
+    run.flat[np.flatnonzero(run & ~real)[(-int(lengths.sum())) % MIN_GROUP_ROWS:]] = False
+    number = np.where(run, np.cumsum(run).reshape(B, S_in) - 1, -1)  # each cell's packed row, or -1
+    cells = [number[g, :w] for g, w in zip(groups, widths)]
+    at = np.nonzero(run)  # each packed row's (row, position)
+    biases = [attention_bias(ids[g, :w], causal) for g, w in zip(groups, widths)]
 
-    def drop(xs: list[Tensor]) -> list[Tensor]:
+    def drop(x: Tensor) -> Tensor:
         keep = _keep_mask((B, S, cfg.embed_dim), dropout, rng)
-        return xs if keep is None else [nm.mul(x, keep[c]) for x, c in zip(xs, cells)]
+        return x if keep is None else nm.mul(x, keep[at])
 
-    pos = [nm.embedding(params["pos_emb"], np.arange(w)) for w in widths]
-    x = drop([nm.add(nm.embedding(params["tok_emb"], ids[c]), pe) for c, pe in zip(cells, pos)])
+    x = drop(nm.add(nm.embedding(params["tok_emb"], ids[at]), nm.embedding(params["pos_emb"], at[1])))
+    queries = None
     for i in range(cfg.n_layers):
         p = f"h{i}."
         attn = [params[p + "attn." + n] for n in ("wqkv", "bqkv", "wo", "bo")]
         keep = _keep_mask((B, cfg.n_heads, S, S), dropout, rng)
-        keeps = [None if keep is None else keep[r, :, :w, :w] for r, w in zip(rows, widths)]
-        a = [nm.layer_norm(xg, params[p + "ln1.g"], params[p + "ln1.b"]) for xg in x]
-        kv = [None] * len(a)
+        keeps = None if keep is None else [keep[g, :, :w, :w] for g, w in zip(groups, widths)]
         if reads is not None and i == cfg.n_layers - 1:  # nothing later mixes positions
-            queries, kv = [_read_positions(reads[r]) for r in rows], a
-            cells = [(g[:, None], q) for g, q in zip(groups, queries)]
-            x, a = ([nm.gather(t, q) for t, q in zip(ts, queries)] for ts in (x, a))
-            keeps = [k if k is None else np.take_along_axis(k, q[:, None, :, None], 2)
-                     for k, q in zip(keeps, queries)]
-        y = [nm.attention(ag, *attn, bias, cfg.n_heads, keep=kg, kv=kvg)
-             for ag, bias, kg, kvg in zip(a, biases, keeps, kv)]
-        x = [nm.add(xg, yg) for xg, yg in zip(x, drop(y))]
+            pos = [_read_positions(reads[g]) for g in groups]  # each group's (rows, Q) query positions
+            queries = [number[g[:, None], q] for g, q in zip(groups, pos)]
+            keeps = keeps and [np.take_along_axis(k, q[:, None, :, None], 2) for k, q in zip(keeps, pos)]
+            rows = np.concatenate([np.repeat(g, q.shape[1]) for g, q in zip(groups, pos)])
+            at = (rows, np.concatenate([q.ravel() for q in pos]))  # each query row's (row, position)
+        y = nm.attention(nm.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"]), *attn, cells, biases,
+                         cfg.n_heads, keeps, queries)
+        if queries is not None:
+            x = nm.gather(x, number[at])
+        x = nm.add(x, drop(y))
+        y = nm.matmul(nm.gelu(nm.matmul(nm.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"]),
+                                        params[p + "ff.w1"])), params[p + "ff.w2"])
+        x = nm.add(x, drop(y))
 
-        f = [nm.layer_norm(xg, params[p + "ln2.g"], params[p + "ln2.b"]) for xg in x]
-        f = [nm.matmul(nm.gelu(nm.matmul(fg, params[p + "ff.w1"])), params[p + "ff.w2"]) for fg in f]
-        x = [nm.add(xg, fg) for xg, fg in zip(x, drop(f))]
-
-    h = [nm.layer_norm(xg, params["ln_f.g"], params["ln_f.b"]) for xg in x]
-    S_out = S_in if reads is None else max(hg.shape[1] for hg in h)
-    return nm.scatter_rows(h, groups, (B, S_out, cfg.embed_dim))
-
-
-def _ln(w: dict, name: str, x: np.ndarray) -> np.ndarray:
-    """Layer norm ``name`` of the rows x, checked as the tape op is."""
-    return nm.check_finite(nm.layer_norm_fwd(x, w[name + ".g"], w[name + ".b"])[0], "layer_norm")
-
-
-def _qkv(w: dict, p: str, a: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
-    """Block ``p``'s q|k|v GEMM of the normed rows a (only its ``cols``)."""
-    return nm.linear(a, w[p + "attn.wqkv"][:, cols], w[p + "attn.bqkv"][cols])
-
-
-def _first_layer(w: dict, ids: np.ndarray, pos) -> tuple[np.ndarray, np.ndarray]:
-    """Layer 0's residual rows (N, E) and q|k|v rows (N, 3E) at the N cells (ids, pos), in
-    the row-major order of the shape the two broadcast to; ``pos`` indexes ``pos_emb`` (an
-    array or a slice)."""
-    ok = nm.check_finite  # every output the tape ops would check, under the same names
-    x = ok(ok(w["tok_emb"][ids], "embedding") + ok(w["pos_emb"][pos], "embedding"), "add")
-    x = x.reshape(-1, x.shape[-1])
-    return x, _qkv(w, "h0.", _ln(w, "h0.ln1", x))
-
-
-def _block_rest(w: dict, p: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Block ``p`` past its attention, on rows: x + y, then LN2 and the feed-forward, with residual."""
-    ok = nm.check_finite
-    x = ok(x + ok(y, "attention"), "add")
-    f = ok(nm.gelu_fwd(ok(_ln(w, p + "ln2", x) @ w[p + "ff.w1"], "matmul"))[0], "gelu")
-    return ok(x + ok(f @ w[p + "ff.w2"], "matmul"), "add")
+    h = nm.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
+    if reads is None:
+        return nm.gather(h, number)
+    number = np.full(ids.shape, -1)  # each query cell's row of h
+    number[at] = np.arange(len(at[0]))
+    return nm.gather(h, np.take_along_axis(number, _read_positions(reads), 1))
 
 
 def _decode_step(params: JointModelParams, ids: np.ndarray, cache: KVCache) -> Tensor:
@@ -394,18 +365,22 @@ def _decode_step(params: JointModelParams, ids: np.ndarray, cache: KVCache) -> T
         raise RuntimeError("a KV cache is inference only: its keys and values carry no gradient")
     cache.bind(params)
     w = {n: t.data for n, t in params.tensors.items()}
+    ok = nm.check_finite  # every output the tape ops would check, under the same names
     bias = None if S == 1 else np.triu(np.full((S, t0 + S), NEG_BIAS, dtype=nm.current_dtype()), k=t0 + 1)
-    x, qkv = _first_layer(w, ids, slice(t0, t0 + S))
+    x = ok(ok(w["tok_emb"][ids], "embedding") + ok(w["pos_emb"][t0:t0 + S], "embedding"), "add")
+    x = x.reshape(B * S, -1)
     for i in range(cfg.n_layers):
         p = f"h{i}."
-        if i:
-            qkv = _qkv(w, p, _ln(w, p + "ln1", x))
-        q, k, v = nm.split_heads(qkv, B, cfg.n_heads, cfg.embed_dim)
+        a = ok(nm.layer_norm_fwd(x, w[p + "ln1.g"], w[p + "ln1.b"])[0], "layer_norm")
+        q, k, v = nm.split_heads(nm.linear(a, w[p + "attn.wqkv"], w[p + "attn.bqkv"]), B, cfg.n_heads, cfg.embed_dim)
         k, v = cache.extend(i, k, v)
-        y = nm.attention_fwd(q, k.swapaxes(-1, -2), v, bias, w[p + "attn.wo"], w[p + "attn.bo"])[3]
-        x = _block_rest(w, p, x, y)
-    logits = nm.check_finite(_ln(w, "ln_f", x) @ w["head.w"], "matmul")
-    return Tensor(logits.reshape(B, S, -1), name="matmul")
+        y = nm.attention_fwd(q, k.swapaxes(-1, -2), v, bias)[2]
+        x = ok(x + ok(nm.linear(y, w[p + "attn.wo"], w[p + "attn.bo"]), "attention"), "add")
+        f = ok(nm.layer_norm_fwd(x, w[p + "ln2.g"], w[p + "ln2.b"])[0], "layer_norm")
+        f = ok(nm.gelu_fwd(ok(f @ w[p + "ff.w1"], "matmul"))[0], "gelu")
+        x = ok(x + ok(f @ w[p + "ff.w2"], "matmul"), "add")
+    h = ok(nm.layer_norm_fwd(x, w["ln_f.g"], w["ln_f.b"])[0], "layer_norm")
+    return Tensor(ok(h @ w["head.w"], "matmul").reshape(B, S, -1), name="matmul")
 
 
 def forward_decoder(
@@ -459,62 +434,10 @@ def forward_predictor(
 
 
 def predict_target(params: JointModelParams, ids: np.ndarray) -> np.ndarray:
-    """Predicted target means (B,): ``forward_predictor`` without dropout, on arrays (see "Inference")."""
-    cfg, E, H = params.config, params.config.embed_dim, params.config.n_heads
-    if ids.shape[1] > cfg.max_len:
-        raise ValueError(f"sequence length {ids.shape[1]} exceeds max_len {cfg.max_len}")
-    w = {n: t.data for n, t in params.tensors.items()}
-    ok = nm.check_finite
-    lengths = (ids != PAD_ID).sum(axis=1)
-    groups = _length_groups(lengths)
-    widths = [max(int(lengths[g].max()), 1) for g in groups]
-    cells = np.concatenate([ids[g, :n].reshape(-1) for g, n in zip(groups, widths)])
-    pos = np.concatenate([np.tile(np.arange(n), len(g)) for g, n in zip(groups, widths)])
-    spans = np.split(np.arange(len(cells)), np.cumsum([len(g) * n for g, n in zip(groups, widths)])[:-1])
-    biases = [attention_bias(ids[g, :n], causal=False) for g, n in zip(groups, widths)]
-    # the position-wise ops run on the non-PAD cells and on PAD ones up to a multiple of
-    # MIN_GROUP_ROWS rows, so that a row-wise BLAS kernel that rounds the last rows of a call its own
-    # way (the layer-norm GEMV does, by row count mod 4) meets such rows only where the tape pass does
-    run = cells != PAD_ID
-    run[np.flatnonzero(~run)[:(-run.sum()) % MIN_GROUP_ROWS]] = True
-    at = np.cumsum(run) - 1  # each cell's row among those that run
-    firsts = at[np.concatenate([c[::n] for c, n in zip(spans, widths)])]  # each row's first cell
-    starts = np.cumsum([0] + [len(g) for g in groups[:-1]])  # each group's first row
-
-    def group_cells(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """The rows of the group with cells c, in its (rows * width) cell layout with zeros at the rest."""
-        out = np.zeros((len(c), rows.shape[1]), rows.dtype)
-        out[run[c]] = rows[at[c[run[c]]]]
-        return out
-
-    x, qkv = _first_layer(w, cells[run], pos[run])
-    for i in range(cfg.n_layers):
-        p, last = f"h{i}.", i == cfg.n_layers - 1
-        a = _ln(w, p + "ln1", x) if i else None
-        if last:  # nothing later mixes positions: queries at each row's first cell only
-            q = qkv[firsts, :E] if a is None else _qkv(w, p, a[firsts], slice(0, E))
-            qkv = qkv[:, E:] if a is None else _qkv(w, p, a, slice(E, 3 * E))
-            x = x[firsts]
-        elif a is not None:
-            qkv = _qkv(w, p, a)
-        y = []
-        for g, c, bias, r in zip(groups, spans, biases, starts):
-            heads = nm.split_heads(group_cells(qkv, c), len(g), H, E)  # q, k, v; or k, v in the last block
-            if last:
-                heads = nm.split_heads(q[r:r + len(g)], len(g), H, E) + heads
-            o = nm.attention_fwd(heads[0], np.ascontiguousarray(heads[1].swapaxes(-1, -2)), heads[2], bias,
-                                 w[p + "attn.wo"], w[p + "attn.bo"])[3]
-            y.append(o if last else o[run[c]])
-        del qkv, a  # the feed-forward's wide arrays can reuse their memory
-        y = np.concatenate(y)
-        x = np.concatenate([_block_rest(w, p, x[r:r + ROW_BLOCK], y[r:r + ROW_BLOCK])
-                            for r in range(0, len(x), ROW_BLOCK)])
-    z = _ln(w, "ln_f", x)[np.argsort(np.concatenate(groups))]  # batch order
-    for i in range(cfg.predictor_layers + 1):
-        z = ok(ok(z @ w[f"pred.l{i}.w"], "matmul") + w[f"pred.l{i}.b"], "add")
-        if i < cfg.predictor_layers:
-            z = ok(nm.gelu_fwd(z)[0], "gelu")
-    return z[:, 0]
+    """Predicted target means (B,): ``forward_predictor`` without dropout, recording nothing."""
+    if nm.recording():
+        raise RuntimeError("predict_target is inference only: record forward_predictor instead")
+    return forward_predictor(params, ids).data[:, 0]
 
 
 def loss_decoder(

@@ -22,9 +22,10 @@ Every op validates its output: NaN or Inf anywhere is a hard error
 The trunk's kernels are fused, with hand-written backward. Their forward
 math is array-level (``layer_norm_fwd``, ``gelu_fwd``, ``linear``,
 ``split_heads``, ``attention_fwd``), shared by the tape ops, which keep
-what it returns for backward, and by the model's tape-free decode step
-and predictor pass; ``attention`` takes its keys and values from x or a
-tensor, never a cache. Inside ``attention_fwd`` q, k, v, the
+what it returns for backward while a tape records, and by the model's
+tape-free decode step. ``attention`` runs over packed rows, one length
+group at a time, and never over a cache; ``gather`` moves rows between
+the packed layout and the padded ones. Inside ``attention_fwd`` q, k, v, the
 probabilities and y carry no check of their own; the scores (q k^T plus
 the bias) and the output do. That loses nothing: any NaN or Inf in q or
 k makes a score non-finite; probabilities of finite scores are finite;
@@ -49,6 +50,7 @@ _TAPE: "Tape | None" = None
 # tanh-form GELU constant sqrt(2/pi)
 _GELU_C = 0.7978845608028654
 _GELU_A = 0.044715
+_GELU_BLOCK = 1 << 15  # values per block of a tape-free gelu
 
 
 class NonFiniteError(FloatingPointError):
@@ -376,14 +378,22 @@ def take(a: Tensor, index: int, axis: int) -> Tensor:
     return _record(out, bwd)
 
 
+def _rows_at(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The rows a[idx] for row numbers idx of any shape, zero rows where idx is -1."""
+    out = np.take(a, idx, axis=0, mode="clip")
+    out[idx < 0] = 0
+    return out
+
+
 def gather(a: Tensor, idx: np.ndarray) -> Tensor:
-    """out[b, j] = a[b, idx[b, j]] for a (B, S, ...) and idx (B, Q), distinct within a row."""
-    at = (np.arange(a.shape[0])[:, None], idx)
-    out = Tensor(a.data[at], name="gather")
+    """Rows of a (N, ...) at the row numbers idx, an int array of any shape: out[j] = a[idx[j]],
+    and a zero row where idx[j] is -1. The row numbers other than -1 are distinct."""
+    out = Tensor(_rows_at(a.data, idx), name="gather")
 
     def bwd(g):
         grad = np.zeros_like(a.data)
-        grad[at] = g
+        has = idx >= 0
+        grad[idx[has]] = g[has]  # distinct rows: assigning is accumulating
         a.accum_fresh_grad(grad)
 
     return _record(out, bwd)
@@ -401,30 +411,6 @@ def pad_cols(a: Tensor, total: int) -> Tensor:
 
     def bwd(g):
         a.accum_grad(g[:, : a.shape[1]])
-
-    return _record(out, bwd)
-
-
-def scatter_rows(parts: list[Tensor], rows: list[np.ndarray], shape) -> Tensor:
-    """Write each part into a zero-filled array of ``shape`` at its rows and leading columns.
-
-    Part i, of shape (len(rows[i]), n1, ...), lands at ``out[rows[i], :n1, ...]``;
-    the row sets are disjoint. Backward slices each part's gradient back
-    out. A single part that already fills ``shape`` row by row in order is
-    returned as it is.
-    """
-    shape = tuple(shape)
-    if len(parts) == 1 and parts[0].shape == shape and np.array_equal(rows[0], np.arange(shape[0])):
-        return parts[0]
-    data = np.zeros(shape, dtype=parts[0].data.dtype)
-    at = [(r,) + tuple(slice(0, n) for n in p.shape[1:]) for p, r in zip(parts, rows)]
-    for p, idx in zip(parts, at):
-        data[idx] = p.data
-    out = Tensor(data, name="scatter_rows")
-
-    def bwd(g):
-        for p, idx in zip(parts, at):
-            p.accum_fresh_grad(g[idx])  # an index array selects a copy
 
     return _record(out, bwd)
 
@@ -454,19 +440,13 @@ def split_heads(o: np.ndarray, B: int, n_heads: int, E: int) -> list[np.ndarray]
     return list(o.reshape(B, -1, o.shape[1] // E, n_heads, E // n_heads).transpose(2, 0, 3, 1, 4))
 
 
-def project_heads(x: np.ndarray, w: np.ndarray, b: np.ndarray, B: int, n_heads: int) -> list[np.ndarray]:
-    """x (B * rows, E) @ w (E, n E) + b, as n (B, n_heads, rows, E / n_heads) head views."""
-    return split_heads(linear(x, w, b), B, n_heads, x.shape[1])
-
-
-def attention_fwd(q: np.ndarray, kT: np.ndarray, v: np.ndarray, bias, wo: np.ndarray, bo: np.ndarray,
-                  keep: np.ndarray | None = None):
+def attention_fwd(q: np.ndarray, kT: np.ndarray, v: np.ndarray, bias, keep: np.ndarray | None = None):
     """Attention of the query heads q (B, h, S, hd) over kT (B, h, hd, T) and v (B, h, T, hd).
 
     ``bias`` adds to the (B, h, S, T) scores and may broadcast, or is None
     for none; ``keep`` multiplies the probabilities. Returns q / sqrt(hd),
-    the probabilities, the pre-projection y (B S, h hd) with the heads side
-    by side, and y @ wo + bo.
+    the probabilities and y (B S, h hd), the heads side by side, before the
+    output projection.
     """
     B, n_heads, S, hd = q.shape
     q = q * float(1.0 / np.sqrt(hd))
@@ -483,58 +463,91 @@ def attention_fwd(q: np.ndarray, kT: np.ndarray, v: np.ndarray, bias, wo: np.nda
     rows /= (rows @ _filled(T, 1.0, rows.dtype))[:, None]
     y = np.empty((B, S, n_heads, hd), dtype=p.dtype)
     np.matmul(p if keep is None else p * keep, v, out=y.transpose(0, 2, 1, 3))
-    y = y.reshape(-1, n_heads * hd)
-    o = y @ wo
-    o += bo
-    return q, p, y, o
+    return q, p, y.reshape(-1, n_heads * hd)
 
 
-def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wo: Tensor, bo: Tensor, bias: np.ndarray,
-              n_heads: int, keep: np.ndarray | None = None, kv: Tensor | None = None) -> Tensor:
-    """Multi-head attention of the normed query rows x (B, S, E), through the output projection.
+def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wo: Tensor, bo: Tensor, cells: list[np.ndarray],
+              biases: list, n_heads: int, keeps: list | None = None,
+              queries: list[np.ndarray] | None = None) -> Tensor:
+    """Multi-head attention of the packed normed rows x (N, E), through the output projection.
 
-    ``wqkv`` (E, 3E) and ``bqkv`` (3E) hold q, k and v side by side. Keys and
-    values come from x itself, in one GEMM, or from ``kv``, a (B, T, E) Tensor
-    such as the rows x was gathered from: x then takes the q columns and kv
-    the k|v columns, as views. ``bias`` adds to the (B, h, S, T) scores and
-    ``keep`` holds the attention-dropout multipliers (see ``attention_fwd``).
-    One tape op: backward writes each GEMM's gradient into its columns.
+    ``wqkv`` (E, 3E) and ``bqkv`` (3E) hold q, k and v side by side. Group i's
+    ``cells`` are a (rows, width) int array of x's row numbers, -1 where a
+    cell has none; the groups' cells hold each row of x once. One GEMM
+    projects every row. Each group then runs the scores, softmax and p.v on
+    a (rows, width) copy of its projections, zero at the empty cells, which
+    ``biases[i]`` must mask; ``keeps[i]`` holds its attention-dropout
+    multipliers (see ``attention_fwd``). The output projection is one GEMM,
+    and the output (N, E) is in x's rows. With ``queries``, group i's
+    queries are the (rows, Q) rows of x it lists (a zero row at -1): only
+    those rows take the q columns, and the output is (sum of rows * Q, E),
+    group after group. One tape op: backward writes each GEMM's gradient
+    into its columns.
     """
-    B, S, E = x.shape
+    N, E = x.shape
     hd = E // n_heads
-    # (input, its columns of wqkv) per GEMM: one fused GEMM unless kv is a tensor of its own
-    gemms = [(x, slice(0, E)), (kv, slice(E, 3 * E))] if kv is not None else [(x, slice(0, 3 * E))]
-    heads = []  # q, k and v as (B, h, rows, hd) views
-    for a, c in gemms:
-        heads += project_heads(a.data.reshape(-1, E), wqkv.data[:, c], bqkv.data[c], B, n_heads)
-    k, v = heads[1:]
-    kT = np.ascontiguousarray(k.swapaxes(-1, -2))
-    q, p, y, o = attention_fwd(heads[0], kT, v, bias, wo.data, bo.data, keep)
-    out = Tensor(o.reshape(B, S, E), name="attention")
+    keeps = keeps or [None] * len(cells)
+    kv_cols = slice(0, 3 * E) if queries is None else slice(E, 3 * E)
+    kv = linear(x.data, wqkv.data[:, kv_cols], bqkv.data[kv_cols])
+    kv_width = kv.shape[1]  # backward needs only this, so kv is freed on return
+    if queries is None:  # each group's output rows, one per query cell
+        outs = [c.ravel() for c in cells]
+    else:
+        at = np.concatenate([q.ravel() for q in queries])
+        xq = _rows_at(x.data, at)
+        qs = linear(xq, wqkv.data[:, :E], bqkv.data[:E])
+        outs = np.split(np.arange(len(at)), np.cumsum([q.size for q in queries])[:-1])
+    saved, ys = [], []  # what backward needs, kept only while a tape records
+    for c, o, bias, keep in zip(cells, outs, biases, keeps):
+        heads = split_heads(_rows_at(kv, c.ravel()), len(c), n_heads, E)  # q, k, v; or k, v
+        if queries is not None:
+            heads = split_heads(qs[o], len(c), n_heads, E) + heads
+        kT = np.ascontiguousarray(heads[1].swapaxes(-1, -2))
+        q, p, yc = attention_fwd(heads[0], kT, heads[2], bias, keep)
+        if _TAPE is not None:
+            saved.append((q, kT, heads[2], p))
+        ys.append(yc)
+    y = np.empty((N if queries is None else len(at), E), x.data.dtype)
+    for o, yc in zip(outs, ys):
+        y[o[o >= 0]] = yc[o >= 0]
+    out = Tensor(linear(y, wo.data, bo.data), name="attention")
 
     def bwd(g):
-        g2 = g.reshape(-1, E)
-        wo.accum_fresh_grad(y.T @ g2)
-        bo.accum_fresh_grad(np.ones(g2.shape[0], dtype=g2.dtype) @ g2)
-        dy = (g2 @ wo.data.T).reshape(B, S, n_heads, hd).transpose(0, 2, 1, 3)
-        d = [np.empty((B, a.shape[1], (c.stop - c.start) // E, n_heads, hd), g.dtype) for a, c in gemms]
-        dq, dk, dv = (t for di in d for t in di.transpose(2, 0, 3, 1, 4))  # (B, h, rows, hd) views
-        np.matmul((p if keep is None else p * keep).swapaxes(-1, -2), dy, out=dv)
-        ds = dy @ v.swapaxes(-1, -2)
-        if keep is not None:
-            ds *= keep
-        # softmax backward, in place: ds = p * (ds - rowsum(ds * p))
-        ds -= np.einsum("...t,...t->...", ds, p)[..., None]
-        ds *= p
-        np.matmul(ds, kT.swapaxes(-1, -2), out=dq)
-        dq *= float(1.0 / np.sqrt(hd))
-        np.matmul(ds.swapaxes(-1, -2), q, out=dk)
+        wo.accum_fresh_grad(y.T @ g)
+        bo.accum_fresh_grad(np.ones(len(g), g.dtype) @ g)
+        dy = g @ wo.data.T
+        dkv = np.empty((N, kv_width), g.dtype)
+        dqs = None if queries is None else np.empty_like(qs)
+        for c, o, keep, (q, kT, v, p) in zip(cells, outs, keeps, saved):
+            rows, width = c.shape
+            d = np.empty((rows, width, kv_width // E, n_heads, hd), g.dtype)
+            grads = list(d.transpose(2, 0, 3, 1, 4))  # (d q,) d k, d v as (rows, h, width, hd) views
+            if queries is not None:
+                grads.insert(0, dqs[o[0]:o[-1] + 1].reshape(rows, -1, n_heads, hd).transpose(0, 2, 1, 3))
+            dq, dk, dv = grads
+            dyc = _rows_at(dy, o).reshape(rows, -1, n_heads, hd).transpose(0, 2, 1, 3)
+            np.matmul((p if keep is None else p * keep).swapaxes(-1, -2), dyc, out=dv)
+            ds = dyc @ v.swapaxes(-1, -2)
+            if keep is not None:
+                ds *= keep
+            # softmax backward, in place: ds = p * (ds - rowsum(ds * p))
+            ds -= np.einsum("...t,...t->...", ds, p)[..., None]
+            ds *= p
+            np.matmul(ds, kT.swapaxes(-1, -2), out=dq)
+            dq *= float(1.0 / np.sqrt(hd))
+            np.matmul(ds.swapaxes(-1, -2), q, out=dk)
+            has = c.ravel() >= 0
+            dkv[c.ravel()[has]] = d.reshape(rows * width, -1)[has]
         dw, db = np.empty_like(wqkv.data), np.empty_like(bqkv.data)
-        for (a, c), di in zip(gemms, d):
-            d2 = di.reshape(-1, c.stop - c.start)
-            np.matmul(a.data.reshape(-1, E).T, d2, out=dw[:, c])
-            np.matmul(np.ones(d2.shape[0], dtype=d2.dtype), d2, out=db[c])
-            a.accum_fresh_grad((d2 @ wqkv.data[:, c].T).reshape(a.shape))
+        np.matmul(x.data.T, dkv, out=dw[:, kv_cols])
+        np.matmul(np.ones(N, g.dtype), dkv, out=db[kv_cols])
+        dx = dkv @ wqkv.data[:, kv_cols].T
+        if queries is not None:
+            np.matmul(xq.T, dqs, out=dw[:, :E])
+            np.matmul(np.ones(len(xq), g.dtype), dqs, out=db[:E])
+            has = at >= 0
+            dx[at[has]] += (dqs @ wqkv.data[:, :E].T)[has]  # distinct rows: no two adds land on one
+        x.accum_fresh_grad(dx)
         wqkv.accum_fresh_grad(dw)
         bqkv.accum_fresh_grad(db)
 
@@ -601,17 +614,17 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(out, bwd)
 
 
-def gelu_fwd(x: np.ndarray):
+def gelu_fwd(x: np.ndarray, out: np.ndarray | None = None):
     """Gaussian-error linear unit, tanh approximation; returns (output, tanh term).
 
     0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3))); differs from
     the exact erf form by < 1e-3 over the working range. Fills two buffers
-    in place.
+    in place, the output ``out`` if given.
     """
     t = np.multiply(x, x)
     t *= _GELU_A
     t += 1.0
-    y = np.multiply(x, _GELU_C)
+    y = np.multiply(x, _GELU_C, out=out)
     t *= y
     np.tanh(t, out=t)
     np.add(t, 1.0, out=y)
@@ -621,8 +634,17 @@ def gelu_fwd(x: np.ndarray):
 
 
 def gelu(a: Tensor) -> Tensor:
-    """``gelu_fwd`` as a tape op; backward fills two buffers in place and keeps only the tanh."""
+    """``gelu_fwd`` as a tape op; backward fills two buffers in place and keeps only the tanh.
+
+    With no tape recording nothing reads the tanh term afterwards, so it is made one
+    block of values at a time, and a pass over many rows holds one wide buffer fewer.
+    """
     x = a.data
+    if _TAPE is None:
+        y, flat = np.empty_like(x), x.reshape(-1)
+        for i in range(0, flat.size, _GELU_BLOCK):
+            gelu_fwd(flat[i:i + _GELU_BLOCK], y.reshape(-1)[i:i + _GELU_BLOCK])
+        return _record(Tensor(y, name="gelu"), None)
     y, t = gelu_fwd(x)
     out = Tensor(y, name="gelu")
 

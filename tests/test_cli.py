@@ -443,11 +443,12 @@ def test_evaluate_validates_each_string_once(workdir, tmp_path, monkeypatch, sou
     ["finetune", "--max-iters", "1", "--eval-samples", "-1"],
     ["evaluate", "--n-samples", "-3", "--objective", "toy_mpo"],
     ["evaluate", "--n-samples", "0", "--objective", "toy_mpo"],
+    ["evaluate", "--n-samples", "4", "--histograms"],
 ], ids=["n_heads", "batch_size", "sigma", "objective_key", "non_finite",
         "params_without_objective_optimize", "params_without_objective_finetune",
         "params_without_objective_evaluate", "max_new_tokens_negative", "max_new_tokens_past_max_len",
         "temperature_nan", "temperature_inf", "y_c_nan", "n_negative", "y_c_inf", "eval_samples_negative",
-        "n_samples_negative", "objective_without_samples"])
+        "n_samples_negative", "objective_without_samples", "histograms_without_data"])
 def test_bad_setting_exits_1_before_the_run_starts(workdir, tmp_path, capsys, argv):
     source = [] if argv[0] == "pretrain" else ["--checkpoint", str(workdir / "pre" / "checkpoint")]
     if argv[0] in ("pretrain", "finetune"):

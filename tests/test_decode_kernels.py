@@ -129,17 +129,25 @@ def test_tape_ops_return_their_kernels_output_bit_for_bit():
     wqkv, bqkv, wo, bo = (Tensor(rng.normal(s)) for s in ((12, 36), (36,), (12, 12), (12,)))
     mask = np.triu(np.full((5, 5), M.NEG_BIAS, dtype=np.float32), k=1)
     keep = (rng.random((3, 4, 5, 5)) >= 0.2).astype(np.float32) / 0.8
-    x2 = x.data.reshape(-1, 12)
+    x2 = Tensor(x.data.reshape(-1, 12))
+    cells = [np.arange(15).reshape(3, 5)]
 
-    for kv in (None, Tensor(rng.normal((3, 5, 12)))):
-        want = nm.attention(x, wqkv, bqkv, wo, bo, mask, 4, keep=keep, kv=kv).data
-        if kv is None:  # one fused GEMM for q, k and v
-            q, k, v = nm.project_heads(x2, wqkv.data, bqkv.data, 3, 4)
-        else:  # x on the q columns, kv on the k|v columns
-            (q,) = nm.project_heads(x2, wqkv.data[:, :12], bqkv.data[:12], 3, 4)
-            k, v = nm.project_heads(kv.data.reshape(-1, 12), wqkv.data[:, 12:], bqkv.data[12:], 3, 4)
+    for pos in (None, np.array([[4, 1], [2, 0], [4, 0]])):
+        if pos is None:  # one fused GEMM for q, k and v
+            want = nm.attention(x2, wqkv, bqkv, wo, bo, cells, [mask], 4, [keep]).data
+            q, k, v = nm.split_heads(nm.linear(x2.data, wqkv.data, bqkv.data), 3, 4, 12)
+            bias, kept = mask, keep
+        else:  # the query rows on the q columns, every row on the k|v columns
+            bias, kept = (np.take_along_axis(np.broadcast_to(m, (3, 4, 5, 5)), pos[:, None, :, None], 2)
+                          for m in (mask, keep))
+            queries = [cells[0][np.arange(3)[:, None], pos]]
+            want = nm.attention(x2, wqkv, bqkv, wo, bo, cells, [bias], 4, [kept], queries).data
+            (q,) = nm.split_heads(nm.linear(x2.data[queries[0].ravel()], wqkv.data[:, :12], bqkv.data[:12]),
+                                  3, 4, 12)
+            k, v = nm.split_heads(nm.linear(x2.data, wqkv.data[:, 12:], bqkv.data[12:]), 3, 4, 12)
         kT = np.ascontiguousarray(k.swapaxes(-1, -2))
-        assert _bits(want) == _bits(nm.attention_fwd(q, kT, v, mask, wo.data, bo.data, keep)[3])
+        y = nm.attention_fwd(q, kT, v, bias, kept)[2]
+        assert _bits(want) == _bits(nm.linear(y, wo.data, bo.data))
 
 
 def test_decode_step_records_nothing_and_checks_every_output(monkeypatch):

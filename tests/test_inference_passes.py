@@ -1,13 +1,12 @@
-"""The decode step and the packed, tape-free predictor pass against the tape passes.
+"""The decode step and the tape-free predictor pass against the tape passes.
 
-``predict_target`` runs the predictor's all-visible pass on the ``numerics``
-array kernels over the length groups' packed cells, and shares layer 0 and
-each block's position-wise half with the decode step. Decode logits must
-match the full-prefix tape pass to 1e-5; ``predict_target`` must match the
-tape ``forward_predictor`` bit for bit on the benchmark fixture's 64-draw
-chunks and to 1e-6 on random models. Both raise the tape ops'
-``NonFiniteError`` under the same op names, and the predictor pass records
-nothing.
+``_decode_step`` runs the trunk on the ``numerics`` array kernels over a KV
+cache; its logits must match the full-prefix tape pass to 1e-5.
+``predict_target`` is the tape ``forward_predictor`` with no tape
+recording: it refuses to run under one, and its packed pass must match a
+pass with all rows in one length group to 1e-6 on the benchmark fixture's
+64-draw chunks and on random models. Both
+raise the tape ops' ``NonFiniteError`` under the same op names.
 """
 
 from pathlib import Path
@@ -21,7 +20,7 @@ from moljoint import model as M
 from moljoint import numerics as nm
 from moljoint.generation import SamplerConfig
 from moljoint.model import JointModelParams, ModelConfig
-from moljoint.numerics import NonFiniteError, Rng
+from moljoint.numerics import NonFiniteError, Rng, Tape
 from moljoint.smiles import BOS_ID, MASK_ID, build_vocabulary, tokenize
 from moljoint.training import Checkpoint
 
@@ -69,11 +68,16 @@ def _fixture_chunks():
     return state.params, chunks
 
 
-def test_predict_target_is_the_tape_predictor_bit_for_bit_on_the_fixture():
+def _one_group(monkeypatch):
+    monkeypatch.setattr(M, "_length_groups", lambda lengths: [np.arange(len(lengths))])
+
+
+def test_predict_target_matches_one_length_group_on_the_fixture(monkeypatch):
     params, chunks = _fixture_chunks()
-    for ids in chunks:
-        want = M.forward_predictor(params, ids).data[:, 0]
-        assert M.predict_target(params, ids).tobytes() == want.tobytes()
+    got = [M.predict_target(params, ids) for ids in chunks]
+    _one_group(monkeypatch)
+    for g, ids in zip(got, chunks):
+        np.testing.assert_allclose(g, M.predict_target(params, ids), rtol=0, atol=PRED_TOL)
 
 
 def _random_corpus_model(n_layers, dtype, rows):
@@ -89,22 +93,22 @@ def _random_corpus_model(n_layers, dtype, rows):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n_layers", [1, 3])
 @pytest.mark.parametrize("rows", [1, 37, 64])
-def test_predict_target_matches_the_tape_predictor_on_random_models(dtype, n_layers, rows):
+def test_predict_target_matches_one_length_group_on_random_models(dtype, n_layers, rows, monkeypatch):
     params, ids = _random_corpus_model(n_layers, dtype, rows)
     with nm.using_dtype(dtype):
-        want = M.forward_predictor(params, ids).data[:, 0]
         got = M.predict_target(params, ids)
+        _one_group(monkeypatch)
+        want = M.predict_target(params, ids)
     assert got.shape == (rows,) and got.dtype == dtype
     np.testing.assert_allclose(got, want, rtol=0, atol=PRED_TOL)
 
 
-def test_predict_target_records_nothing(monkeypatch):
+def test_predict_target_refuses_a_recording_tape_and_leaves_no_op_on_it():
     params, ids = _random_corpus_model(2, np.float32, 37)
-    made = []
-    record = nm._record
-    monkeypatch.setattr(nm, "_record", lambda *a: made.append(a) or record(*a))
-    M.predict_target(params, ids)
-    assert not made
+    with Tape() as tape:
+        with pytest.raises(RuntimeError, match="inference only"):
+            M.predict_target(params, ids)
+    assert len(tape) == 0
 
 
 @pytest.mark.parametrize("name, at, value, op", [

@@ -47,18 +47,16 @@ def test_steps_write_into_buffers_made_once(params):
 
 
 def test_extend_returns_views_of_one_buffer():
-    """An unsized cache grows to fit; a sized one writes every step into the same buffer."""
+    """A sized cache writes every step into the same buffer."""
     rng = Rng(2)
     new = [(rng.normal((2, 3, s, 4)).astype(np.float32), rng.normal((2, 3, s, 4)).astype(np.float32))
            for s in (2, 1, 1)]
-    for capacity in (0, 4):
-        cache = M.KVCache()
-        cache.capacity = capacity
-        outs = [cache.extend(0, k, v) for k, v in new]
-        np.testing.assert_array_equal(outs[-1][0], np.concatenate([k for k, _ in new], axis=2))
-        np.testing.assert_array_equal(outs[-1][1], np.concatenate([v for _, v in new], axis=2))
-        if capacity:
-            assert all(np.shares_memory(a[j], b[j]) for a, b in zip(outs, outs[1:]) for j in (0, 1))
+    cache = M.KVCache()
+    cache.capacity = 4
+    outs = [cache.extend(0, k, v) for k, v in new]
+    np.testing.assert_array_equal(outs[-1][0], np.concatenate([k for k, _ in new], axis=2))
+    np.testing.assert_array_equal(outs[-1][1], np.concatenate([v for _, v in new], axis=2))
+    assert all(np.shares_memory(a[j], b[j]) for a, b in zip(outs, outs[1:]) for j in (0, 1))
 
 
 def test_keep_with_no_rows_left(params):

@@ -6,7 +6,9 @@ because in float32 a lone row's GEMMs round differently from a batch's
 by about one float32 step of a logit (~1e-6 at -0.4, ~2e-6 at 16),
 grouped or not. The grouped losses and gradients must match the
 single-group pass to 1e-8 relative in float64, with dropout on. The
-single-group reference replaces ``_length_groups``.
+single-group reference replaces ``_length_groups``. Every position-wise
+op runs once per layer over the packed cells, and attention once per
+layer over all the groups.
 """
 
 from pathlib import Path
@@ -119,3 +121,28 @@ def test_grouped_loss_and_gradients_match_one_group_in_float64(task, labeled, mo
     assert abs(loss - want_loss) <= GRAD_TOL * abs(want_loss)
     assert any(n.startswith("pred.") for n in got) == labeled
     assert_grads_match(got, want, GRAD_TOL)
+
+
+def test_position_wise_ops_run_once_over_the_packed_cells(monkeypatch):
+    """A grouped training pass runs each layer norm, GEMM and GELU on the non-PAD cells plus PAD
+    filler up to a multiple of MIN_GROUP_ROWS, and one attention op per layer over every group;
+    the last block's query rows of a read pass never repeat a cell."""
+    params, ids = _fixture_model()
+    assert len(_groups(ids)) == M.MAX_GROUPS == 4
+    real = int((ids != PAD_ID).sum())
+    packed = real + (-real) % M.MIN_GROUP_ROWS
+    with Tape() as tape:
+        M._transformer(params, ids, causal=True, dropout=0.1, rng=Rng(0))
+    ops = [out for out, _ in tape._ops]
+    assert {out.shape[0] for out in ops if out.name in ("layer_norm", "matmul", "gelu")} == {packed}
+    assert [out.name for out in ops].count("attention") == params.config.n_layers
+
+    seen, attention = [], nm.attention
+    monkeypatch.setattr(nm, "attention", lambda *a: seen.append(a[9]) or attention(*a))
+    mask = M.sample_mask_vector(ids, 0.3, Rng(2))
+    with Tape():
+        M.loss_encoder(params, ids, mask, dropout=0.1, rng=Rng(0))
+    assert seen[:-1] == [None] * (params.config.n_layers - 1)
+    rows = np.concatenate([q.ravel() for q in seen[-1]])
+    rows = rows[rows >= 0]
+    assert len(np.unique(rows)) == len(rows) >= mask.sum()

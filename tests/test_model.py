@@ -134,6 +134,30 @@ def test_pad_transparency(params, vocab):
     np.testing.assert_array_equal(enc_a[0], enc_b[0, :n])
 
 
+@pytest.mark.parametrize("fault", ["all_pad_row", "pad_in_column_0", "pad_inside_a_row"])
+def test_malformed_id_rows_are_rejected(params, batch, fault):
+    """Each id row must be non-PAD ids and then only PAD: a PAD cell before a token, or a row
+    of PAD alone, would be computed as another row."""
+    ids = batch.copy()
+    if fault == "all_pad_row":
+        ids[1] = PAD_ID
+    elif fault == "pad_in_column_0":
+        ids[:, 0] = PAD_ID
+    else:
+        ids[0, 2] = PAD_ID
+    mask = np.zeros(ids.shape, dtype=bool)
+    mask[2, 1] = True
+    passes = [
+        lambda: M.forward_decoder(params, ids),
+        lambda: M.loss_joint(params, ids, None, None, Task.GENERATION),
+        lambda: M.loss_joint(params, ids, np.zeros(len(ids)), mask, Task.PREDICTION),
+        lambda: M.predict_target(params, ids),
+    ]
+    for run in passes:
+        with pytest.raises(ValueError, match="followed only by PAD"):
+            run()
+
+
 def test_overlength_input_rejected(params, vocab):
     ids = np.full((1, 30), PAD_ID, dtype=np.int64)
     ids[0, 0] = 0

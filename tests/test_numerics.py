@@ -201,49 +201,51 @@ def test_accum_fresh_grad_adopts_only_matching_contiguous_buffers():
         np.testing.assert_array_equal(t.grad, np.ones((2, 3)))
 
 
-def test_scatter_rows_zero_fills_and_keeps_a_filling_part():
-    a, b = Tensor(np.full((1, 2, 1), 1.0)), Tensor(np.full((2, 1, 1), 2.0))
-    out = nm.scatter_rows([a, b], [np.array([1]), np.array([0, 2])], (3, 3, 1))
-    np.testing.assert_array_equal(out.data[..., 0], [[2, 0, 0], [1, 1, 0], [2, 0, 0]])
-    whole = Tensor(np.ones((2, 3)))
-    assert nm.scatter_rows([whole], [np.arange(2)], (2, 3)) is whole
-
-
-def test_gather_picks_per_row_positions_and_scatters_back():
-    a = Tensor(np.arange(12.0).reshape(2, 3, 2))
-    idx = np.array([[2, 0], [1, 2]])
+def test_gather_picks_rows_zero_fills_and_scatters_back():
+    a = Tensor(np.arange(8.0).reshape(4, 2))
+    idx = np.array([[2, -1], [0, 3]])
     with Tape() as tape:
         out = nm.gather(a, idx)
         loss = nm.sum_all(nm.mul(out, np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None]))
-    np.testing.assert_array_equal(out.data, [[[4, 5], [0, 1]], [[8, 9], [10, 11]]])
+    np.testing.assert_array_equal(out.data, [[[4, 5], [0, 0]], [[0, 1], [6, 7]]])
     tape.backward(loss)
-    np.testing.assert_array_equal(a.grad[..., 0], [[2, 0, 1], [0, 3, 4]])
+    np.testing.assert_array_equal(a.grad[:, 0], [3, 0, 1, 4])
 
 
 def test_attention_key_value_sources_agree():
-    """x itself, a copy of x, a query subset of x and a KV cache give the same rows."""
+    """Every cell, the cells as queries, a query subset, another packing order, an empty
+    cell and a KV cache give the same rows."""
     rng = Rng(12)
     E, n_heads = 6, 2
-    x = Tensor(rng.normal((2, 5, E)))
+    x = Tensor(rng.normal((10, E)))
     params = [Tensor(rng.normal((E, 3 * E))), Tensor(rng.normal((3 * E,))),
               Tensor(rng.normal((E, E))), Tensor(rng.normal((E,)))]
-    bias = np.zeros((2, 1, 1, 5))
-    full = nm.attention(x, *params, bias, n_heads).data
-    copy = nm.attention(x, *params, bias, n_heads, kv=Tensor(x.data)).data
-    np.testing.assert_allclose(copy, full, rtol=1e-5, atol=1e-6)
-    idx = np.array([[4, 1], [0, 3]])
-    rows = nm.attention(nm.gather(x, idx), *params, bias, n_heads, kv=x).data
-    want = np.take_along_axis(full, idx[:, :, None], 1)
-    np.testing.assert_allclose(rows, want, rtol=1e-5, atol=1e-6)
+    cells, bias = [np.arange(10).reshape(2, 5)], [np.zeros((2, 1, 1, 5))]
+    full = nm.attention(x, *params, cells, bias, n_heads).data
+    close = lambda got, want: np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)  # noqa: E731
+    close(nm.attention(x, *params, cells, bias, n_heads, queries=cells).data, full)
+    some = [np.array([[4, 1], [5, 8]])]
+    close(nm.attention(x, *params, cells, bias, n_heads, queries=some).data, full[some[0].ravel()])
+    order = rng.permutation(10)  # packed row n holds the cell of row order[n]
+    moved = nm.attention(Tensor(x.data[order]), *params, [np.argsort(order)[cells[0]]], bias, n_heads).data
+    close(moved, full[order])
+    # the second row one cell shorter, in a group of its own: the bias masks its empty cell
+    short = nm.attention(Tensor(x.data[5:9]), *params, [np.arange(4)[None]], [np.zeros((1, 1, 1, 4))], n_heads)
+    masked = np.where(np.arange(5) < 4, 0.0, -1e9)[None, None, None]
+    split = nm.attention(Tensor(x.data[:9]), *params, [cells[0][:1], np.append(np.arange(5, 9), -1)[None]],
+                         [bias[0][:1], masked], n_heads).data
+    close(split, np.concatenate([full[:5], short.data]))
     # a KV cache filled by columns 0..3 answers the last column's query over all five,
     # through the array kernels the decode step runs
     cache = KVCache()
+    cache.capacity = 5
     wqkv, bqkv, wo, bo = (t.data for t in params)
     for cols in (slice(0, 4), slice(4, 5)):
-        q, k, v = nm.project_heads(x.data[:, cols].reshape(-1, E), wqkv, bqkv, 2, n_heads)
+        q, k, v = nm.split_heads(nm.linear(x.data.reshape(2, 5, E)[:, cols].reshape(-1, E), wqkv, bqkv),
+                                 2, n_heads, E)
         k, v = cache.extend(0, k, v)
-    last = nm.attention_fwd(q, k.swapaxes(-1, -2), v, bias, wo, bo)[3]
-    np.testing.assert_allclose(last, full[:, 4], rtol=1e-5, atol=1e-6)
+    last = nm.linear(nm.attention_fwd(q, k.swapaxes(-1, -2), v, bias[0])[2], wo, bo)
+    close(last, full.reshape(2, 5, E)[:, 4])
 
 
 def test_rng_determinism_bitwise():
@@ -298,7 +300,7 @@ def _check(build_out, tensors, proj, case_tag, blocks=None):
 RANDOM_GRAD_CASES = [
     "add", "sub", "mul", "matmul", "softmax_rows", "layer_norm", "layer_norm_extent2",
     "gelu", "embedding", "reshape", "transpose", "take", "pad_cols", "sum_all", "mean_all",
-    "cross_entropy", "attention", "attention_kv", "scatter_rows", "gather",
+    "cross_entropy", "attention", "attention_kv", "gather",
 ]
 
 
@@ -390,44 +392,47 @@ def test_randomized_gradients(op_name):
                 out = lambda: nm.cross_entropy(logits, targets, select)
                 tensors = [logits]
             elif op_name in ("attention", "attention_kv"):
-                # cases cycle through causal/bidirectional, each with and without dropout;
-                # attention_kv draws its S queries and T keys and values from two tensors
+                # 1-2 groups of packed rows in a random order, each row's trailing cells
+                # possibly empty; attention cycles through causal/bidirectional, each with and
+                # without dropout; attention_kv queries Q of each row's cells, empty ones included
                 n_heads = int(rng.integers(1, 3))
                 E = n_heads * int(rng.integers(1, 3))
-                B, S = int(rng.integers(1, 3)), int(rng.integers(1, 4))
-                T = S + int(rng.integers(0, 3)) if op_name == "attention_kv" else S
-                x = Tensor(rng.normal((B, S, E)))
-                kv = Tensor(rng.normal((B, T, E))) if op_name == "attention_kv" else None
+                shapes = [(int(rng.integers(1, 3)), int(rng.integers(1, 4))) for _ in range(int(rng.integers(1, 3)))]
+                full = [np.arange(w) < rng.integers(1, w + 1, (b, 1)) for b, w in shapes]
+                rows = iter(rng.permutation(sum(int(f.sum()) for f in full)))
+                cells = [np.array([[next(rows) if c else -1 for c in r] for r in f]) for f in full]
+                x = Tensor(rng.normal((sum(int(f.sum()) for f in full), E)))
                 params = [Tensor(rng.normal((E, 3 * E))), Tensor(rng.normal((3 * E,))),
                           Tensor(rng.normal((E, E))), Tensor(rng.normal((E,)))]
-                if case % 2:
-                    bias = np.triu(np.full((S, T), -1e9), k=T - S + 1)
-                else:  # key 0 stays visible, so no row is all masked
-                    bias = np.where(rng.random((B, 1, 1, T)) < 0.3, -1e9, 0.0)
-                    bias[..., 0] = 0.0
-                keep = None if case % 4 < 2 else (rng.random((B, n_heads, S, T)) >= 0.3) / 0.7
-                out = lambda: nm.attention(x, *params, bias, n_heads, keep=keep, kv=kv)
-                tensors = [x, *params] + ([kv] if kv is not None else [])
+                biases = []
+                for f in full:  # empty cells masked; key 0 stays visible, so no row is all masked
+                    bias = np.where(f, 0.0, -1e9)[:, None, None, :]
+                    if op_name == "attention" and case % 2:
+                        bias = bias + np.triu(np.full((f.shape[1],) * 2, -1e9), k=1)
+                    else:
+                        bias = bias + np.where(rng.random(bias.shape) < 0.3, -1e9, 0.0) * (np.arange(f.shape[1]) > 0)
+                    biases.append(bias)
+                queries = None
+                if op_name == "attention_kv":
+                    Q = [int(rng.integers(1, c.shape[1] + 1)) for c in cells]
+                    queries = [np.stack([r[rng.permutation(len(r))[:q]] for r in c]) for c, q in zip(cells, Q)]
+                keeps = None if case % 4 < 2 else [
+                    (rng.random((len(c), n_heads, q.shape[1], c.shape[1])) >= 0.3) / 0.7
+                    for c, q in zip(cells, queries or cells)]
+                out = lambda: nm.attention(x, *params, cells, biases, n_heads, keeps, queries)
+                tensors = [x, *params]
                 # wqkv and bqkv block by block, but not the k block of bqkv: it shifts a row
                 # of scores by a constant, which the softmax ignores, so its gradient is 0
                 # and differences see only rounding
                 q, k, v = (slice(i * E, (i + 1) * E) for i in range(3))
                 blocks = {1: [q, k, v], 2: [q, v]}
-            elif op_name == "scatter_rows":
-                # the rows split into 1-3 disjoint groups, each part narrower than the output
-                B, S, E = int(rng.integers(1, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
-                order = rng.permutation(B)
-                cuts = np.sort(rng.integers(0, B + 1, int(rng.integers(0, 3))))
-                rows = [r for r in np.split(order, cuts) if r.size]
-                parts = [Tensor(rng.normal((r.size, int(rng.integers(1, S + 1)), E))) for r in rows]
-                out = lambda: nm.scatter_rows(parts, rows, (B, S, E))
-                tensors = parts
             elif op_name == "gather":
-                # distinct positions per row, in any order
-                B, S, E = int(rng.integers(1, 4)), int(rng.integers(1, 6)), int(rng.integers(1, 4))
-                a = Tensor(rng.normal((B, S, E)))
-                Q = int(rng.integers(1, S + 1))
-                idx = np.stack([rng.permutation(S)[:Q] for _ in range(B)])
+                # distinct row numbers in any order and shape, some of them -1
+                N, E = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+                a = Tensor(rng.normal((N, E)))
+                shape = (int(rng.integers(1, 3)), int(rng.integers(1, 4)))
+                idx = np.where(rng.random(shape) < 0.3, -1, np.resize(rng.permutation(max(N, 6)), shape))
+                idx[idx >= N] = -1
                 out = lambda: nm.gather(a, idx)
                 tensors = [a]
             else:  # pragma: no cover

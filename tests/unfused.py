@@ -1,8 +1,9 @@
 """The unfused kernels the fused ``numerics`` ops replaced, kept as references.
 
 ``attention`` is the trunk's former composition of about twenty recorded
-ops (matmul, add, reshape, transpose, mul, softmax_rows), with the q, k
-and v projections taken as column blocks of the fused weights; ``layer_norm``,
+ops (matmul, add, reshape, transpose, mul, softmax_rows), run one length
+group at a time on rows it gathers, with the q, k and v projections taken
+as column blocks of the fused weights; ``layer_norm``,
 ``gelu`` and ``embedding`` are the former single ops, with numpy
 reductions and a scatter-add backward. Each takes the signature of the
 fused op it stands for, so ``install`` can swap all four into
@@ -32,23 +33,41 @@ def _columns(a, lo, hi):
     return _record(out, bwd)
 
 
-def attention(x, wqkv, bqkv, wo, bo, bias, n_heads, keep=None, kv=None):
-    B, S, E = x.shape
+def attention(x, wqkv, bqkv, wo, bo, cells, biases, n_heads, keeps=None, queries=None):
+    """One length group at a time: its rows gathered into (rows, width, E), the former
+    composition, and its output rows gathered back into place and summed over the groups."""
+    E = x.shape[1]
     hd = E // n_heads
-    src = x if kv is None else kv
     wq, wk, wv, bq, bk, bv = (_columns(t, i * E, (i + 1) * E) for t in (wqkv, bqkv) for i in range(3))
-    q = nm.add(nm.matmul(x, wq), bq)
-    k = nm.add(nm.matmul(src, wk), bk)
-    v = nm.add(nm.matmul(src, wv), bv)
-    q = nm.transpose(nm.reshape(q, (B, S, n_heads, hd)), (0, 2, 1, 3))
-    k = nm.transpose(nm.reshape(k, (B, -1, n_heads, hd)), (0, 2, 1, 3))
-    v = nm.transpose(nm.reshape(v, (B, -1, n_heads, hd)), (0, 2, 1, 3))
-    att = nm.mul(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
-    att = nm.softmax_rows(nm.add(att, bias))
-    if keep is not None:
-        att = nm.mul(att, keep)
-    y = nm.reshape(nm.transpose(nm.matmul(att, v), (0, 2, 1, 3)), (B, S, E))
-    return nm.add(nm.matmul(y, wo), bo)
+    n_out = x.shape[0] if queries is None else sum(q.size for q in queries)
+    out, start = None, 0
+    for i, (c, bias) in enumerate(zip(cells, biases)):
+        B = len(c)
+        src = nm.gather(x, c)  # (B, width, E), zero rows at empty cells
+        xq = src if queries is None else nm.gather(x, queries[i])
+        S = xq.shape[1]
+        q = nm.add(nm.matmul(xq, wq), bq)
+        k = nm.add(nm.matmul(src, wk), bk)
+        v = nm.add(nm.matmul(src, wv), bv)
+        q = nm.transpose(nm.reshape(q, (B, S, n_heads, hd)), (0, 2, 1, 3))
+        k = nm.transpose(nm.reshape(k, (B, -1, n_heads, hd)), (0, 2, 1, 3))
+        v = nm.transpose(nm.reshape(v, (B, -1, n_heads, hd)), (0, 2, 1, 3))
+        att = nm.mul(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
+        att = nm.softmax_rows(nm.add(att, bias))
+        if keeps is not None:
+            att = nm.mul(att, keeps[i])
+        y = nm.reshape(nm.transpose(nm.matmul(att, v), (0, 2, 1, 3)), (B * S, E))
+        o = nm.add(nm.matmul(y, wo), bo)
+        back = np.full(n_out, -1)  # each output row's row of o, or -1 outside this group
+        if queries is None:
+            has = c.ravel() >= 0
+            back[c.ravel()[has]] = np.flatnonzero(has)
+        else:
+            back[start:start + B * S] = np.arange(B * S)
+            start += B * S
+        part = nm.gather(o, back)
+        out = part if out is None else nm.add(out, part)
+    return out
 
 
 def layer_norm(a, gain, bias, eps=1e-5):
