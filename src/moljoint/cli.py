@@ -4,9 +4,11 @@ Commands: pretrain, finetune, sample, optimize, evaluate. Every run
 writes its resolved configuration to ``config_echo.json`` in the output
 directory (enough to re-run the command identically) plus a manifest of
 produced files. Fixed --seed makes every command reproducible
-end-to-end; JT_SEED in the environment is the seed fallback.
+end-to-end; JT_SEED in the environment is the seed fallback. Each
+config field is a flag; a boolean one takes --flag or --flag BOOL.
 
-Exit codes: 0 ok, 1 configuration error, 2 data error, 3 numeric failure.
+Exit codes: 0 ok, 1 configuration error, 2 data error (a missing or
+empty data file, a bad line), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from . import evaluation as ev
 from . import generation as gen
@@ -55,15 +58,42 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out-dir", default=None, help="output directory (default: runs/<timestamp>-<cmd>)")
 
 
-# ModelConfig fields with a flag (the corpus sets vocab_size); a field's default gives its type
-_MODEL_FLAGS = [f.name for f in fields(mdl.ModelConfig) if f.name != "vocab_size"]
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
-def _add_model_flags(p: argparse.ArgumentParser):
-    g = p.add_argument_group("model")
-    for f in fields(mdl.ModelConfig):
-        if f.name in _MODEL_FLAGS:
-            g.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+_FLAG_ALIASES = {"dropout": ["--dropout-rate"]}
+_FLAG_HELP = {"eval_interval": "checkpoint interval in iterations (0 = save only at the end)",
+              "y_c": "acceptance threshold on predicted y"}
+
+
+def _add_config_flags(parser, cls, defaults=None, skip=()):
+    """One --field-name flag per field of the config dataclass ``cls``, except ``seed`` and ``skip``.
+
+    The field's annotation gives the type (``int | None`` reads as int), ``defaults`` (an instance)
+    or else the field gives the default, and a field with no default makes a required flag. A bool
+    field takes ``--flag`` or ``--flag BOOL``.
+    """
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name == "seed" or f.name in skip:
+            continue
+        kind = next((t for t in get_args(hints[f.name]) if t is not type(None)), hints[f.name])
+        default = f.default if defaults is None else getattr(defaults, f.name)
+        opts = dict(type=kind)
+        if kind is bool:
+            opts = dict(type=lambda v: v.lower() in ("1", "true", "yes"), nargs="?", const=True, metavar="BOOL")
+        parser.add_argument("--" + f.name.replace("_", "-"), *_FLAG_ALIASES.get(f.name, []), default=default,
+                            required=default is MISSING, help=_FLAG_HELP.get(f.name), **opts)
+
+
+def _config(cls, args, **fixed):
+    """``cls`` built from the parsed flags named after its fields (``seed`` included) and ``fixed``;
+    a field with no flag keeps its default."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)} | fixed)
 
 
 def _add_objective_flags(p: argparse.ArgumentParser, help_text: str):
@@ -75,30 +105,6 @@ def _objective(args) -> obj.ObjectiveSpec | None:
     if args.objective_params and not args.objective:
         raise ConfigError("--objective-params needs --objective")
     return obj.make_objective(args.objective, args.objective_params) if args.objective else None
-
-
-_TRAIN_FLAG_ALIASES = {"dropout": ["--dropout-rate"]}
-_TRAIN_FLAG_HELP = {"eval_interval": "checkpoint interval in iterations (0 = save only at the end)"}
-
-
-def _add_train_flags(p: argparse.ArgumentParser, finetune: bool):
-    """One flag per TrainConfig field; the field's default gives its type."""
-    defaults = TrainConfig.finetune_defaults() if finetune else TrainConfig()
-    g = p.add_argument_group("training")
-    for f in fields(TrainConfig):
-        if f.name == "seed":
-            continue
-        flags = ["--" + f.name.replace("_", "-"), *_TRAIN_FLAG_ALIASES.get(f.name, [])]
-        default = getattr(defaults, f.name)
-        if isinstance(default, bool):
-            kind = dict(type=lambda v: v.lower() in ("1", "true", "yes"), metavar="BOOL")
-        else:  # a None default (decay_iters) stands for an optional int
-            kind = dict(type=int if default is None else type(default))
-        g.add_argument(*flags, default=default, help=_TRAIN_FLAG_HELP.get(f.name), **kind)
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
 def _start_run(args, resolved: dict) -> Path:
@@ -157,20 +163,28 @@ def _train_run(args, start: Checkpoint, dataset, resolved: dict, metrics) -> int
     return EXIT_OK
 
 
-def cmd_pretrain(args) -> int:
-    data_path = _require_path(args.data, "data")
-    lines = tr.read_smiles_lines(data_path)
-    if not lines:
-        raise DataError(f"no usable lines in {data_path}")
+def _read_dataset(path: str, kind: str, max_len: int, vocab=None, labeled=False, objective=None):
+    """(vocabulary, Dataset) from a file of one SMILES per line, or of SMILES<TAB>float lines when
+    ``labeled``; ``objective`` labels plain SMILES, and with no ``vocab`` the file's tokens make one.
+    DataError for a missing or empty file, an untokenizable line or a bad target."""
+    path = _require_path(path, kind)
     try:
-        vocab = build_vocabulary(lines)
-        dataset = tr.encode_corpus(lines, vocab, args.max_len)
-    except TokenizeError as e:
+        lines, ys = tr.read_labeled_lines(path) if labeled else (tr.read_smiles_lines(path), None)
+        if not lines:
+            raise DataError(f"no usable lines in {path}")
+        vocab = build_vocabulary(lines) if vocab is None else vocab
+        dataset = tr.encode_corpus(lines, vocab, max_len, targets=ys)
+        return vocab, dataset if objective is None else obj.label_dataset(dataset, objective, vocab)
+    except (TokenizeError, ValueError) as e:
         raise DataError(str(e)) from None
-    mcfg = mdl.ModelConfig(vocab_size=len(vocab), **{n: getattr(args, n) for n in _MODEL_FLAGS})
-    tcfg = _train_config(args)
+
+
+def cmd_pretrain(args) -> int:
+    vocab, dataset = _read_dataset(args.data, "data", args.max_len)
+    mcfg = _config(mdl.ModelConfig, args, vocab_size=len(vocab))
+    tcfg = _config(TrainConfig, args)
     return _train_run(args, Checkpoint.start(vocab, mcfg, tcfg), dataset, {
-        "data": str(data_path), "model": mcfg.to_dict(), "train": tcfg.to_dict(),
+        "data": str(Path(args.data)), "model": mcfg.to_dict(), "train": tcfg.to_dict(),
     }, lambda state, ckpt_dir: ev.MetricsReport(sample_count=0, metadata={
         "seed": args.seed, "checkpoint": str(ckpt_dir), "iterations": state.iteration,
         "config_hash": _config_hash(tcfg.to_dict() | mcfg.to_dict()),
@@ -183,22 +197,12 @@ def _sampled_strings(state: Checkpoint, n: int, seed: int) -> list[str]:
 
 
 def cmd_finetune(args) -> int:
-    if args.eval_samples < 0:
-        raise ConfigError(f"--eval-samples must be >= 0, got {args.eval_samples}")
     base = _load_checkpoint(args.checkpoint)
-    data_path = _require_path(args.data, "data")
+    _require_path(args.data, "data")  # a missing file is reported before a bad objective
     objective = _objective(args)
-    try:
-        if objective is not None:
-            lines = tr.read_smiles_lines(data_path)
-            dataset = tr.encode_corpus(lines, base.vocab, base.model_config.max_len)
-            dataset = obj.label_dataset(dataset, objective, base.vocab)
-        else:
-            lines, ys = tr.read_labeled_lines(data_path)
-            dataset = tr.encode_corpus(lines, base.vocab, base.model_config.max_len, targets=ys)
-    except (TokenizeError, ValueError) as e:
-        raise DataError(str(e)) from None
-    tcfg = _train_config(args)
+    _, dataset = _read_dataset(args.data, "data", base.model_config.max_len, base.vocab,
+                               labeled=objective is None, objective=objective)
+    tcfg = _config(TrainConfig, args)
     before = _sampled_strings(base, args.eval_samples, args.seed) if args.eval_samples else []
 
     def metrics(state, ckpt_dir) -> str:
@@ -217,13 +221,8 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.n < 0:
-        raise ConfigError(f"-n must be >= 0, got {args.n}")
     state = _load_checkpoint(args.checkpoint)
-    cfg = gen.SamplerConfig(
-        temperature=args.temperature, top_k=args.top_k,
-        max_new_tokens=args.max_new_tokens, seed=args.seed, sample_y=args.sample_y,
-    )
+    cfg = _config(gen.SamplerConfig, args)
     cfg.new_tokens(state.model_config.max_len)  # a bad max_new_tokens fails before the run starts
     out_dir = _start_run(args, {"checkpoint": args.checkpoint, "n": args.n, "sampler": vars(cfg).copy()})
     samples = gen.sample_batch(state.params, state.vocab, cfg, args.n)
@@ -239,14 +238,13 @@ def cmd_sample(args) -> int:
 def cmd_optimize(args) -> int:
     state = _load_checkpoint(args.checkpoint)
     objective = _objective(args)
-    pcfg = gen.PbboConfig(y_c=args.y_c, eval_budget=args.eval_budget, sample_budget=args.sample_budget)
-    scfg = gen.SamplerConfig(temperature=args.temperature, top_k=args.top_k, seed=args.seed)
+    pcfg = _config(gen.PbboConfig, args)
+    scfg = _config(gen.SamplerConfig, args)
     y_c = pcfg.y_c if math.isfinite(pcfg.y_c) else str(pcfg.y_c)  # strict JSON has no -Infinity
+    budgets = vars(pcfg) | {"y_c": y_c}
     out_dir = _start_run(args, {
-        "checkpoint": args.checkpoint, "y_c": y_c,
-        "eval_budget": pcfg.eval_budget, "sample_budget": pcfg.sample_budget,
-        "objective": objective.params_dict() if objective else None,
-        "sampler": vars(scfg).copy(),
+        "checkpoint": args.checkpoint, **budgets,
+        "objective": objective.params_dict() if objective else None, "sampler": vars(scfg).copy(),
     })
     fn = (lambda s: obj.evaluate(objective, s)) if objective else None
     result = gen.pbbo_optimize(state.params, state.vocab, pcfg, scfg, objective=fn)
@@ -256,9 +254,7 @@ def cmd_optimize(args) -> int:
             fh.write(json.dumps(vars(rec)) + "\n")
     summary = {
         "seed": args.seed,
-        "y_c": y_c,
-        "eval_budget": pcfg.eval_budget,
-        "sample_budget": pcfg.sample_budget,
+        **budgets,
         "draws_used": result.draws_used,
         "accepted_count": result.accepted_count,
         "top1": result.top1(),
@@ -274,8 +270,6 @@ def cmd_optimize(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.samples is None and args.checkpoint is None:
         raise ConfigError("evaluate needs --samples and/or --checkpoint")
-    if args.n_samples < 0:
-        raise ConfigError(f"--n-samples must be >= 0, got {args.n_samples}")
     if args.objective is not None and args.n_samples == 0:
         raise ConfigError("evaluate --objective scores sampled draws: it needs --n-samples >= 1")
     if (args.test is not None or args.objective is not None) and args.checkpoint is None:
@@ -299,11 +293,7 @@ def cmd_evaluate(args) -> int:
         if not any(ref_reports):
             raise DataError(f"no valid SMILES in {args.data}")
     if args.test is not None:
-        try:
-            lines, ys = tr.read_labeled_lines(_require_path(args.test, "test data"))
-            test_set = tr.encode_corpus(lines, state.vocab, state.model_config.max_len, targets=ys)
-        except (TokenizeError, ValueError) as e:
-            raise DataError(str(e)) from None
+        _, test_set = _read_dataset(args.test, "test data", state.model_config.max_len, state.vocab, labeled=True)
     resolved = {k: v for k, v in vars(args).items() if k != "func"}
     out_dir = _start_run(args, resolved)
 
@@ -354,8 +344,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pretrain", help="unsupervised training from a SMILES corpus")
     p.add_argument("--data", required=True, help="text file, one SMILES per line")
-    _add_model_flags(p)
-    _add_train_flags(p, finetune=False)
+    _add_config_flags(p.add_argument_group("model"), mdl.ModelConfig, skip=("vocab_size",))
+    _add_config_flags(p.add_argument_group("training"), TrainConfig)
     _add_common(p)
     p.set_defaults(func=cmd_pretrain)
 
@@ -364,30 +354,24 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True,
                    help="SMILES<TAB>float file, or plain SMILES with --objective")
     _add_objective_flags(p, "auto-label --data with this objective")
-    p.add_argument("--eval-samples", type=int, default=0,
+    p.add_argument("--eval-samples", type=_count, default=0,
                    help="sample count for before/after validity (0 = skip)")
-    _add_train_flags(p, finetune=True)
+    _add_config_flags(p.add_argument_group("training"), TrainConfig, TrainConfig.finetune_defaults())
     _add_common(p)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("sample", help="write n sampled (SMILES, y_pred) lines")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("-n", type=int, default=100)
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--top-k", type=int, default=0)
-    p.add_argument("--max-new-tokens", type=int, default=None)
-    p.add_argument("--sample-y", action="store_true")
+    p.add_argument("-n", type=_count, default=100)
+    _add_config_flags(p, gen.SamplerConfig)
     _add_common(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("optimize", help="budgeted draw-and-filter optimization")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--y-c", type=float, required=True, help="acceptance threshold on predicted y")
-    p.add_argument("--eval-budget", type=int, required=True)
-    p.add_argument("--sample-budget", type=int, required=True)
+    _add_config_flags(p, gen.PbboConfig)
     _add_objective_flags(p, "re-score accepted samples with this objective")
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--top-k", type=int, default=0)
+    _add_config_flags(p, gen.SamplerConfig, skip=("max_new_tokens", "sample_y"))
     _add_common(p)
     p.set_defaults(func=cmd_optimize)
 
@@ -395,7 +379,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint")
     p.add_argument("--samples", help="sample file: one SMILES per line, or the samples.tsv "
                    "that `sample` writes (empty draws count as invalid); default: sample fresh")
-    p.add_argument("--n-samples", type=int, default=500)
+    p.add_argument("--n-samples", type=_count, default=500)
     p.add_argument("--data", help="training corpus for novelty/feature-distribution metrics")
     p.add_argument("--test", help="held-out SMILES<TAB>float file for MAE")
     _add_objective_flags(p, "objective for MAE on sampled molecules")
@@ -440,16 +424,13 @@ def main(argv=None) -> int:
         if args.seed is None:
             args.seed = int(os.environ.get("JT_SEED", "0"))
         return args.func(args)
-    except ConfigError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NonFiniteError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as e:
+    except (ConfigError, ValueError) as e:  # a config dataclass rejects a bad value with ValueError
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

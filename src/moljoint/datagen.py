@@ -82,8 +82,8 @@ def random_molecule(
     return "".join(tokens)
 
 
-def toy_corpus(n: int, seed: int = 0, max_tokens: int = 30, **molecule_kwargs) -> list[str]:
-    """n distinct random molecules of at most max_tokens syntax tokens.
+def toy_corpus(n: int, seed: int = 0, **molecule_kwargs) -> list[str]:
+    """n distinct random molecules of at most 30 syntax tokens.
 
     Deterministic for a given seed (over-long draws are rejected inside
     the same stream).
@@ -99,7 +99,7 @@ def toy_corpus(n: int, seed: int = 0, max_tokens: int = 30, **molecule_kwargs) -
         if attempts > 200 * n:
             raise RuntimeError(f"could not generate {n} distinct molecules")
         s = random_molecule(rng, **molecule_kwargs)
-        if s not in seen and len(split_tokens(s)) <= max_tokens:
+        if s not in seen and len(split_tokens(s)) <= 30:
             seen.add(s)
             out.append(s)
     return out

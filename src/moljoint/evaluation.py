@@ -108,13 +108,13 @@ def feature_histograms(samples: list, reference: list) -> list[dict]:
     return rows
 
 
-def mae(params: JointModelParams, dataset: Dataset, batch_size: int = 64) -> float:
-    """Mean absolute prediction error on labeled data."""
+def mae(params: JointModelParams, dataset: Dataset) -> float:
+    """Mean absolute prediction error on labeled data, predicted 64 rows at a time."""
     if not dataset.supervised or len(dataset) == 0:
         raise ValueError("mae needs a non-empty labeled dataset")
     errs = []
-    for start in range(0, len(dataset), batch_size):
-        seqs = dataset.sequences[start:start + batch_size]
+    for start in range(0, len(dataset), 64):
+        seqs = dataset.sequences[start:start + 64]
         ids = mdl.pad_batch(seqs)
         preds = mdl.predict_target(params, ids)
         errs.append(np.abs(preds - dataset.targets[start:start + len(seqs)]))

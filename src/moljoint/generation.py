@@ -206,7 +206,6 @@ def pbbo_optimize(
     cfg: PbboConfig,
     sampler: SamplerConfig,
     objective=None,
-    rng: Rng | None = None,
 ) -> OptimizationResult:
     """Draw-and-filter optimization loop.
 
@@ -216,8 +215,7 @@ def pbbo_optimize(
     objective callable is supplied, accepted samples are re-scored with
     it after the loop (reporting only; acceptance never consults it).
     """
-    if rng is None:
-        rng = Rng(sampler.seed)
+    rng = Rng(sampler.seed)
     trace: list[DrawRecord] = []
     accepted: list[DrawRecord] = []
     draws = 0

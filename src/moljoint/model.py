@@ -157,10 +157,9 @@ class JointModelParams:
         return sum(t.size for t in self.tensors.values())
 
 
-def pad_batch(seqs: list[TokenSequence], length: int | None = None) -> np.ndarray:
+def pad_batch(seqs: list[TokenSequence]) -> np.ndarray:
     """Stack sequences into a (B, S) id array, padding to the longest."""
-    n = length or max(len(s) for s in seqs)
-    out = np.full((len(seqs), n), PAD_ID, dtype=np.int64)
+    out = np.full((len(seqs), max(len(s) for s in seqs)), PAD_ID, dtype=np.int64)
     for i, s in enumerate(seqs):
         out[i, : len(s)] = s.ids
     return out
@@ -400,17 +399,9 @@ def forward_decoder(
     return nm.matmul(_transformer(params, ids, causal=True, dropout=dropout, rng=rng), params["head.w"])
 
 
-def forward_encoder(
-    params: JointModelParams,
-    ids: np.ndarray,
-    mask: np.ndarray,
-    dropout: float = 0.0,
-    rng: Rng | None = None,
-) -> Tensor:
-    """Bidirectional forward with MASK-token substitution at hidden positions."""
-    masked_ids = np.where(mask, MASK_ID, ids)
-    h = _transformer(params, masked_ids, causal=False, dropout=dropout, rng=rng)
-    return nm.matmul(h, params["head.w"])
+def forward_encoder(params: JointModelParams, ids: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Bidirectional forward, without dropout, with MASK-token substitution at hidden positions."""
+    return nm.matmul(_transformer(params, np.where(mask, MASK_ID, ids), causal=False), params["head.w"])
 
 
 def forward_predictor(

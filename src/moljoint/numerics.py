@@ -114,8 +114,8 @@ class Rng:
         # u >= t  <=>  (w >> 8) >= ceil(t * 2^24)  <=>  w >= ceil(t * 2^24) << 8, t as a float32
         return (words.view(np.uint32) >= math.ceil(float(np.float32(threshold)) * (1 << 24)) << 8).reshape(shape)
 
-    def normal(self, shape=None, std=1.0, mean=0.0):
-        return self._gen.normal(mean, std, shape)
+    def normal(self, shape=None, std=1.0):
+        return self._gen.normal(0.0, std, shape)
 
     def integers(self, low, high, shape=None):
         return self._gen.integers(low, high, size=shape)
@@ -570,7 +570,10 @@ def _row_means(rows: np.ndarray) -> np.ndarray:
     return rows @ _filled(rows.shape[1], 1.0 / rows.shape[1], rows.dtype)
 
 
-def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+LN_EPS = 1e-5  # added to every layer norm's variance
+
+
+def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Layer norm of the rows of x (N, E); returns (output, x-hat, 1 / std).
 
     The centred input is scaled in place into x-hat; the output buffer first
@@ -578,20 +581,20 @@ def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float
     """
     xhat = x - _row_means(x)[:, None]
     y = np.multiply(xhat, xhat)
-    rstd = 1.0 / np.sqrt(_row_means(y) + eps)
+    rstd = 1.0 / np.sqrt(_row_means(y) + LN_EPS)
     xhat *= rstd[:, None]
     np.multiply(xhat, gain, out=y)
     y += bias
     return y, xhat, rstd
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine (``layer_norm_fwd``).
 
     Backward reuses the saved x-hat and 1 / std.
     """
     E = a.shape[-1]
-    y, xhat, rstd = layer_norm_fwd(a.data.reshape(-1, E), gain.data, bias.data, eps)
+    y, xhat, rstd = layer_norm_fwd(a.data.reshape(-1, E), gain.data, bias.data)
     out = Tensor(y.reshape(a.shape), name="layer_norm")
 
     def bwd(g):

@@ -35,7 +35,7 @@ import numpy as np
 from . import checkpoint as ckpt_io
 from . import model as mdl
 from .model import JointModelParams, ModelConfig, Task
-from .numerics import NonFiniteError, Rng, Tape
+from .numerics import LN_EPS, NonFiniteError, Rng, Tape
 from .smiles import TokenSequence, Vocabulary, tokenize
 
 
@@ -270,7 +270,7 @@ def train_step(
 # config keys of older bundles that this code no longer has: each loads only at
 # the value this code implements (None: at any value, as nothing ever read it)
 _RETIRED_KEYS = {
-    "model": {"dropout_rate": None, "ln_eps": 1e-5, "n_classes": 0},
+    "model": {"dropout_rate": None, "ln_eps": LN_EPS, "n_classes": 0},
     "train": {"encoder_term": True, "generation_task": True},
 }
 

@@ -1,5 +1,7 @@
 """Command-line surface tests: wiring, exit codes, reproducibility."""
 
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -17,8 +19,9 @@ import moljoint
 from moljoint import cli, datagen
 from moljoint.checkpoint import load_bundle, save_bundle
 from moljoint.cli import build_parser, main
+from moljoint.generation import PbboConfig, SamplerConfig
 from moljoint.model import ModelConfig
-from moljoint.training import Checkpoint
+from moljoint.training import Checkpoint, TrainConfig
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "checkpoint"  # split q|k|v tensors
 TRAIN_ARGS = [
@@ -45,6 +48,22 @@ def test_missing_data_path_exits_2(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "o")])
     assert code == 2
     assert "nope.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--data", "empty.txt"],
+    ["finetune", "--checkpoint", str(FIXTURE), "--data", "empty.txt", "--objective", "toy_mpo"],
+    ["finetune", "--checkpoint", str(FIXTURE), "--data", "empty.tsv"],
+    ["evaluate", "--checkpoint", str(FIXTURE), "--test", "empty.tsv", "--n-samples", "4"],
+], ids=["pretrain", "finetune_objective", "finetune_labeled", "evaluate_test"])
+def test_empty_data_file_exits_2_before_the_run_starts(tmp_path, capsys, argv):
+    for name in ("empty.txt", "empty.tsv"):
+        (tmp_path / name).write_text("\n  \n\n")  # blank lines only
+    argv = [str(tmp_path / a) if a.startswith("empty.") else a for a in argv]
+    out = tmp_path / "run"
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not out.exists()
 
 
 def test_unknown_flag_is_fatal_config_error(tmp_path):
@@ -494,6 +513,52 @@ def test_model_flag_defaults_are_model_config_defaults():
     for name in ("max_len", "embed_dim", "n_layers", "n_heads", "ff_dim",
                  "predictor_hidden_dim", "predictor_layers"):
         assert getattr(args, name) == getattr(want, name), name
+
+
+# every config each command builds from its flags: (command, config class, defaults, fields without a flag)
+_CONFIG_FLAGS = [
+    ("pretrain", ModelConfig, ModelConfig(vocab_size=1), {"vocab_size"}),
+    ("pretrain", TrainConfig, TrainConfig(), set()),
+    ("finetune", TrainConfig, TrainConfig.finetune_defaults(), set()),
+    ("sample", SamplerConfig, SamplerConfig(), set()),
+    ("optimize", PbboConfig, None, set()),
+    ("optimize", SamplerConfig, SamplerConfig(), {"max_new_tokens", "sample_y"}),
+]
+
+
+def test_each_config_field_is_one_flag_with_the_config_default():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for command, cls, defaults, skipped in _CONFIG_FLAGS:
+        actions = commands[command]._actions
+        for f in dataclasses.fields(cls):
+            flags = [a for a in actions if a.dest == f.name]
+            if f.name == "seed":  # the common --seed, with the JT_SEED fallback
+                assert [a.option_strings for a in flags] == [["--seed"]]
+                continue
+            if f.name in skipped:
+                assert flags == [], (command, f.name)
+                continue
+            assert len(flags) == 1, (command, f.name)
+            (flag,) = flags
+            assert flag.option_strings[0] == "--" + f.name.replace("_", "-")
+            no_default = f.default is dataclasses.MISSING
+            assert flag.required is no_default, (command, f.name)
+            if not no_default:
+                assert flag.default == getattr(defaults, f.name), (command, f.name)
+
+    def parse(*argv):
+        return parser.parse_args(list(argv))
+
+    assert parse("pretrain", "--data", "c.txt", "--dropout-rate", "0.3").dropout == 0.3
+    assert parse("sample", "--checkpoint", "c").sample_y is False
+    assert parse("sample", "--checkpoint", "c", "--sample-y").sample_y is True
+    assert parse("sample", "--checkpoint", "c", "--sample-y", "false", "-n", "3").sample_y is False
+    assert parse("sample", "--checkpoint", "c", "--sample-y", "true").sample_y is True
+    assert parse("pretrain", "--data", "c.txt").decay_lr is True
+    assert parse("pretrain", "--data", "c.txt", "--decay-lr", "false").decay_lr is False
+    assert parse("finetune", "--checkpoint", "c", "--data", "d").decay_lr is False
+    assert parse("finetune", "--checkpoint", "c", "--data", "d", "--decay-lr").decay_lr is True
 
 
 # README model size, batch 64, generation steps only

@@ -118,7 +118,7 @@ def test_zero_model_losses_are_exactly_uniform(cfg, batch):
 def test_pad_transparency(params, vocab):
     seq = tokenize("CCO", vocab, 24)
     ids_short = M.pad_batch([seq])
-    ids_padded = M.pad_batch([seq], length=len(seq) + 5)
+    ids_padded = np.pad(ids_short, ((0, 0), (0, 5)), constant_values=PAD_ID)
     n = len(seq)
     dec_a = M.forward_decoder(params, ids_short).data
     dec_b = M.forward_decoder(params, ids_padded).data
