@@ -65,6 +65,13 @@ def _count(text: str) -> int:
     return n
 
 
+def _bool(text: str) -> bool:
+    words = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+    if text.lower() not in words:
+        raise argparse.ArgumentTypeError(f"expected true/false, 1/0 or yes/no, got {text!r}")
+    return words[text.lower()]
+
+
 _FLAG_ALIASES = {"dropout": ["--dropout-rate"]}
 _FLAG_HELP = {"eval_interval": "checkpoint interval in iterations (0 = save only at the end)",
               "y_c": "acceptance threshold on predicted y"}
@@ -75,7 +82,7 @@ def _add_config_flags(parser, cls, defaults=None, skip=()):
 
     The field's annotation gives the type (``int | None`` reads as int), ``defaults`` (an instance)
     or else the field gives the default, and a field with no default makes a required flag. A bool
-    field takes ``--flag`` or ``--flag BOOL``.
+    field takes ``--flag`` or ``--flag BOOL``, BOOL one of true/false, 1/0 or yes/no in any case.
     """
     hints = get_type_hints(cls)
     for f in fields(cls):
@@ -85,7 +92,7 @@ def _add_config_flags(parser, cls, defaults=None, skip=()):
         default = f.default if defaults is None else getattr(defaults, f.name)
         opts = dict(type=kind)
         if kind is bool:
-            opts = dict(type=lambda v: v.lower() in ("1", "true", "yes"), nargs="?", const=True, metavar="BOOL")
+            opts = dict(type=_bool, nargs="?", const=True, metavar="BOOL")
         parser.add_argument("--" + f.name.replace("_", "-"), *_FLAG_ALIASES.get(f.name, []), default=default,
                             required=default is MISSING, help=_FLAG_HELP.get(f.name), **opts)
 

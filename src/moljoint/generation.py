@@ -9,9 +9,8 @@ can be re-scored with the true objective afterwards.
 
 Decoding is incremental: each step runs only the newest column through
 the trunk's tape-free decode step, over a ``model.KVCache`` made once per
-chunk: it keeps every layer's keys and values in buffers allocated at
-max_len and written in place.
-Rows that emit EOS leave both the step input and the cache (batch
+chunk for its rows: one buffer of every layer's keys and values. Rows
+that emit EOS leave the step input, and the cache in one gather (batch
 shrinking), so a step costs one trunk row per molecule still being
 decoded. The predictor then runs ``forward_predictor``'s all-visible
 pass over the finished strings' packed cells, with no tape recording.
@@ -116,7 +115,7 @@ def _decode_chunk(
     ids = np.full((n, max_new + 1), PAD_ID, dtype=np.int64)
     ids[:, 0] = BOS_ID
     live = np.arange(n)  # rows still decoding, in cache order
-    cache = mdl.KVCache()
+    cache = mdl.KVCache(params, n)
     length = 1
     while length <= max_new and live.size:
         logits = mdl.forward_decoder(params, ids[live, length - 1 : length], cache=cache).data[:, -1, :]

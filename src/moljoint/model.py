@@ -43,10 +43,10 @@ the new columns only, one group without dropout (one new column needs no
 bias), on plain arrays: the ``numerics`` kernels the tape ops run, with
 no Tensor but the logits and every check the tape ops make. Each step
 reads the live parameter arrays by name (q|k|v is one GEMM on a block's
-``attn.wqkv``), and a cache serves only its first step's params. Each
-layer caches its keys and values time-major, (max_len, B, n_heads,
-head_dim), in buffers allocated once and written in place; attention
-reads them, and the keys' transpose, as strided views.
+``attn.wqkv``). A cache serves the params and rows it was made for, in
+one time-major buffer of every layer's keys and values, (max_len,
+n_layers, 2, rows, n_heads, head_dim), allocated once and written in
+place; attention reads them, and the keys' transpose, as strided views.
 """
 
 from __future__ import annotations
@@ -194,67 +194,55 @@ def _keep_mask(shape, rate: float, rng: Rng | None) -> np.ndarray | None:
 
 
 class KVCache:
-    """Each layer's keys and values for the columns decoded so far (see "Decoding").
+    """Every layer's keys and values for the columns decoded so far (see "Decoding").
 
-    Inference only: the cached arrays are constants to the tape. Every step
-    must pass the params object of the first one. ``keep`` drops rows
-    that stopped decoding.
+    Inference only: the cached arrays are constants to the tape. A cache
+    decodes ``rows`` rows with the ``params`` it was made for; ``keep``
+    drops rows that stopped decoding.
     """
 
-    def __init__(self):
-        self.capacity = 0  # columns per buffer; the first step sets the model's max_len
-        self._layers: list[list] = []  # per layer: [keys, values, filled columns]
-        self._rows = 0  # live rows, at the front of every buffer
-        self._spare: np.ndarray | None = None  # a free flat buffer that keep gathers into
-        self._params: JointModelParams | None = None
+    def __init__(self, params: JointModelParams, rows: int):
+        cfg = params.config
+        self.params, self.length = params, 0
+        # time-major: (max_len, n_layers, keys|values, rows, n_heads, head_dim)
+        self.buf = np.empty((cfg.max_len, cfg.n_layers, 2, rows, cfg.n_heads, cfg.embed_dim // cfg.n_heads),
+                            params["tok_emb"].data.dtype)
+        self._spare: np.ndarray | None = None  # the buffer the last keep freed, flat
 
     @property
-    def length(self) -> int:
-        return self._layers[0][2] if self._layers else 0
+    def rows(self) -> int:
+        return self.buf.shape[3]
 
     @property
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [tuple(a[:t, :self._rows].transpose(1, 2, 0, 3) for a in (k, v)) for k, v, t in self._layers]
-
-    def bind(self, params: JointModelParams) -> None:
-        """Tie the cache to the first step's params, sized for their max_len; ValueError for others."""
-        if self._params is None:
-            self._params, self.capacity = params, params.config.max_len
-        elif params is not self._params:
-            raise ValueError("a KV cache decodes only with the params of its first step")
+        """Each layer's (keys, values), as (rows, n_heads, length, head_dim) views."""
+        return [tuple(kv) for kv in self.buf[:self.length].transpose(1, 2, 3, 4, 0, 5)]
 
     def extend(self, i: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Write layer i's new columns in place, into buffers of ``capacity`` columns made on
-        first use; returns (B, n_heads, t, head_dim) views of all."""
-        B, S = k.shape[0], k.shape[2]
-        if i == len(self._layers):
-            self._layers.append([np.empty((self.capacity, B) + k.shape[1:2] + k.shape[3:], k.dtype)
-                                 for _ in (k, v)] + [0])
-        layer = self._layers[i]
-        t = layer[2]
-        for buf, new in zip(layer, (k, v)):
-            buf[t:t + S, :B] = new.transpose(2, 0, 1, 3)
-        layer[2], self._rows = t + S, B
-        return tuple(a[:t + S, :B].transpose(1, 2, 0, 3) for a in layer[:2])
+        """Write layer i's new columns at ``length``; returns views of all its columns, as ``layers``
+        does. The last layer's write advances ``length``."""
+        t = self.length + k.shape[2]
+        kv = self.buf[:t, i].transpose(1, 2, 3, 0, 4)
+        kv[0, :, :, self.length:], kv[1, :, :, self.length:] = k, v
+        if i == self.buf.shape[1] - 1:
+            self.length = t
+        return tuple(kv)
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep the rows where the bool mask ``rows`` is True, in order.
 
-        One gather per buffer into a free one, which takes its place: the
-        buffer it frees is the next gather's target, so only the first keep allocates.
+        One gather of the filled columns into the buffer the last keep freed
+        (only the first keep allocates), which then holds the cache.
         """
+        if len(rows) != self.rows:
+            raise ValueError(f"a keep mask of {len(rows)} rows on a KV cache of {self.rows} live rows")
         live = np.flatnonzero(rows)
-        for layer in self._layers:
-            for j in (0, 1):
-                old = layer[j]
-                shape = (len(old), len(live)) + old.shape[2:]
-                size = int(np.prod(shape))
-                if self._spare is None or self._spare.size < size:
-                    self._spare = np.empty(old.size, old.dtype)
-                new = self._spare[:size].reshape(shape)
-                np.take(old[:layer[2]], live, axis=1, out=new[:layer[2]], mode="clip")
-                layer[j], self._spare = new, old.reshape(-1)
-        self._rows = len(live)
+        shape = self.buf.shape[:3] + (len(live),) + self.buf.shape[4:]
+        spare = np.empty(self.buf.size, self.buf.dtype) if self._spare is None else self._spare
+        new = spare[:np.prod(shape)].reshape(shape)
+        # the indices are in range; mode "raise" would gather into a temporary copy of out first
+        np.take(self.buf[:self.length], live, axis=3, out=new[:self.length], mode="clip")
+        self.buf, self._spare = new, self.buf.reshape(-1)
 
 
 def _length_groups(lengths: np.ndarray) -> list[np.ndarray]:
@@ -362,7 +350,10 @@ def _decode_step(params: JointModelParams, ids: np.ndarray, cache: KVCache) -> T
         raise ValueError(f"sequence length {t0 + S} exceeds max_len {cfg.max_len}")
     if nm.recording():
         raise RuntimeError("a KV cache is inference only: its keys and values carry no gradient")
-    cache.bind(params)
+    if params is not cache.params:
+        raise ValueError("a KV cache decodes only with the params it was made for")
+    if B != cache.rows:
+        raise ValueError(f"a step of {B} rows on a KV cache of {cache.rows} live rows")
     w = {n: t.data for n, t in params.tensors.items()}
     ok = nm.check_finite  # every output the tape ops would check, under the same names
     bias = None if S == 1 else np.triu(np.full((S, t0 + S), NEG_BIAS, dtype=nm.current_dtype()), k=t0 + 1)

@@ -61,7 +61,7 @@ def _reference_decode(params, cfg, n, rng):
 def test_cached_step_logits_match_full_prefix(model):
     params, _ = model
     ids = _token_ids(params, 5, params.config.max_len, seed=1)
-    cache = M.KVCache()
+    cache = M.KVCache(params, len(ids))
     for t in range(1, ids.shape[1] + 1):
         got = M.forward_decoder(params, ids[:, t - 1 : t], cache=cache).data[:, 0]
         want = M.forward_decoder(params, ids[:, :t]).data[:, t - 1]
@@ -72,7 +72,7 @@ def test_cached_step_logits_match_full_prefix(model):
 def test_cached_prefill_then_steps_with_dropped_rows(model):
     params, _ = model
     ids = _token_ids(params, 6, 12, seed=2)
-    cache = M.KVCache()
+    cache = M.KVCache(params, len(ids))
     got = M.forward_decoder(params, ids[:, :4], cache=cache).data
     np.testing.assert_allclose(got, M.forward_decoder(params, ids[:, :4]).data, rtol=0, atol=LOGIT_TOL)
     rows = np.arange(6)

@@ -463,11 +463,14 @@ def test_evaluate_validates_each_string_once(workdir, tmp_path, monkeypatch, sou
     ["evaluate", "--n-samples", "-3", "--objective", "toy_mpo"],
     ["evaluate", "--n-samples", "0", "--objective", "toy_mpo"],
     ["evaluate", "--n-samples", "4", "--histograms"],
+    ["pretrain", "--max-iters", "0", "--decay-lr", "ture"],
+    ["sample", "-n", "1", "--sample-y", "on"],
 ], ids=["n_heads", "batch_size", "sigma", "objective_key", "non_finite",
         "params_without_objective_optimize", "params_without_objective_finetune",
         "params_without_objective_evaluate", "max_new_tokens_negative", "max_new_tokens_past_max_len",
         "temperature_nan", "temperature_inf", "y_c_nan", "n_negative", "y_c_inf", "eval_samples_negative",
-        "n_samples_negative", "objective_without_samples", "histograms_without_data"])
+        "n_samples_negative", "objective_without_samples", "histograms_without_data", "decay_lr_ture",
+        "sample_y_on"])
 def test_bad_setting_exits_1_before_the_run_starts(workdir, tmp_path, capsys, argv):
     source = [] if argv[0] == "pretrain" else ["--checkpoint", str(workdir / "pre" / "checkpoint")]
     if argv[0] in ("pretrain", "finetune"):
@@ -555,6 +558,9 @@ def test_each_config_field_is_one_flag_with_the_config_default():
     assert parse("sample", "--checkpoint", "c", "--sample-y").sample_y is True
     assert parse("sample", "--checkpoint", "c", "--sample-y", "false", "-n", "3").sample_y is False
     assert parse("sample", "--checkpoint", "c", "--sample-y", "true").sample_y is True
+    assert parse("sample", "--checkpoint", "c", "--sample-y", "YES").sample_y is True
+    assert parse("sample", "--checkpoint", "c", "--sample-y", "No").sample_y is False
+    assert parse("pretrain", "--data", "c.txt", "--decay-lr", "0").decay_lr is False
     assert parse("pretrain", "--data", "c.txt").decay_lr is True
     assert parse("pretrain", "--data", "c.txt", "--decay-lr", "false").decay_lr is False
     assert parse("finetune", "--checkpoint", "c", "--data", "d").decay_lr is False

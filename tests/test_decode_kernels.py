@@ -3,8 +3,8 @@
 ``model._decode_step`` runs the array kernels of ``numerics`` over the live
 parameter arrays. It must raise the same ``NonFiniteError`` as the tape ops
 would, decode with the weights as they are, refuse a params object other
-than its first step's, and every tape op must return its kernel's output
-bit for bit.
+than the one its cache was made for, and every tape op must return its
+kernel's output bit for bit.
 """
 
 import tracemalloc
@@ -33,7 +33,7 @@ def _ids(params, rows=5, seed=1):
 
 def _decode(params, ids, cols=4):
     """Logits of a prefill of ``cols`` columns and then one step per column."""
-    cache = M.KVCache()
+    cache = M.KVCache(params, len(ids))
     out = [M.forward_decoder(params, ids[:, :cols], cache=cache).data]
     for t in range(cols + 1, ids.shape[1] + 1):
         out.append(M.forward_decoder(params, ids[:, t - 1:t], cache=cache).data)
@@ -55,7 +55,7 @@ def test_non_finite_weight_raises_from_the_decode_step(name, at, value, message)
         name, at = name[:-2] + "wqkv", (at[0], block * params.config.embed_dim + at[1])
     params[name].data[at] = value
     with pytest.raises(NonFiniteError, match=message):
-        M.forward_decoder(params, _ids(params)[:, :1], cache=M.KVCache())
+        M.forward_decoder(params, _ids(params)[:, :1], cache=M.KVCache(params, 5))
 
 
 @pytest.mark.parametrize("cols", [1, 3])
@@ -64,7 +64,7 @@ def test_score_overflow_raises_from_the_decode_step(cols):
     # q and k stay finite, q . k overflows
     params["h0.attn.wqkv"].data[:, :2 * params.config.embed_dim] *= 1e19
     with pytest.raises(NonFiniteError, match="attention scores"), np.errstate(over="ignore"):
-        M.forward_decoder(params, _ids(params)[:, :cols], cache=M.KVCache())
+        M.forward_decoder(params, _ids(params)[:, :cols], cache=M.KVCache(params, 5))
 
 
 def test_cache_built_after_an_in_place_update_decodes_with_the_new_weights():
@@ -80,7 +80,9 @@ def test_cache_built_after_an_in_place_update_decodes_with_the_new_weights():
 def test_cache_refuses_other_params():
     params, other = _params(), _params()
     ids = _ids(params)
-    cache = M.KVCache()
+    with pytest.raises(ValueError, match="params"):  # even at the first step
+        M.forward_decoder(other, ids[:, :2], cache=M.KVCache(params, len(ids)))
+    cache = M.KVCache(params, len(ids))
     M.forward_decoder(params, ids[:, :2], cache=cache)
     with pytest.raises(ValueError, match="params"):
         M.forward_decoder(other, ids[:, 2:3], cache=cache)
@@ -93,11 +95,11 @@ def test_keep_gathers_into_buffers_the_first_keep_made():
     cfg = ModelConfig(vocab_size=13, max_len=12, embed_dim=96, n_layers=2, n_heads=3, ff_dim=8)
     params = JointModelParams(cfg, Rng(3), init_std=0.3)
     ids = _ids(params, rows=8)
-    cache = M.KVCache()
+    cache = M.KVCache(params, len(ids))
     M.forward_decoder(params, ids[:, :3], cache=cache)
     buffers = [a for k, v in cache.layers for a in (k, v)]
     cache.keep(np.arange(8) != 2)
-    buffers += [a for k, v in cache.layers for a in (k, v)]  # the one buffer it made, and 3 old ones
+    buffers += [a for k, v in cache.layers for a in (k, v)]  # the one buffer it made
     ids = ids[np.arange(8) != 2]
     for t, drop in zip(range(4, 9), (0, 4, 1, 0, 2)):
         rows = len(ids)
@@ -154,7 +156,7 @@ def test_decode_step_records_nothing_and_checks_every_output(monkeypatch):
     """One step makes no Tensor but its logits, and checks each op output the tape ops would."""
     params = _params()
     ids = _ids(params)
-    cache = M.KVCache()
+    cache = M.KVCache(params, len(ids))
     M.forward_decoder(params, ids[:, :2], cache=cache)
     names, made = [], []
     check, record = nm.check_finite, nm._record

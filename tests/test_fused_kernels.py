@@ -89,7 +89,7 @@ def test_cached_decoding_matches_unfused(monkeypatch):
     """The decode step runs the array kernels, so its reference is the unfused full prefix."""
     params, ids = _random_model()
     ids = ids[:6, :16]
-    cache = M.KVCache()
+    cache = M.KVCache(params, len(ids))
     got = [M.forward_decoder(params, ids[:, :4], cache=cache).data]
     got += [M.forward_decoder(params, ids[:, t - 1:t], cache=cache).data for t in range(5, 17)]
     unfused.install(monkeypatch)

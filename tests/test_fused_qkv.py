@@ -61,7 +61,7 @@ def test_decode_logits_equal_contiguous_copies(fixture, monkeypatch):
     ids = ids[:64]
 
     def decode():
-        cache = M.KVCache()
+        cache = M.KVCache(params, len(ids))
         return [M.forward_decoder(params, ids[:, t:t + 1], cache=cache).data for t in range(ids.shape[1])]
 
     got = decode()

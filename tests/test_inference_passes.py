@@ -54,7 +54,7 @@ def _decode(params, ids, cache, prefill=3):
 def test_decode_matches_the_full_prefix(n_layers, rows):
     params = _params(n_layers)
     ids = _ids(params, rows)
-    got = _decode(params, ids, M.KVCache())
+    got = _decode(params, ids, M.KVCache(params, rows))
     want = M.forward_decoder(params, ids).data
     np.testing.assert_allclose(got, want, rtol=0, atol=LOGIT_TOL)
 
@@ -126,7 +126,7 @@ def test_non_finite_weight_raises_under_the_op_name(name, at, value, op):
     ids[:, 1], ids[:, 2:] = 6, 5
     passes = [lambda: M.predict_target(params, ids)]
     if not name.startswith("pred."):
-        passes.append(lambda: M.forward_decoder(params, ids[:, :3], cache=M.KVCache()))
+        passes.append(lambda: M.forward_decoder(params, ids[:, :3], cache=M.KVCache(params, len(ids))))
     for run in passes:
         with pytest.raises(NonFiniteError, match=f"op output {op}$"):
             run()

@@ -166,7 +166,7 @@ def test_overlength_input_rejected(params, vocab):
         M.forward_decoder(params, ids)
     # cached calls: cached length plus new columns must fit too
     cols = lambda n: np.full((1, n), MASK_ID + 1, dtype=np.int64)  # noqa: E731
-    cache = M.KVCache()
+    cache = M.KVCache(params, 1)
     M.forward_decoder(params, cols(20), cache=cache)
     with pytest.raises(ValueError, match="sequence length 25 exceeds max_len 24"):
         M.forward_decoder(params, cols(5), cache=cache)
@@ -178,7 +178,7 @@ def test_overlength_input_rejected(params, vocab):
 
 def test_kv_cache_rejected_while_a_tape_records(params, batch):
     """Cached keys and values are constants: gradients would stop at earlier steps."""
-    cache = M.KVCache()
+    cache = M.KVCache(params, len(batch))
     M.forward_decoder(params, batch[:, :1], cache=cache)
     with Tape():
         with pytest.raises(RuntimeError, match="inference only"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from moljoint import numerics as nm
-from moljoint.model import KVCache
+from moljoint.model import JointModelParams, KVCache, ModelConfig
 from moljoint.numerics import NonFiniteError, Rng, Tape, Tensor
 
 from gradcheck import numeric_grad, rel_error, tape_grads
@@ -237,8 +237,8 @@ def test_attention_key_value_sources_agree():
     close(split, np.concatenate([full[:5], short.data]))
     # a KV cache filled by columns 0..3 answers the last column's query over all five,
     # through the array kernels the decode step runs
-    cache = KVCache()
-    cache.capacity = 5
+    cache = KVCache(JointModelParams(ModelConfig(vocab_size=1, max_len=5, embed_dim=E, n_layers=1,
+                                                 n_heads=n_heads)), 2)
     wqkv, bqkv, wo, bo = (t.data for t in params)
     for cols in (slice(0, 4), slice(4, 5)):
         q, k, v = nm.split_heads(nm.linear(x.data.reshape(2, 5, E)[:, cols].reshape(-1, E), wqkv, bqkv),
