@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -187,14 +187,16 @@ def _read_dataset(path: str, kind: str, max_len: int, vocab=None, labeled=False,
 
 
 def cmd_pretrain(args) -> int:
-    vocab, dataset = _read_dataset(args.data, "data", args.max_len)
-    mcfg = _config(mdl.ModelConfig, args, vocab_size=len(vocab))
+    # every flag is checked before the data is read; the data's vocabulary then sets vocab_size
+    mcfg = _config(mdl.ModelConfig, args, vocab_size=1)
     tcfg = _config(TrainConfig, args)
+    vocab, dataset = _read_dataset(args.data, "data", mcfg.max_len)
+    mcfg = replace(mcfg, vocab_size=len(vocab))
     return _train_run(args, Checkpoint.start(vocab, mcfg, tcfg), dataset, {
-        "data": str(Path(args.data)), "model": mcfg.to_dict(), "train": tcfg.to_dict(),
+        "data": str(Path(args.data)), "model": asdict(mcfg), "train": asdict(tcfg),
     }, lambda state, ckpt_dir: ev.MetricsReport(sample_count=0, metadata={
         "seed": args.seed, "checkpoint": str(ckpt_dir), "iterations": state.iteration,
-        "config_hash": _config_hash(tcfg.to_dict() | mcfg.to_dict()),
+        "config_hash": _config_hash(asdict(tcfg) | asdict(mcfg)),
     }).to_json())
 
 
@@ -213,7 +215,7 @@ def cmd_finetune(args) -> int:
     before = _sampled_strings(base, args.eval_samples, args.seed) if args.eval_samples else []
 
     def metrics(state, ckpt_dir) -> str:
-        doc = {"seed": args.seed, "config_hash": _config_hash(tcfg.to_dict())}
+        doc = {"seed": args.seed, "config_hash": _config_hash(asdict(tcfg))}
         if args.eval_samples:
             doc["validity_before"] = ev.validity(before)
             doc["validity_after"] = ev.validity(_sampled_strings(state, args.eval_samples, args.seed))
@@ -223,7 +225,7 @@ def cmd_finetune(args) -> int:
                              weights={n: t.data for n, t in base.params.tensors.items()})
     return _train_run(args, start, dataset, {
         "checkpoint": args.checkpoint, "data": args.data,
-        "objective": objective.params_dict() if objective else None, "train": tcfg.to_dict(),
+        "objective": asdict(objective) if objective else None, "train": asdict(tcfg),
     }, metrics)
 
 
@@ -231,7 +233,7 @@ def cmd_sample(args) -> int:
     state = _load_checkpoint(args.checkpoint)
     cfg = _config(gen.SamplerConfig, args)
     cfg.new_tokens(state.model_config.max_len)  # a bad max_new_tokens fails before the run starts
-    out_dir = _start_run(args, {"checkpoint": args.checkpoint, "n": args.n, "sampler": vars(cfg).copy()})
+    out_dir = _start_run(args, {"checkpoint": args.checkpoint, "n": args.n, "sampler": asdict(cfg)})
     samples = gen.sample_batch(state.params, state.vocab, cfg, args.n)
     out_file = out_dir / "samples.tsv"
     with out_file.open("w") as fh:
@@ -248,10 +250,10 @@ def cmd_optimize(args) -> int:
     pcfg = _config(gen.PbboConfig, args)
     scfg = _config(gen.SamplerConfig, args)
     y_c = pcfg.y_c if math.isfinite(pcfg.y_c) else str(pcfg.y_c)  # strict JSON has no -Infinity
-    budgets = vars(pcfg) | {"y_c": y_c}
+    budgets = asdict(pcfg) | {"y_c": y_c}
     out_dir = _start_run(args, {
         "checkpoint": args.checkpoint, **budgets,
-        "objective": objective.params_dict() if objective else None, "sampler": vars(scfg).copy(),
+        "objective": asdict(objective) if objective else None, "sampler": asdict(scfg),
     })
     fn = (lambda s: obj.evaluate(objective, s)) if objective else None
     result = gen.pbbo_optimize(state.params, state.vocab, pcfg, scfg, objective=fn)
@@ -430,6 +432,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.seed is None:
             args.seed = int(os.environ.get("JT_SEED", "0"))
+        if args.seed < 0:  # every config's seed has this bound; it is checked before any command starts
+            raise ConfigError(f"seed must be >= 0, got {args.seed}")
         return args.func(args)
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)

@@ -18,13 +18,12 @@ pass over the finished strings' packed cells, with no tape recording.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model as mdl
-from .model import JointModelParams
+from .model import JointModelParams, bounded, check_bounds
 from .numerics import Rng
 from .smiles import BOS_ID, EOS_ID, MASK_ID, PAD_ID, Vocabulary, detokenize, validate
 
@@ -43,19 +42,14 @@ class SamplerConfig:
     instead of returning the mean itself.
     """
 
-    temperature: float = 1.0
-    top_k: int = 0
-    max_new_tokens: int | None = None  # default: model max_len - 1
-    seed: int = 0
+    temperature: float = bounded(1.0, lo=0, open_hi=True)
+    top_k: int = bounded(0, lo=0)
+    max_new_tokens: int | None = bounded(None, lo=1)  # default: model max_len - 1
+    seed: int = bounded(0, lo=0)
     sample_y: bool = False
 
     def __post_init__(self):
-        if not 0 <= self.temperature < math.inf:
-            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if self.top_k < 0:
-            raise ValueError("top_k must be >= 0")
-        if self.max_new_tokens is not None and self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
+        check_bounds(self)
 
     def new_tokens(self, max_len: int) -> int:
         """Decoding steps per draw from a model with this ``max_len``."""
@@ -162,15 +156,12 @@ class PbboConfig:
     sample_budget: maximum number of draws (B).
     """
 
-    y_c: float
-    eval_budget: int
-    sample_budget: int
+    y_c: float = bounded(open_hi=True)  # -inf accepts every valid draw
+    eval_budget: int = bounded(lo=1)
+    sample_budget: int = bounded(lo=1)
 
     def __post_init__(self):
-        if self.eval_budget < 1 or self.sample_budget < 1:
-            raise ValueError("budgets must be >= 1")
-        if math.isnan(self.y_c) or self.y_c == math.inf:  # -inf accepts every valid draw
-            raise ValueError(f"y_c must be finite or -inf, got {self.y_c}")
+        check_bounds(self)
 
 
 @dataclass

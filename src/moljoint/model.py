@@ -52,7 +52,8 @@ place; attention reads them, and the keys' transpose, as strided views.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, asdict
+import math
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -67,26 +68,50 @@ MAX_GROUPS = 4
 MIN_GROUP_ROWS = 16
 
 
+def bounded(default=MISSING, lo=-math.inf, hi=math.inf, open_lo=False, open_hi=False):
+    """A config dataclass field whose values lie between ``lo`` and ``hi``, each end excluded when open;
+    an end at infinity bounds nothing unless it is open (then the value must be finite there)."""
+    return field(default=default, metadata={"bounds": (lo, hi, open_lo, open_hi)})
+
+
+def _bound_text(lo, hi, open_lo, open_hi) -> str:
+    if hi < math.inf:
+        return f"lie in {'(' if open_lo else '['}{lo:g}, {hi:g}{')' if open_hi else ']'}"
+    finite = "finite and " if open_hi else ""
+    if lo > -math.inf:
+        return f"be {finite}{'>' if open_lo else '>='} {lo:g}"
+    return "be finite" if open_lo else "be finite or -inf"
+
+
+def check_bounds(cfg) -> None:
+    """ValueError naming the first field of the config dataclass ``cfg`` outside its ``bounded`` bounds.
+
+    NaN lies outside every bound, and None (an unset optional field) passes.
+    """
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if "bounds" not in f.metadata or value is None:
+            continue
+        lo, hi, open_lo, open_hi = f.metadata["bounds"]
+        if not ((lo < value if open_lo else lo <= value) and (value < hi if open_hi else value <= hi)):
+            raise ValueError(f"{f.name} must {_bound_text(*f.metadata['bounds'])}, got {value}")
+
+
 @dataclass
 class ModelConfig:
-    vocab_size: int
-    max_len: int = 128
-    embed_dim: int = 256
-    n_layers: int = 6
-    n_heads: int = 8
-    ff_dim: int = 1024
-    predictor_hidden_dim: int = 100
-    predictor_layers: int = 1
+    vocab_size: int = bounded(lo=1)
+    max_len: int = bounded(128, lo=1)
+    embed_dim: int = bounded(256, lo=1)
+    n_layers: int = bounded(6, lo=1)
+    n_heads: int = bounded(8, lo=1)
+    ff_dim: int = bounded(1024, lo=1)
+    predictor_hidden_dim: int = bounded(100, lo=1)
+    predictor_layers: int = bounded(1, lo=0)
 
     def __post_init__(self):
-        for name in ("vocab_size", "max_len", "embed_dim", "n_layers", "n_heads", "ff_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_bounds(self)
         if self.embed_dim % self.n_heads != 0:
             raise ValueError("embed_dim must be divisible by n_heads")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class Task(enum.Enum):

@@ -11,10 +11,11 @@ dataset labelers and as the oracle for re-scoring optimization output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .model import bounded, check_bounds
 from .smiles import SyntaxFeatures, Vocabulary, detokenize, validate
 from .training import Dataset
 
@@ -28,15 +29,15 @@ class ObjectiveSpec:
     """
 
     name: str = "toy_mpo"
-    target_length: float = 19.0
-    target_rings: float = 2.0
-    target_hetero: float = 0.5
-    sigma_length: float = 4.0
-    sigma_rings: float = 0.8
-    sigma_hetero: float = 0.1
+    target_length: float = bounded(19.0, open_lo=True, open_hi=True)
+    target_rings: float = bounded(2.0, open_lo=True, open_hi=True)
+    target_hetero: float = bounded(0.5, open_lo=True, open_hi=True)
+    sigma_length: float = bounded(4.0, lo=0, open_lo=True, open_hi=True)
+    sigma_rings: float = bounded(0.8, lo=0, open_lo=True, open_hi=True)
+    sigma_hetero: float = bounded(0.1, lo=0, open_lo=True, open_hi=True)
 
-    def params_dict(self) -> dict:
-        return asdict(self)
+    def __post_init__(self):
+        check_bounds(self)
 
 
 def _kernel(value: float, target: float, sigma: float) -> float:
@@ -81,8 +82,4 @@ def make_objective(name: str, params: str = "") -> ObjectiveSpec:
             if not sep or key.strip() not in allowed:
                 raise ValueError(f"bad objective parameter {part!r} (want key=value, key in {allowed})")
             kwargs[key.strip()] = float(value)
-    if not all(v > 0 for k, v in kwargs.items() if k.startswith("sigma_")):
-        raise ValueError("sigma_length, sigma_rings and sigma_hetero must be > 0")
-    if not all(math.isfinite(v) for v in kwargs.values()):
-        raise ValueError(f"objective parameters must be finite, got {params!r}")
     return ObjectiveSpec(name=name, **kwargs)

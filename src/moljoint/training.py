@@ -34,60 +34,42 @@ import numpy as np
 
 from . import checkpoint as ckpt_io
 from . import model as mdl
-from .model import JointModelParams, ModelConfig, Task
+from .model import JointModelParams, ModelConfig, Task, bounded, check_bounds
 from .numerics import LN_EPS, NonFiniteError, Rng, Tape
 from .smiles import TokenSequence, Vocabulary, tokenize
 
 
 @dataclass
 class TrainConfig:
-    p_task: float = 0.95  # probability of taking the generation branch
-    mask_rate: float = 0.15
-    batch_size: int = 64
-    max_iters: int = 5000
-    weight_decay: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.95
-    adam_eps: float = 1e-8
-    lr_max: float = 6e-4
-    lr_min: float = 6e-5
+    p_task: float = bounded(0.95, 0, 1)  # probability of taking the generation branch
+    mask_rate: float = bounded(0.15, 0, 1)
+    batch_size: int = bounded(64, lo=1)
+    max_iters: int = bounded(5000, lo=0)
+    weight_decay: float = bounded(0.1, lo=0, open_hi=True)
+    beta1: float = bounded(0.9, 0, 1, open_hi=True)
+    beta2: float = bounded(0.95, 0, 1, open_hi=True)
+    adam_eps: float = bounded(1e-8, lo=0, open_lo=True, open_hi=True)
+    lr_max: float = bounded(6e-4, lo=0)
+    lr_min: float = bounded(6e-5, lo=0)
     decay_lr: bool = True
-    warmup_iters: int = 2000
-    decay_iters: int | None = None  # defaults to max_iters
-    grad_clip: float = 1.0
-    dropout: float = 0.1
-    seed: int = 0
-    eval_interval: int = 500  # checkpoint interval in iterations (0 = only at the end)
+    warmup_iters: int = bounded(2000, lo=0)
+    decay_iters: int | None = bounded(None, lo=0)  # defaults to max_iters
+    grad_clip: float = bounded(1.0, lo=0)  # 0 switches clipping off
+    dropout: float = bounded(0.1, 0, 1, open_hi=True)
+    seed: int = bounded(0, lo=0)
+    eval_interval: int = bounded(500, lo=0)  # checkpoint interval in iterations (0 = only at the end)
 
     def __post_init__(self):
-        if not 0.0 <= self.p_task <= 1.0:
-            raise ValueError("p_task must lie in [0, 1]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
-        if not 0.0 <= self.mask_rate <= 1.0:
-            raise ValueError("mask_rate must lie in [0, 1]")
-        if not (self.lr_min >= 0.0 and self.lr_max >= 0.0):
-            raise ValueError("lr_min and lr_max must be >= 0")
+        check_bounds(self)
         if self.lr_min > self.lr_max:
             raise ValueError("lr_min must not exceed lr_max")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.eval_interval < 0:
-            raise ValueError("eval_interval must be >= 0")
         if self.decay_iters is not None and self.warmup_iters > self.decay_iters:
             raise ValueError("warmup_iters must not exceed decay_iters")
 
     @classmethod
-    def finetune_defaults(cls, **overrides) -> "TrainConfig":
+    def finetune_defaults(cls) -> "TrainConfig":
         """Prediction-heavy fine-tuning: constant small LR, p_task 0.1."""
-        base = dict(p_task=0.1, lr_max=3e-5, lr_min=3e-5, decay_lr=False, max_iters=50_000)
-        base.update(overrides)
-        return cls(**base)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        return cls(p_task=0.1, lr_max=3e-5, lr_min=3e-5, decay_lr=False, max_iters=50_000)
 
 
 TARGET_RANGE = (0.0, 1.0)  # every supervised target lies in [lo, hi]
@@ -323,7 +305,7 @@ class Checkpoint:
         ckpt_io.save_bundle(
             path,
             iteration=self.iteration,
-            config={"model": self.model_config.to_dict(), "train": self.train_config.to_dict()},
+            config={"model": asdict(self.model_config), "train": asdict(self.train_config)},
             vocab_lines=self.vocab.to_lines(),
             params={n: t.data for n, t in self.params.tensors.items()},
             optim_arrays=self.opt.state_arrays(),
@@ -338,8 +320,11 @@ class Checkpoint:
 
         Without ``weights`` the parameters are drawn from that RNG; with them
         (fine-tuning) they are copies of the given arrays, one per name;
-        ValueError for a name the model lacks.
+        ValueError for a name the model lacks, or a vocabulary of another size than the model's.
         """
+        if len(vocab) != model_config.vocab_size:
+            raise ValueError(f"the vocabulary holds {len(vocab)} tokens, the model config's vocab_size is "
+                             f"{model_config.vocab_size}")
         rng = Rng(cfg.seed)
         params = JointModelParams(model_config, rng if weights is None else None)
         if weights is not None:

@@ -161,6 +161,26 @@ def test_bundle_with_a_tensor_the_model_lacks_exits_2(tmp_path, capsys):
     assert main(["sample", "--checkpoint", str(FIXTURE), "-n", "2", "--out-dir", str(tmp_path / "ok")]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["finetune", "--data", "corpus.txt", "--objective", "toy_mpo", "--max-iters", "1"],
+    ["sample", "-n", "2"],
+    ["optimize", "--y-c", "0", "--eval-budget", "1", "--sample-budget", "1"],
+    ["evaluate", "--n-samples", "2"],
+], ids=lambda argv: argv[0])
+def test_bundle_whose_vocabulary_disagrees_with_its_config_exits_2(tmp_path, capsys, monkeypatch, argv):
+    ckpt = tmp_path / "short"
+    shutil.copytree(FIXTURE, ckpt)
+    tokens = (ckpt / "vocab.txt").read_text().splitlines()
+    (ckpt / "vocab.txt").write_text("\n".join(tokens[:-2]) + "\n")
+    (tmp_path / "corpus.txt").write_text("CC\nCCC\n")
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "run"
+    assert main([argv[0], "--checkpoint", str(ckpt), *argv[1:], "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "vocab_size" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("damage", ["flip", "truncate"])
 def test_damaged_params_blob_exits_2(workdir, tmp_path, capsys, damage):
     ckpt = tmp_path / "damaged"

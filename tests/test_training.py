@@ -1,5 +1,6 @@
 """Training-loop tests: schedule, task switch, clipping, checkpoint roundtrip."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -59,7 +60,7 @@ def test_lr_schedule_monotone_after_warmup():
 
 
 def test_lr_constant_when_decay_disabled():
-    cfg = TrainConfig.finetune_defaults(max_iters=100)
+    cfg = dataclasses.replace(TrainConfig.finetune_defaults(), max_iters=100)
     assert not cfg.decay_lr
     assert {T.lr_at(i, cfg) for i in (0, 50, 100, 10_000)} == {3e-5}
 
@@ -235,7 +236,7 @@ def test_resume_runs_under_the_config_it_is_given(tmp_path, setup):
         state.train_config = _cfg(max_iters=8, decay_iters=8, beta2=0.5, weight_decay=wd)
         T.train(state, dataset, checkpoint_dir=tmp_path / f"wd{wd}")
         saved = json.loads((tmp_path / f"wd{wd}" / "config.json").read_text())["train"]
-        assert saved == state.train_config.to_dict()
+        assert saved == dataclasses.asdict(state.train_config)
         ends[wd] = state.params["h0.attn.wqkv"].data.tobytes()
     assert ends[0.1] != ends[0.0]
 
