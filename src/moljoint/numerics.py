@@ -2,14 +2,25 @@
 
 Numpy supplies the raw buffer arithmetic; the gradient bookkeeping lives
 here. A ``Tape`` records every differentiable op in execution order as an
-(output, backward) pair and replays the pairs in exact reverse order.
+(output slot, backward) pair and replays the pairs in exact reverse order.
 Storage is float32 by default; gradient tests that need headroom can
 switch to float64 with ``using_dtype``.
+
+Lifetimes: a ``Tensor`` is its values plus a ``Slot`` that holds its
+``grad``, shape, dtype and name. A backward closure holds its inputs'
+slots and only the arrays its backward reads: ``matmul``'s operands,
+``mul``'s b and, when b is a Tensor, its a, ``gelu``'s input and tanh
+term, ``layer_norm``'s x-hat and 1 / std, ``attention``'s input,
+pre-projection rows and per-group q, k^T, v and probabilities, and
+``cross_entropy``'s probabilities. Any other op output (an ``add``, a
+dropout ``mul``, the logits) is freed as soon as the forward drops its
+last reference to it, so a recording tape holds what backward reads and
+nothing more; whatever the caller still holds stays valid.
 
 Backward protocol: the tape calls an op's backward with its output's
 gradient, and only when that output received one, so a tensor the loss
 never reached keeps ``grad is None``. Every deposit goes through
-``Tensor.accum_grad``, or through ``Tensor.accum_fresh_grad`` when the
+``Slot.accum_grad``, or through ``Slot.accum_fresh_grad`` when the
 backward hands over a buffer it just allocated and holds nowhere else: a
 first deposit then adopts that buffer instead of copying it. A gradient
 passed on unchanged (``add``, ``sub``, ``reshape``) or a view into a
@@ -130,24 +141,25 @@ class Rng:
         self._gen.bit_generator.state = state
 
 
-class Tensor:
-    """A contiguous row-major float array plus its gradient buffer.
+class Slot:
+    """A tensor's gradient slot: its ``grad`` and the shape, dtype and name it was made with.
 
-    Gradient buffers are allocated lazily: ``grad`` stays None until
-    backward deposits into it, so pure inference never pays for them.
+    The tape records slots and backward closures capture them, so a slot
+    keeps no reference to its tensor's values. ``grad`` is allocated
+    lazily: it stays None until backward deposits into it, so pure
+    inference never pays for it.
     """
 
-    __slots__ = ("data", "grad", "name")
+    __slots__ = ("grad", "shape", "dtype", "name")
 
-    def __init__(self, data, name: str = ""):
-        self.data = np.ascontiguousarray(data, dtype=_DTYPE)
+    def __init__(self, shape, dtype, name: str):
         self.grad: np.ndarray | None = None
-        self.name = name
+        self.shape, self.dtype, self.name = shape, dtype, name
 
     def accum_grad(self, g: np.ndarray) -> None:
         """Add ``g`` to ``grad``; a first deposit is copied."""
         if self.grad is None:
-            self.grad = np.empty_like(self.data)
+            self.grad = np.empty(self.shape, self.dtype)
             np.copyto(self.grad, g)
         else:
             self.grad += g
@@ -155,14 +167,40 @@ class Tensor:
     def accum_fresh_grad(self, g: np.ndarray) -> None:
         """``accum_grad`` for a buffer the caller just allocated and holds nowhere else.
 
-        A first deposit that is C-contiguous and of this tensor's shape and
+        A first deposit that is C-contiguous and of this slot's shape and
         dtype becomes ``grad`` as it is; anything else is copied or added.
         """
-        if (self.grad is None and g.shape == self.data.shape and g.dtype == self.data.dtype
-                and g.flags.c_contiguous):
+        if self.grad is None and g.shape == self.shape and g.dtype == self.dtype and g.flags.c_contiguous:
             self.grad = g
         else:
             self.accum_grad(g)
+
+
+class Tensor:
+    """A contiguous row-major float array and its gradient ``Slot``.
+
+    ``grad`` and ``name`` live in the slot. A tape keeps only the slot and
+    the arrays that some backward reads, so an op output's values are
+    freed as soon as the caller drops its last reference to them.
+    """
+
+    __slots__ = ("data", "slot")
+
+    def __init__(self, data, name: str = ""):
+        self.data = np.ascontiguousarray(data, dtype=_DTYPE)
+        self.slot = Slot(self.data.shape, self.data.dtype, name)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self.slot.grad = g
+
+    @property
+    def name(self) -> str:
+        return self.slot.name
 
     @property
     def shape(self):
@@ -185,11 +223,14 @@ class Tensor:
 
 
 class Tape:
-    """Execution-ordered record of differentiable ops as (output, backward) pairs.
+    """Execution-ordered record of differentiable ops as (output slot, backward) pairs.
 
     Use as a context manager around the forward pass; ``backward`` then
     replays the recorded ops in exact reverse execution order. Tapes do
-    not nest (single-writer).
+    not nest (single-writer). Each backward holds its inputs' slots and
+    only the arrays it reads (a GEMM's operands, a layer norm's x-hat and
+    1 / std, ...), so while the tape lives it keeps those arrays and every
+    gradient, and no op output that no backward reads.
     """
 
     def __init__(self):
@@ -243,7 +284,7 @@ def check_finite(a: np.ndarray, name: str) -> np.ndarray:
 def _record(out: Tensor, backward_fn) -> Tensor:
     check_finite(out.data, out.name)
     if _TAPE is not None:
-        _TAPE._ops.append((out, backward_fn))
+        _TAPE._ops.append((out.slot, backward_fn))
     return out
 
 
@@ -262,40 +303,49 @@ def _as_data(x, like: Tensor) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=like.data.dtype)
 
 
+def _slot_of(x) -> Slot | None:
+    """x's gradient slot, or None for a constant."""
+    return x.slot if isinstance(x, Tensor) else None
+
+
 def add(a: Tensor, b) -> Tensor:
     """Elementwise a + b with numpy broadcasting; b may be a constant."""
-    bdata = _as_data(b, a)
-    out = Tensor(a.data + bdata, name="add")
+    out = Tensor(a.data + _as_data(b, a), name="add")
+    sa, sb = a.slot, _slot_of(b)
 
     def bwd(g):
-        a.accum_grad(_unbroadcast(g, a.shape))
-        if isinstance(b, Tensor):
-            b.accum_grad(_unbroadcast(g, b.shape))
+        sa.accum_grad(_unbroadcast(g, sa.shape))
+        if sb is not None:
+            sb.accum_grad(_unbroadcast(g, sb.shape))
 
     return _record(out, bwd)
 
 
 def sub(a: Tensor, b) -> Tensor:
-    bdata = _as_data(b, a)
-    out = Tensor(a.data - bdata, name="sub")
+    out = Tensor(a.data - _as_data(b, a), name="sub")
+    sa, sb = a.slot, _slot_of(b)
 
     def bwd(g):
-        a.accum_grad(_unbroadcast(g, a.shape))
-        if isinstance(b, Tensor):
-            b.accum_grad(-_unbroadcast(g, b.shape))
+        sa.accum_grad(_unbroadcast(g, sa.shape))
+        if sb is not None:
+            sb.accum_grad(-_unbroadcast(g, sb.shape))
 
     return _record(out, bwd)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    """Elementwise a * b with broadcasting; b may be a constant (no grad)."""
-    bdata = _as_data(b, a)
+    """Elementwise a * b with broadcasting; b may be a constant (no grad).
+
+    Backward keeps b's values, and a's only when b is a Tensor.
+    """
+    sa, sb, bdata = a.slot, _slot_of(b), _as_data(b, a)
     out = Tensor(a.data * bdata, name="mul")
+    adata = None if sb is None else a.data  # only b's gradient reads a
 
     def bwd(g):
-        a.accum_fresh_grad(_unbroadcast(g * bdata, a.shape))
-        if isinstance(b, Tensor):
-            b.accum_fresh_grad(_unbroadcast(g * a.data, b.shape))
+        sa.accum_fresh_grad(_unbroadcast(g * bdata, sa.shape))
+        if sb is not None:
+            sb.accum_fresh_grad(_unbroadcast(g * adata, sb.shape))
 
     return _record(out, bwd)
 
@@ -306,24 +356,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul expects tensors with ndim >= 2")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-    k = a.shape[-1]
-    if a.ndim > 2 and b.ndim == 2:
+    A, B, sa, sb = a.data, b.data, a.slot, b.slot
+    k = A.shape[-1]
+    if A.ndim > 2 and B.ndim == 2:
         # flatten the batch axes into one GEMM (the model's hot path)
-        out = Tensor((a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (b.shape[-1],)),
-                     name="matmul")
+        out = Tensor((A.reshape(-1, k) @ B).reshape(A.shape[:-1] + (B.shape[-1],)), name="matmul")
 
         def bwd(g):
-            g2 = g.reshape(-1, b.shape[-1])
-            a.accum_fresh_grad((g2 @ b.data.T).reshape(a.shape))
-            b.accum_fresh_grad(a.data.reshape(-1, k).T @ g2)
+            g2 = g.reshape(-1, B.shape[-1])
+            sa.accum_fresh_grad((g2 @ B.T).reshape(sa.shape))
+            sb.accum_fresh_grad(A.reshape(-1, k).T @ g2)
 
         return _record(out, bwd)
 
-    out = Tensor(a.data @ b.data, name="matmul")
+    out = Tensor(A @ B, name="matmul")
 
     def bwd(g):
-        a.accum_fresh_grad(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        b.accum_fresh_grad(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        sa.accum_fresh_grad(_unbroadcast(g @ np.swapaxes(B, -1, -2), sa.shape))
+        sb.accum_fresh_grad(_unbroadcast(np.swapaxes(A, -1, -2) @ g, sb.shape))
 
     return _record(out, bwd)
 
@@ -336,20 +386,22 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """
     ids = np.asarray(ids)
     out = Tensor(table.data[ids], name="embedding")
+    st = table.slot
 
     def bwd(g):
         flat = ids.reshape(-1)
-        onehot = (flat == np.arange(table.shape[0])[:, None]).astype(g.dtype)
-        table.accum_fresh_grad(onehot @ g.reshape(flat.size, -1))
+        onehot = (flat == np.arange(st.shape[0])[:, None]).astype(g.dtype)
+        st.accum_fresh_grad(onehot @ g.reshape(flat.size, -1))
 
     return _record(out, bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape), name="reshape")
+    sa = a.slot
 
     def bwd(g):
-        a.accum_grad(g.reshape(a.shape))
+        sa.accum_grad(g.reshape(sa.shape))
 
     return _record(out, bwd)
 
@@ -358,9 +410,10 @@ def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
     out = Tensor(np.transpose(a.data, axes), name="transpose")
+    sa = a.slot
 
     def bwd(g):
-        a.accum_grad(np.transpose(g, inv))
+        sa.accum_grad(np.transpose(g, inv))
 
     return _record(out, bwd)
 
@@ -369,11 +422,12 @@ def take(a: Tensor, index: int, axis: int) -> Tensor:
     """Select one slice along `axis`, dropping that axis."""
     out = Tensor(np.take(a.data, index, axis=axis), name="take")
     sel = (slice(None),) * (axis % a.ndim) + (index,)
+    sa = a.slot
 
     def bwd(g):
-        grad = np.zeros_like(a.data)
+        grad = np.zeros(sa.shape, sa.dtype)
         grad[sel] = g
-        a.accum_fresh_grad(grad)
+        sa.accum_fresh_grad(grad)
 
     return _record(out, bwd)
 
@@ -389,12 +443,13 @@ def gather(a: Tensor, idx: np.ndarray) -> Tensor:
     """Rows of a (N, ...) at the row numbers idx, an int array of any shape: out[j] = a[idx[j]],
     and a zero row where idx[j] is -1. The row numbers other than -1 are distinct."""
     out = Tensor(_rows_at(a.data, idx), name="gather")
+    sa = a.slot
 
     def bwd(g):
-        grad = np.zeros_like(a.data)
+        grad = np.zeros(sa.shape, sa.dtype)
         has = idx >= 0
         grad[idx[has]] = g[has]  # distinct rows: assigning is accumulating
-        a.accum_fresh_grad(grad)
+        sa.accum_fresh_grad(grad)
 
     return _record(out, bwd)
 
@@ -408,9 +463,10 @@ def pad_cols(a: Tensor, total: int) -> Tensor:
     data = np.zeros((a.shape[0], total) + a.shape[2:], dtype=a.data.dtype)
     data[:, : a.shape[1]] = a.data
     out = Tensor(data, name="pad_cols")
+    sa = a.slot
 
     def bwd(g):
-        a.accum_grad(g[:, : a.shape[1]])
+        sa.accum_grad(g[:, : sa.shape[1]])
 
     return _record(out, bwd)
 
@@ -419,11 +475,11 @@ def softmax_rows(a: Tensor) -> Tensor:
     """Softmax over the last axis, computed with max subtraction."""
     z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y, name="softmax_rows")
+    out = Tensor(e / e.sum(axis=-1, keepdims=True), name="softmax_rows")
+    y, sa = out.data, a.slot
 
     def bwd(g):
-        a.accum_grad((g - (g * out.data).sum(axis=-1, keepdims=True)) * out.data)
+        sa.accum_grad((g - (g * y).sum(axis=-1, keepdims=True)) * y)
 
     return _record(out, bwd)
 
@@ -504,20 +560,22 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wo: Tensor, bo: Tensor, cel
             heads = split_heads(qs[o], len(c), n_heads, E) + heads
         kT = np.ascontiguousarray(heads[1].swapaxes(-1, -2))
         q, p, yc = attention_fwd(heads[0], kT, heads[2], bias, keep)
-        if _TAPE is not None:
-            saved.append((q, kT, heads[2], p))
+        if _TAPE is not None:  # v copied, so that no view keeps the group's gathered q|k|v rows
+            saved.append((q, kT, np.ascontiguousarray(heads[2]), p))
         ys.append(yc)
     y = np.empty((N if queries is None else len(at), E), x.data.dtype)
     for o, yc in zip(outs, ys):
         y[o[o >= 0]] = yc[o >= 0]
     out = Tensor(linear(y, wo.data, bo.data), name="attention")
+    X, W, Wo = x.data, wqkv.data, wo.data
+    sx, sw, sb, swo, sbo = x.slot, wqkv.slot, bqkv.slot, wo.slot, bo.slot
 
     def bwd(g):
-        wo.accum_fresh_grad(y.T @ g)
-        bo.accum_fresh_grad(np.ones(len(g), g.dtype) @ g)
-        dy = g @ wo.data.T
+        swo.accum_fresh_grad(y.T @ g)
+        sbo.accum_fresh_grad(np.ones(len(g), g.dtype) @ g)
+        dy = g @ Wo.T
         dkv = np.empty((N, kv_width), g.dtype)
-        dqs = None if queries is None else np.empty_like(qs)
+        dqs = None if queries is None else np.empty((len(at), E), g.dtype)
         for c, o, keep, (q, kT, v, p) in zip(cells, outs, keeps, saved):
             rows, width = c.shape
             d = np.empty((rows, width, kv_width // E, n_heads, hd), g.dtype)
@@ -538,18 +596,18 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wo: Tensor, bo: Tensor, cel
             np.matmul(ds.swapaxes(-1, -2), q, out=dk)
             has = c.ravel() >= 0
             dkv[c.ravel()[has]] = d.reshape(rows * width, -1)[has]
-        dw, db = np.empty_like(wqkv.data), np.empty_like(bqkv.data)
-        np.matmul(x.data.T, dkv, out=dw[:, kv_cols])
+        dw, db = np.empty_like(W), np.empty(sb.shape, sb.dtype)
+        np.matmul(X.T, dkv, out=dw[:, kv_cols])
         np.matmul(np.ones(N, g.dtype), dkv, out=db[kv_cols])
-        dx = dkv @ wqkv.data[:, kv_cols].T
+        dx = dkv @ W[:, kv_cols].T
         if queries is not None:
             np.matmul(xq.T, dqs, out=dw[:, :E])
             np.matmul(np.ones(len(xq), g.dtype), dqs, out=db[:E])
             has = at >= 0
-            dx[at[has]] += (dqs @ wqkv.data[:, :E].T)[has]  # distinct rows: no two adds land on one
-        x.accum_fresh_grad(dx)
-        wqkv.accum_fresh_grad(dw)
-        bqkv.accum_fresh_grad(db)
+            dx[at[has]] += (dqs @ W[:, :E].T)[has]  # distinct rows: no two adds land on one
+        sx.accum_fresh_grad(dx)
+        sw.accum_fresh_grad(dw)
+        sb.accum_fresh_grad(db)
 
     return _record(out, bwd)
 
@@ -596,23 +654,24 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     E = a.shape[-1]
     y, xhat, rstd = layer_norm_fwd(a.data.reshape(-1, E), gain.data, bias.data)
     out = Tensor(y.reshape(a.shape), name="layer_norm")
+    sa, w, sw, sb = a.slot, gain.data, gain.slot, bias.slot
 
     def bwd(g):
         g2 = g.reshape(-1, E)
         ones = np.ones(g2.shape[0], dtype=g2.dtype)
         t = g2 * xhat
-        gain.accum_fresh_grad(ones @ t)
-        bias.accum_fresh_grad(ones @ g2)
-        t *= gain.data  # dxhat * xhat
+        sw.accum_fresh_grad(ones @ t)
+        sb.accum_fresh_grad(ones @ g2)
+        t *= w  # dxhat * xhat
         m2 = _row_means(t)
-        d = g2 * gain.data  # dxhat
+        d = g2 * w  # dxhat
         m1 = _row_means(d)
         # rstd * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         d -= m1[:, None]
         np.multiply(xhat, m2[:, None], out=t)
         d -= t
         d *= rstd[:, None]
-        a.accum_fresh_grad(d.reshape(a.shape))
+        sa.accum_fresh_grad(d.reshape(sa.shape))
 
     return _record(out, bwd)
 
@@ -650,6 +709,7 @@ def gelu(a: Tensor) -> Tensor:
         return _record(Tensor(y, name="gelu"), None)
     y, t = gelu_fwd(x)
     out = Tensor(y, name="gelu")
+    sa = a.slot
 
     def bwd(g):
         # g * (0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3A x^2))
@@ -666,25 +726,27 @@ def gelu(a: Tensor) -> Tensor:
         d *= 0.5
         s += d
         s *= g
-        a.accum_fresh_grad(s)
+        sa.accum_fresh_grad(s)
 
     return _record(out, bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(), name="sum_all")
+    sa = a.slot
 
     def bwd(g):
-        a.accum_grad(g)
+        sa.accum_grad(g)
 
     return _record(out, bwd)
 
 
 def mean_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.mean(), name="mean_all")
+    sa, n = a.slot, a.size
 
     def bwd(g):
-        a.accum_grad(g / a.size)
+        sa.accum_grad(g / n)
 
     return _record(out, bwd)
 
@@ -708,12 +770,13 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, select: np.ndarray) -> Te
     # independent of how many masked-out positions surround it
     out = Tensor(-(picked[select].astype(np.float64).sum() / count), name="cross_entropy")
     probs = np.exp(logp)
+    sl = logits.slot
 
     def bwd(g):
         d = probs.copy()
         idx = targets[..., None]
         np.put_along_axis(d, idx, np.take_along_axis(d, idx, axis=-1) - 1.0, axis=-1)
         w = (select / count).astype(d.dtype)
-        logits.accum_fresh_grad(g * d * w[..., None])
+        sl.accum_fresh_grad(g * d * w[..., None])
 
     return _record(out, bwd)

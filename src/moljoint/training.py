@@ -49,8 +49,8 @@ class TrainConfig:
     beta1: float = bounded(0.9, 0, 1, open_hi=True)
     beta2: float = bounded(0.95, 0, 1, open_hi=True)
     adam_eps: float = bounded(1e-8, lo=0, open_lo=True, open_hi=True)
-    lr_max: float = bounded(6e-4, lo=0)
-    lr_min: float = bounded(6e-5, lo=0)
+    lr_max: float = bounded(6e-4, lo=0, open_hi=True)
+    lr_min: float = bounded(6e-5, lo=0, open_hi=True)
     decay_lr: bool = True
     warmup_iters: int = bounded(2000, lo=0)
     decay_iters: int | None = bounded(None, lo=0)  # defaults to max_iters

@@ -124,3 +124,19 @@ def test_negative_seed_exits_1_before_the_run_starts(corpus, tmp_path, capsys, m
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("configuration error: seed must be >= 0")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("field", ["lr_max", "lr_min"])
+def test_learning_rates_must_be_finite(field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and >= 0, got inf$"):
+        TrainConfig(**{field: math.inf})
+
+
+def test_infinite_learning_rate_exits_1_before_the_run_starts(corpus, tmp_path, capsys):
+    """At lr_max inf the first AdamW step made every weight non-finite, after loss.log was written."""
+    out = tmp_path / "run"
+    argv = ["pretrain", *run_args("pretrain", corpus), "--lr-max", "inf", "--lr-min", "0", "--warmup-iters", "0",
+            "--out-dir", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("configuration error: lr_max must be finite")
+    assert not out.exists()

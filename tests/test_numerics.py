@@ -169,20 +169,20 @@ def test_add_gradients_do_not_share_memory():
 
 def test_fresh_matmul_input_gradient_is_adopted_not_copied(monkeypatch):
     copied = []
-    accum_grad = Tensor.accum_grad
+    accum_grad = nm.Slot.accum_grad
 
     def spy(self, g):
         copied.append(self)
         accum_grad(self, g)
 
-    monkeypatch.setattr(Tensor, "accum_grad", spy)
+    monkeypatch.setattr(nm.Slot, "accum_grad", spy)
     rng = Rng(1)
     a, b = Tensor(rng.normal((2, 5, 3))), Tensor(rng.normal((3, 4)))
     with Tape() as tape:
         out = nm.matmul(a, b)
         loss = nm.sum_all(out)
     tape.backward(loss)
-    assert copied == [out]  # only sum_all's broadcast deposit into the matmul output
+    assert copied == [out.slot]  # only sum_all's broadcast deposit into the matmul output
     np.testing.assert_allclose(a.grad, np.ones((2, 5, 4)) @ b.data.T, rtol=1e-6)
     np.testing.assert_allclose(b.grad, a.data.reshape(-1, 3).T @ np.ones((10, 4)), rtol=1e-6)
 
@@ -190,13 +190,13 @@ def test_fresh_matmul_input_gradient_is_adopted_not_copied(monkeypatch):
 def test_accum_fresh_grad_adopts_only_matching_contiguous_buffers():
     t = Tensor(np.zeros((2, 3)))
     g = np.ones((2, 3), dtype=t.data.dtype)
-    t.accum_fresh_grad(g)
+    t.slot.accum_fresh_grad(g)
     assert t.grad is g
-    t.accum_fresh_grad(np.ones((2, 3), dtype=t.data.dtype))  # second deposit adds
+    t.slot.accum_fresh_grad(np.ones((2, 3), dtype=t.data.dtype))  # second deposit adds
     np.testing.assert_array_equal(t.grad, 2.0)
     for other in (np.ones((3, 2), dtype=t.data.dtype).T, np.ones((2, 3), dtype=np.float64), np.ones(3)):
         t.grad = None
-        t.accum_fresh_grad(other)
+        t.slot.accum_fresh_grad(other)
         assert t.grad is not other and not np.shares_memory(t.grad, other)
         np.testing.assert_array_equal(t.grad, np.ones((2, 3)))
 

@@ -28,7 +28,7 @@ def _columns(a, lo, hi):
     def bwd(g):
         grad = np.zeros_like(a.data)
         grad[..., lo:hi] = g
-        a.accum_fresh_grad(grad)
+        a.slot.accum_fresh_grad(grad)
 
     return _record(out, bwd)
 
@@ -79,10 +79,10 @@ def layer_norm(a, gain, bias, eps=1e-5):
 
     def bwd(g):
         red = tuple(range(g.ndim - 1))
-        gain.accum_grad((g * xhat).sum(axis=red))
-        bias.accum_grad(g.sum(axis=red))
+        gain.slot.accum_grad((g * xhat).sum(axis=red))
+        bias.slot.accum_grad(g.sum(axis=red))
         dxhat = g * gain.data
-        a.accum_grad(inv * (
+        a.slot.accum_grad(inv * (
             dxhat
             - dxhat.mean(axis=-1, keepdims=True)
             - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -99,7 +99,7 @@ def gelu(a):
 
     def bwd(g):
         dt = (1.0 - t * t) * _GELU_C * (1.0 + 3.0 * _GELU_A * x2)
-        a.accum_grad(g * (0.5 * (1.0 + t) + 0.5 * x * dt))
+        a.slot.accum_grad(g * (0.5 * (1.0 + t) + 0.5 * x * dt))
 
     return _record(out, bwd)
 
@@ -111,7 +111,7 @@ def embedding(table, ids):
     def bwd(g):
         grad = np.zeros_like(table.data)
         np.add.at(grad, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
-        table.accum_fresh_grad(grad)
+        table.slot.accum_fresh_grad(grad)
 
     return _record(out, bwd)
 
