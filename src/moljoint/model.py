@@ -29,13 +29,18 @@ every packed row in one q|k|v GEMM and runs each group on a zero-filled
 masked. Every dropout mask is drawn once for the full padded (B, S, ...)
 batch, at the same point of the RNG stream as with one group, and
 gathered at the cells, so masks and RNG use depend on neither the
-grouping nor the packing; only GEMM rounding can. ``loss_encoder`` reads
-the masked positions and ``forward_predictor`` position 0: nothing after
-the last attention mixes positions, so that block's queries, the rest of
-the block and the final norm run only at each row's reads, padded per
-group with the row's first other positions (a zero row at a PAD cell).
-The final norm's rows are gathered into the (B, S, E) output, or (B, Q,
-E) at the reads, zero elsewhere, so the heads never see the packing.
+grouping nor the packing; only GEMM rounding can. A pass ends with one
+gather of the final norm's rows at the cells its caller reads, in
+row-major (row, position) order: ``loss_decoder`` reads the cells with a
+next token, ``loss_encoder`` the masked cells and ``forward_predictor``
+position 0, so the token head, ``cross_entropy`` and the predictor MLP
+see only rows that are scored. Nothing after the last attention mixes
+positions, so a bidirectional pass given reads runs that block's queries,
+the rest of the block and the final norm only at each row's reads, padded
+per group with the row's first other positions (a zero row at a PAD
+cell). A causal pass runs its whole last block (its bias is not sliced).
+``forward_decoder`` and ``forward_encoder`` run the head on every
+non-PAD cell's row and gather its logits into (B, S, V), zero at PAD.
 ``predict_target`` is ``forward_predictor`` with no tape recording.
 
 Decoding: ``forward_decoder`` with a ``KVCache`` runs ``_decode_step`` on
@@ -290,6 +295,11 @@ def _length_groups(lengths: np.ndarray) -> list[np.ndarray]:
     return [np.sort(order[g]) for g in groups]
 
 
+def _row_numbers(cells: np.ndarray) -> np.ndarray:
+    """Each cell's number among the True cells of the bool array ``cells``, in row-major order, or -1."""
+    return np.where(cells, np.cumsum(cells).reshape(cells.shape) - 1, -1)
+
+
 def _read_positions(reads: np.ndarray) -> np.ndarray:
     """(B, Q) distinct positions per row, its reads first; Q is the most reads in a row, or 1."""
     return np.argsort(~reads, axis=1, kind="stable")[:, :max(int(reads.sum(axis=1).max()), 1)]
@@ -303,14 +313,15 @@ def _transformer(
     rng: Rng | None = None,
     reads: np.ndarray | None = None,
 ) -> Tensor:
-    """Run the trunk; returns the final-normed hidden states (B, S_in, E), zero at the cells it skips.
+    """Run the trunk; returns the final-normed rows (N, E) at the cells ``reads``, in row-major order.
 
     Each row of ``ids`` is one or more non-PAD ids followed only by PAD;
     ValueError otherwise. The position-wise ops run on the packed cells and
     attention per length group (see "Packed cells"). Dropout masks are drawn
     for the whole (B, S, ...) batch, S its longest row, and gathered at the
-    cells. With ``reads`` (bidirectional only; (B, S_in) bool, at non-PAD
-    positions) the output is (B, Q, E) at ``_read_positions(reads)``.
+    cells. ``reads`` is a (B, S_in) bool mask of non-PAD cells, every one by
+    default; given on a bidirectional pass, the last block's queries run only
+    there.
     """
     cfg = params.config
     B, S_in = ids.shape
@@ -329,7 +340,7 @@ def _transformer(
     for g, w in zip(groups, widths):
         run[g, :w] = True
     run.flat[np.flatnonzero(run & ~real)[(-int(lengths.sum())) % MIN_GROUP_ROWS:]] = False
-    number = np.where(run, np.cumsum(run).reshape(B, S_in) - 1, -1)  # each cell's packed row, or -1
+    number = _row_numbers(run)  # each cell's packed row, or -1
     cells = [number[g, :w] for g, w in zip(groups, widths)]
     at = np.nonzero(run)  # each packed row's (row, position)
     biases = [attention_bias(ids[g, :w], causal) for g, w in zip(groups, widths)]
@@ -345,7 +356,7 @@ def _transformer(
         attn = [params[p + "attn." + n] for n in ("wqkv", "bqkv", "wo", "bo")]
         keep = _keep_mask((B, cfg.n_heads, S, S), dropout, rng)
         keeps = None if keep is None else [keep[g, :, :w, :w] for g, w in zip(groups, widths)]
-        if reads is not None and i == cfg.n_layers - 1:  # nothing later mixes positions
+        if reads is not None and not causal and i == cfg.n_layers - 1:  # nothing later mixes positions
             pos = [_read_positions(reads[g]) for g in groups]  # each group's (rows, Q) query positions
             queries = [number[g[:, None], q] for g, q in zip(groups, pos)]
             keeps = keeps and [np.take_along_axis(k, q[:, None, :, None], 2) for k, q in zip(keeps, pos)]
@@ -361,11 +372,10 @@ def _transformer(
         x = nm.add(x, drop(y))
 
     h = nm.layer_norm(x, params["ln_f.g"], params["ln_f.b"])
-    if reads is None:
-        return nm.gather(h, number)
-    number = np.full(ids.shape, -1)  # each query cell's row of h
-    number[at] = np.arange(len(at[0]))
-    return nm.gather(h, np.take_along_axis(number, _read_positions(reads), 1))
+    if queries is not None:
+        number = np.full(ids.shape, -1)  # each query cell's row of h
+        number[at] = np.arange(len(at[0]))
+    return nm.gather(h, number[real if reads is None else reads])
 
 
 def _decode_step(params: JointModelParams, ids: np.ndarray, cache: KVCache) -> Tensor:
@@ -412,12 +422,14 @@ def forward_decoder(
     """
     if cache is not None:
         return _decode_step(params, ids, cache)
-    return nm.matmul(_transformer(params, ids, causal=True, dropout=dropout, rng=rng), params["head.w"])
+    h = _transformer(params, ids, causal=True, dropout=dropout, rng=rng)
+    return nm.gather(nm.matmul(h, params["head.w"]), _row_numbers(ids != PAD_ID))
 
 
 def forward_encoder(params: JointModelParams, ids: np.ndarray, mask: np.ndarray) -> Tensor:
     """Bidirectional forward, without dropout, with MASK-token substitution at hidden positions."""
-    return nm.matmul(_transformer(params, np.where(mask, MASK_ID, ids), causal=False), params["head.w"])
+    h = _transformer(params, np.where(mask, MASK_ID, ids), causal=False)
+    return nm.gather(nm.matmul(h, params["head.w"]), _row_numbers(ids != PAD_ID))
 
 
 def forward_predictor(
@@ -432,8 +444,7 @@ def forward_predictor(
     """
     cfg = params.config
     first = np.broadcast_to(np.arange(ids.shape[1]) == 0, ids.shape)
-    h = _transformer(params, ids, causal=False, dropout=dropout, rng=rng, reads=first)
-    z = nm.take(h, 0, axis=1)
+    z = _transformer(params, ids, causal=False, dropout=dropout, rng=rng, reads=first)
     for i in range(cfg.predictor_layers):
         z = nm.gelu(nm.add(nm.matmul(z, params[f"pred.l{i}.w"]), params[f"pred.l{i}.b"]))
     last = cfg.predictor_layers
@@ -453,12 +464,10 @@ def loss_decoder(
     dropout: float = 0.0,
     rng: Rng | None = None,
 ) -> Tensor:
-    """Mean per-token next-token NLL under causal masking, PAD excluded."""
-    logits = forward_decoder(params, ids, dropout=dropout, rng=rng)
-    targets = np.full_like(ids, PAD_ID)
-    targets[:, :-1] = ids[:, 1:]
-    select = targets != PAD_ID
-    return nm.cross_entropy(logits, targets, select)
+    """Mean per-token next-token NLL under causal masking, scored only at the cells with a next token."""
+    scored = np.pad(ids[:, 1:] != PAD_ID, [(0, 0), (0, 1)])  # the cells with a next token
+    h = _transformer(params, ids, causal=True, dropout=dropout, rng=rng, reads=scored)
+    return nm.cross_entropy(nm.matmul(h, params["head.w"]), np.roll(ids, -1, axis=1)[scored])
 
 
 def loss_encoder(
@@ -473,9 +482,7 @@ def loss_encoder(
         return Tensor(0.0, name="encoder_loss_empty")
     h = _transformer(params, np.where(mask, MASK_ID, ids), causal=False, dropout=dropout, rng=rng,
                      reads=mask)
-    at = _read_positions(mask)
-    logits = nm.matmul(h, params["head.w"])
-    return nm.cross_entropy(logits, np.take_along_axis(ids, at, 1), np.take_along_axis(mask, at, 1))
+    return nm.cross_entropy(nm.matmul(h, params["head.w"]), ids[mask])
 
 
 def loss_prediction(

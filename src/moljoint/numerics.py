@@ -35,8 +35,8 @@ math is array-level (``layer_norm_fwd``, ``gelu_fwd``, ``linear``,
 ``split_heads``, ``attention_fwd``), shared by the tape ops, which keep
 what it returns for backward while a tape records, and by the model's
 tape-free decode step. ``attention`` runs over packed rows, one length
-group at a time, and never over a cache; ``gather`` moves rows between
-the packed layout and the padded ones. Inside ``attention_fwd`` q, k, v, the
+group at a time, and never over a cache; ``gather`` picks rows, a zero
+row where a cell has none. Inside ``attention_fwd`` q, k, v, the
 probabilities and y carry no check of their own; the scores (q k^T plus
 the bias) and the output do. That loses nothing: any NaN or Inf in q or
 k makes a score non-finite; probabilities of finite scores are finite;
@@ -751,32 +751,23 @@ def mean_all(a: Tensor) -> Tensor:
     return _record(out, bwd)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, select: np.ndarray) -> Tensor:
-    """Mean NLL of `targets` under row softmax, over positions where `select`.
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean NLL of the int `targets` (N,) under the row softmax of `logits` (N, V); N >= 1.
 
-    logits (..., V), targets int (...), select bool (...). At least one
-    position must be selected.
+    The NLLs are summed in float64, in row order.
     """
-    targets = np.asarray(targets)
-    select = np.asarray(select, dtype=bool)
-    count = int(select.sum())
-    if count == 0:
-        raise ValueError("cross_entropy: no positions selected")
+    if len(targets) == 0:
+        raise ValueError("cross_entropy: no rows to score")
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - lse
-    picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
-    # sum over the selected subset only (in float64): the value is then
-    # independent of how many masked-out positions surround it
-    out = Tensor(-(picked[select].astype(np.float64).sum() / count), name="cross_entropy")
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    at = np.arange(len(targets)), targets
+    out = Tensor(-(logp[at].astype(np.float64).sum() / len(targets)), name="cross_entropy")
     probs = np.exp(logp)
-    sl = logits.slot
+    sl, w = logits.slot, probs.dtype.type(1.0 / len(targets))
 
     def bwd(g):
         d = probs.copy()
-        idx = targets[..., None]
-        np.put_along_axis(d, idx, np.take_along_axis(d, idx, axis=-1) - 1.0, axis=-1)
-        w = (select / count).astype(d.dtype)
-        sl.accum_fresh_grad(g * d * w[..., None])
+        d[at] -= 1.0
+        sl.accum_fresh_grad(g * d * w)
 
     return _record(out, bwd)

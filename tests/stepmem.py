@@ -1,16 +1,19 @@
 """The heap one training step holds, measured at the README model size.
 
-``step_peak_mb(task)`` is the ``tracemalloc`` peak, in 10^6 B, of one
-``train_step`` on the README model (embed 64, 2 layers, 4 heads, ff 192,
-max_len 32; keyword arguments change its sizes) over ``toy_corpus(200,
-seed=7, min_atoms=6)`` at dropout 0.15: a generation step at batch 64,
-or a labeled prediction step (masked encoder plus predictor, ``toy_mpo``
-targets) at batch 32. Tracing starts just before the step.
+``step_memory_mb(task)`` traces one ``train_step`` on the README model
+(embed 64, 2 layers, 4 heads, ff 192, max_len 32; keyword arguments
+change its sizes) over ``toy_corpus(200, seed=7, min_atoms=6)`` at
+dropout 0.15: a generation step at batch 64, or a labeled prediction step
+(masked encoder plus predictor, ``toy_mpo`` targets) at batch 32. Tracing
+starts just before the step. It returns, in 10^6 B, the ``tracemalloc``
+peak (``step_peak_mb``) and the current value when the step's
+``Tape.backward`` starts (``tape_held_mb``): the bytes the forward left
+live, most of them held by the tape for backward.
 ``minor_faults_per_step()`` counts the minor page faults per generation
 step in this process after warm-up steps, under whatever allocator
 settings the process has (none, unless it set them).
 
-Run as a script in a fresh process to print all three as JSON:
+Run as a script in a fresh process to print all five as JSON:
 
     PYTHONPATH=src python tests/stepmem.py
 """
@@ -22,7 +25,7 @@ import tracemalloc
 from moljoint import datagen, objectives
 from moljoint import training as T
 from moljoint.model import ModelConfig
-from moljoint.numerics import Rng
+from moljoint.numerics import Rng, Tape
 from moljoint.smiles import build_vocabulary
 
 BATCH = {"generation": 64, "prediction": 32}
@@ -52,14 +55,27 @@ def seeded_step(task: str, **model):
     return step
 
 
-def step_peak_mb(task: str, **model) -> float:
+def step_memory_mb(task: str, **model) -> tuple[float, float]:
+    """(peak, current at the start of ``Tape.backward``) of one traced step, in 10^6 B."""
     step = seeded_step(task, **model)
+    held, backward = [], Tape.backward
+
+    def hooked(tape, loss):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return backward(tape, loss)
+
+    Tape.backward = hooked
     tracemalloc.start()
     try:
         step()
-        return tracemalloc.get_traced_memory()[1] / 1e6
+        return tracemalloc.get_traced_memory()[1] / 1e6, held[0] / 1e6
     finally:
         tracemalloc.stop()
+        Tape.backward = backward
+
+
+def step_peak_mb(task: str, **model) -> float:
+    return step_memory_mb(task, **model)[0]
 
 
 def minor_faults_per_step(steps: int = 16, warmup: int = 3) -> float:
@@ -74,8 +90,8 @@ def minor_faults_per_step(steps: int = 16, warmup: int = 3) -> float:
 
 if __name__ == "__main__":
     faults = minor_faults_per_step()  # first, before tracemalloc has allocated anything
-    print(json.dumps({
-        "generation_step_peak_mb": round(step_peak_mb("generation"), 2),
-        "prediction_step_peak_mb": round(step_peak_mb("prediction"), 2),
-        "minor_faults_per_generation_step": round(faults),
-    }))
+    report = {}
+    for task in BATCH:
+        peak, held = step_memory_mb(task)
+        report[f"{task}_step_peak_mb"], report[f"{task}_tape_held_mb"] = round(peak, 2), round(held, 2)
+    print(json.dumps({**report, "minor_faults_per_generation_step": round(faults)}))

@@ -139,7 +139,7 @@ def test_cross_entropy_matches_hand_log_softmax():
     select = np.array([True, True, False, True])
     t = Tensor(logits)
     with nm.using_dtype(np.float64):
-        out = nm.cross_entropy(Tensor(logits), targets, select)
+        out = nm.cross_entropy(Tensor(logits[select]), targets[select])
     # oracle: independent scalar log-softmax
     want = 0.0
     for i in range(4):
@@ -151,9 +151,9 @@ def test_cross_entropy_matches_hand_log_softmax():
     assert abs(out.item() - want) < 1e-5
 
 
-def test_cross_entropy_requires_selection():
+def test_cross_entropy_requires_a_row():
     with pytest.raises(ValueError):
-        nm.cross_entropy(Tensor(np.zeros((2, 3))), np.zeros(2, dtype=int), np.zeros(2, dtype=bool))
+        nm.cross_entropy(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=int))
 
 
 def test_add_gradients_do_not_share_memory():
@@ -389,7 +389,8 @@ def test_randomized_gradients(op_name):
                 select = rng.random(B) < 0.7
                 if not select.any():
                     select[0] = True
-                out = lambda: nm.cross_entropy(logits, targets, select)
+                logits = Tensor(logits.data[select])
+                out = lambda: nm.cross_entropy(logits, targets[select])
                 tensors = [logits]
             elif op_name in ("attention", "attention_kv"):
                 # 1-2 groups of packed rows in a random order, each row's trailing cells

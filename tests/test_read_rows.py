@@ -36,12 +36,9 @@ def _random_model():
 def _full_last_block(monkeypatch):
     transformer = M._transformer
 
-    def full(*args, reads=None, **kwargs):
-        h = transformer(*args, **kwargs)
-        if reads is None:
-            return h
-        B, S, E = h.shape
-        return nm.gather(nm.reshape(h, (B * S, E)), np.arange(B)[:, None] * S + M._read_positions(reads))
+    def full(params, ids, *args, reads=None, **kwargs):
+        h = transformer(params, ids, *args, **kwargs)  # every non-PAD cell's row, row-major
+        return h if reads is None else nm.gather(h, M._row_numbers(ids != PAD_ID)[reads])
 
     monkeypatch.setattr(M, "_transformer", full)
 
@@ -96,3 +93,29 @@ def test_predict_target_matches_the_full_last_block(monkeypatch):
 def test_read_positions_put_each_rows_reads_first():
     reads = np.array([[0, 1, 0, 1], [0, 0, 0, 0], [1, 0, 0, 0]], dtype=bool)
     np.testing.assert_array_equal(M._read_positions(reads), [[1, 3], [0, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("task", [Task.GENERATION, Task.PREDICTION])
+def test_the_heads_score_only_their_rows(task, monkeypatch):
+    """The token head and cross_entropy see one row per scored cell (a cell with a next token, or a
+    masked one), the predictor one row per sequence, and nothing picks position 0 out of a padded array."""
+    params, ids = _random_model()
+    mask = M.sample_mask_vector(ids, 0.15, Rng(2))
+    y = np.linspace(0.1, 0.9, ids.shape[0])
+    rows = {}  # weight name or "cross_entropy" -> the rows of each call
+    matmul, cross_entropy = nm.matmul, nm.cross_entropy
+    monkeypatch.setattr(nm, "matmul", lambda a, b: rows.setdefault(b.name, []).append(a.shape[0]) or matmul(a, b))
+    monkeypatch.setattr(nm, "cross_entropy", lambda logits, *targets: rows.setdefault(
+        "cross_entropy", []).append(logits.shape[0]) or cross_entropy(logits, *targets))
+    with Tape() as tape:
+        M.loss_joint(params, ids, y, mask, task, dropout=0.2, rng=Rng(9))
+    if task is Task.GENERATION:
+        scored = int((ids[:, 1:] != PAD_ID).sum())
+        assert not any(n.startswith("pred.") for n in rows)
+    else:
+        scored = int(mask.sum())
+        assert {n: r for n, r in rows.items() if n.startswith("pred.")} == {
+            n: [ids.shape[0]] for n in params.predictor_names() if n.endswith(".w")}
+    assert rows["head.w"] == [scored]
+    assert rows["cross_entropy"] == [scored]
+    assert "take" not in [out.name for out, _ in tape._ops]

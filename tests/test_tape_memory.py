@@ -123,19 +123,24 @@ def test_no_backward_holds_a_tensor(task):
     assert len(tape) > 0
 
 
-def test_attention_saves_arrays_of_its_own():
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_attention_saves_arrays_of_its_own(dropout):
     """q, k^T, v and the probabilities of each group own their values: no view keeps the group's
-    gathered q|k|v rows, three times as wide as v."""
+    gathered q|k|v rows, three times as wide as v. So does each group's block of the attention-dropout
+    mask: none keeps the full (B, n_heads, S, S) mask alive."""
     params, ids = _small_model()
     with Tape() as tape:
-        M.loss_decoder(params, ids)
-    saved = [a for out, bwd in tape._ops if out.name == "attention"
-             for group in bwd.__closure__[bwd.__code__.co_freevars.index("saved")].cell_contents for a in group]
+        M.loss_decoder(params, ids, dropout=dropout, rng=Rng(0))
+    bwds = [bwd for out, bwd in tape._ops if out.name == "attention"]
+    held = lambda bwd, name: bwd.__closure__[bwd.__code__.co_freevars.index(name)].cell_contents  # noqa: E731
+    saved = [a for bwd in bwds for group in held(bwd, "saved") for a in group]
+    keeps = [k for bwd in bwds for k in held(bwd, "keeps") if k is not None]
     assert len(saved) >= 4 * params.config.n_layers
-    assert [a.shape for a in saved if a.base is not None] == []
+    assert len(keeps) == (len(saved) // 4 if dropout else 0)
+    assert [a.shape for a in saved + keeps if a.base is not None] == []
 
 
-# this code peaks at 17.45 and 13.18 MB, a tape that kept every op output at 23.75 and 18.12;
+# this code peaks at 17.15 and 13.15 MB, a tape that kept every op output at 23.75 and 18.12;
 # each bound leaves more than 10% over the first
 @pytest.mark.parametrize("task, bound_mb", [("generation", 20.0), ("prediction", 15.0)])
 def test_one_readme_size_step_stays_under_its_heap_bound(task, bound_mb):
