@@ -200,11 +200,6 @@ def cmd_pretrain(args) -> int:
     }).to_json())
 
 
-def _sampled_strings(state: Checkpoint, n: int, seed: int) -> list[str]:
-    cfg = gen.SamplerConfig(seed=seed)
-    return [s.smiles for s in gen.sample_batch(state.params, state.vocab, cfg, n)]
-
-
 def cmd_finetune(args) -> int:
     base = _load_checkpoint(args.checkpoint)
     _require_path(args.data, "data")  # a missing file is reported before a bad objective
@@ -212,21 +207,13 @@ def cmd_finetune(args) -> int:
     _, dataset = _read_dataset(args.data, "data", base.model_config.max_len, base.vocab,
                                labeled=objective is None, objective=objective)
     tcfg = _config(TrainConfig, args)
-    before = _sampled_strings(base, args.eval_samples, args.seed) if args.eval_samples else []
-
-    def metrics(state, ckpt_dir) -> str:
-        doc = {"seed": args.seed, "config_hash": _config_hash(asdict(tcfg))}
-        if args.eval_samples:
-            doc["validity_before"] = ev.validity(before)
-            doc["validity_after"] = ev.validity(_sampled_strings(state, args.eval_samples, args.seed))
-        return json.dumps(doc, indent=1, sort_keys=True)
-
+    metrics = json.dumps({"seed": args.seed, "config_hash": _config_hash(asdict(tcfg))}, indent=1, sort_keys=True)
     start = Checkpoint.start(base.vocab, base.model_config, tcfg,
                              weights={n: t.data for n, t in base.params.tensors.items()})
     return _train_run(args, start, dataset, {
         "checkpoint": args.checkpoint, "data": args.data,
         "objective": asdict(objective) if objective else None, "train": asdict(tcfg),
-    }, metrics)
+    }, lambda state, ckpt_dir: metrics)
 
 
 def cmd_sample(args) -> int:
@@ -363,8 +350,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True,
                    help="SMILES<TAB>float file, or plain SMILES with --objective")
     _add_objective_flags(p, "auto-label --data with this objective")
-    p.add_argument("--eval-samples", type=_count, default=0,
-                   help="sample count for before/after validity (0 = skip)")
     _add_config_flags(p.add_argument_group("training"), TrainConfig, TrainConfig.finetune_defaults())
     _add_common(p)
     p.set_defaults(func=cmd_finetune)

@@ -27,6 +27,12 @@ passed on unchanged (``add``, ``sub``, ``reshape``) or a view into a
 shared buffer always goes through ``accum_grad``. An op output's
 gradient is released once its backward has run; leaves keep theirs.
 
+Broadcasting (``add``, ``sub``, ``mul``, ``matmul``) is over leading axes
+only: an operand may lack leading axes of the other, and backward sums
+its gradient over them. A Tensor operand whose size-1 axis broadcasts
+gets no such sum: backward raises ``ValueError`` when it deposits the
+gradient. A constant operand may broadcast either way.
+
 Every op validates its output: NaN or Inf anywhere is a hard error
 (``NonFiniteError``), never silently propagated.
 
@@ -289,14 +295,9 @@ def _record(out: Tensor, backward_fn) -> Tensor:
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
-    """Reduce a gradient produced under numpy broadcasting back to `shape`."""
+    """Sum a gradient over the leading axes that broadcasting put in front of `shape`."""
     extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
+    return grad.sum(axis=tuple(range(extra))) if extra else grad
 
 
 def _as_data(x, like: Tensor) -> np.ndarray:
@@ -309,7 +310,7 @@ def _slot_of(x) -> Slot | None:
 
 
 def add(a: Tensor, b) -> Tensor:
-    """Elementwise a + b with numpy broadcasting; b may be a constant."""
+    """Elementwise a + b, broadcasting over leading axes; b may be a constant."""
     out = Tensor(a.data + _as_data(b, a), name="add")
     sa, sb = a.slot, _slot_of(b)
 
@@ -334,7 +335,7 @@ def sub(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    """Elementwise a * b with broadcasting; b may be a constant (no grad).
+    """Elementwise a * b, broadcasting over leading axes; b may be a constant (no grad).
 
     Backward keeps b's values, and a's only when b is a Tensor.
     """
@@ -351,24 +352,12 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, broadcasting leading axes."""
+    """Matrix product over the last two axes; one operand may lack the other's leading axes."""
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul expects tensors with ndim >= 2")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
     A, B, sa, sb = a.data, b.data, a.slot, b.slot
-    k = A.shape[-1]
-    if A.ndim > 2 and B.ndim == 2:
-        # flatten the batch axes into one GEMM (the model's hot path)
-        out = Tensor((A.reshape(-1, k) @ B).reshape(A.shape[:-1] + (B.shape[-1],)), name="matmul")
-
-        def bwd(g):
-            g2 = g.reshape(-1, B.shape[-1])
-            sa.accum_fresh_grad((g2 @ B.T).reshape(sa.shape))
-            sb.accum_fresh_grad(A.reshape(-1, k).T @ g2)
-
-        return _record(out, bwd)
-
     out = Tensor(A @ B, name="matmul")
 
     def bwd(g):

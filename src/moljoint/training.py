@@ -35,7 +35,7 @@ import numpy as np
 from . import checkpoint as ckpt_io
 from . import model as mdl
 from .model import JointModelParams, ModelConfig, Task, bounded, check_bounds
-from .numerics import LN_EPS, NonFiniteError, Rng, Tape
+from .numerics import LN_EPS, NonFiniteError, Rng, Tape, check_finite
 from .smiles import TokenSequence, Vocabulary, tokenize
 
 
@@ -139,7 +139,8 @@ class AdamW:
 
     Decay set: tensors with ndim >= 2 except the embedding tables. Step
     counts are per parameter because a step only updates the parameters
-    participating in that step's loss.
+    participating in that step's loss. An update that leaves a parameter
+    non-finite raises ``NonFiniteError`` naming it.
     """
 
     def __init__(self, params: JointModelParams):
@@ -168,6 +169,7 @@ class AdamW:
             if n in self.decay_set:
                 upd = upd + cfg.weight_decay * t.data
             t.data -= (lr * upd).astype(t.data.dtype)
+            check_finite(t.data, f"{n} (AdamW update)")  # lr * upd can overflow: fail before a save
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {f"{k}:{n}": moments[n] for n in self.m for k, moments in (("m", self.m), ("v", self.v))}
@@ -222,14 +224,7 @@ def train_step(
     """One optimization step; returns (loss value, branch taken)."""
     ids, y = batch
     task = Task.GENERATION if rng.random() < cfg.p_task else Task.PREDICTION
-    mask = None
-    if task is Task.PREDICTION:
-        mask = mdl.sample_mask_vector(ids, cfg.mask_rate, rng)
-        if y is None and not mask.any():
-            # nothing to optimize on this branch (no targets and an empty
-            # masked-token term): the step is a no-op
-            return 0.0, task
-
+    mask = mdl.sample_mask_vector(ids, cfg.mask_rate, rng) if task is Task.PREDICTION else None
     for t in params.tensors.values():
         t.grad = None
     try:
@@ -239,13 +234,13 @@ def train_step(
         if not math.isfinite(value):
             raise NonFiniteError(f"loss = {value}")
         tape.backward(loss)
+        # a tensor the loss never reached keeps grad None and sits this step out; an unlabeled
+        # prediction step with an empty mask reaches none, and its loss is 0
+        names = [n for n, t in params.tensors.items() if t.grad is not None]
+        clip_gradients(params, names, cfg.grad_clip)
+        opt.step(params, cfg, lr_at(it, cfg), names)
     except NonFiniteError as e:
         raise NonFiniteError(f"training aborted at iter {it} ({task.value} step): {e}") from None
-
-    # a tensor the loss never reached keeps grad None and sits this step out
-    names = [n for n, t in params.tensors.items() if t.grad is not None]
-    clip_gradients(params, names, cfg.grad_clip)
-    opt.step(params, cfg, lr_at(it, cfg), names)
     return value, task
 
 

@@ -11,7 +11,12 @@ peak (``step_peak_mb``) and the current value when the step's
 live, most of them held by the tape for backward.
 ``minor_faults_per_step()`` counts the minor page faults per generation
 step in this process after warm-up steps, under whatever allocator
-settings the process has (none, unless it set them).
+settings the process has (none, unless it set them). The fault test in
+``test_cli.py`` runs it in a fresh process after ``cli._keep_freed_memory()``.
+Without allocator settings the count repeats for one command line, but it
+moves with process state that has nothing to do with the step (the same
+steps read differently from this script and from ``python -c``), so it
+cannot support a claim; the heap figures repeat exactly.
 
 Run as a script in a fresh process to print all five as JSON:
 

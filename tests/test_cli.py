@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -479,7 +480,7 @@ def test_evaluate_validates_each_string_once(workdir, tmp_path, monkeypatch, sou
     ["optimize", "--y-c", "nan", "--eval-budget", "2", "--sample-budget", "4"],
     ["sample", "-n", "-3"],
     ["optimize", "--y-c", "inf", "--eval-budget", "2", "--sample-budget", "4"],
-    ["finetune", "--max-iters", "1", "--eval-samples", "-1"],
+    ["finetune", "--max-iters", "-1", "--objective", "toy_mpo"],
     ["evaluate", "--n-samples", "-3", "--objective", "toy_mpo"],
     ["evaluate", "--n-samples", "0", "--objective", "toy_mpo"],
     ["evaluate", "--n-samples", "4", "--histograms"],
@@ -488,7 +489,7 @@ def test_evaluate_validates_each_string_once(workdir, tmp_path, monkeypatch, sou
 ], ids=["n_heads", "batch_size", "sigma", "objective_key", "non_finite",
         "params_without_objective_optimize", "params_without_objective_finetune",
         "params_without_objective_evaluate", "max_new_tokens_negative", "max_new_tokens_past_max_len",
-        "temperature_nan", "temperature_inf", "y_c_nan", "n_negative", "y_c_inf", "eval_samples_negative",
+        "temperature_nan", "temperature_inf", "y_c_nan", "n_negative", "y_c_inf", "finetune_max_iters_negative",
         "n_samples_negative", "objective_without_samples", "histograms_without_data", "decay_lr_ture",
         "sample_y_on"])
 def test_bad_setting_exits_1_before_the_run_starts(workdir, tmp_path, capsys, argv):
@@ -514,6 +515,44 @@ def test_train_config_out_of_bounds_exits_1_before_the_run_starts(workdir, tmp_p
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "Traceback" not in err
     assert not out.exists()
+
+
+_UPDATE_OVERFLOWS = "iter 0 (generation step): non-finite values in op output tok_emb (AdamW update)"
+
+
+@pytest.mark.parametrize("lr, iters, failure", [
+    ("1e39", ["--max-iters", "1"], _UPDATE_OVERFLOWS),
+    ("1e39", ["--max-iters", "2", "--eval-interval", "1"], _UPDATE_OVERFLOWS),
+    ("1e30", ["--max-iters", "3"], "iter 1 (generation step): non-finite values in attention scores"),
+], ids=["update_overflows", "update_overflows_before_a_periodic_save", "forward_overflows"])
+def test_numeric_blow_up_exits_3_and_saves_nothing(workdir, tmp_path, capsys, lr, iters, failure):
+    """lr 1e39 is finite, but lr * update overflows float32; lr 1e30 makes the next forward overflow."""
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["pretrain", "--data", str(workdir / "corpus.txt"), *TRAIN_ARGS, *iters,
+                     "--warmup-iters", "0", "--lr-max", lr, "--lr-min", lr, "--out-dir", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"numeric failure: training aborted at {failure}")
+    assert not (out / "checkpoint").exists()
+
+
+@pytest.mark.parametrize("line, error", [("CCC\tabc", "bad target 'abc'"), ("CCC", "expected 'SMILES<TAB>float'")],
+                         ids=["bad_target", "no_target"])
+def test_bad_line_in_finetune_data_exits_2_naming_it(workdir, tmp_path, capsys, line, error):
+    (tmp_path / "labeled.tsv").write_text(f"CCO\t0.5\n{line}\n")
+    out = tmp_path / "run"
+    assert main(["finetune", "--checkpoint", str(workdir / "pre" / "checkpoint"),
+                 "--data", str(tmp_path / "labeled.tsv"), "--max-iters", "1", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: line 2: {error}")
+    assert not out.exists()
+
+
+def test_run_without_out_dir_goes_under_runs(workdir, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--checkpoint", str(workdir / "pre" / "checkpoint"), "-n", "2"]) == 0
+    (run,) = (tmp_path / "runs").iterdir()
+    assert re.fullmatch(r"\d{8}-\d{6}-sample", run.name)
+    assert len((run / "samples.tsv").read_text().splitlines()) == 2
 
 
 def test_evaluate_requires_some_input(tmp_path):
@@ -587,36 +626,21 @@ def test_each_config_field_is_one_flag_with_the_config_default():
     assert parse("finetune", "--checkpoint", "c", "--data", "d", "--decay-lr").decay_lr is True
 
 
-# README model size, batch 64, generation steps only
+# stepmem's README-size generation steps, run under the CLI's allocator settings
 _FAULTS_PER_STEP = textwrap.dedent("""
-    import json, resource
-    from moljoint import cli, datagen, training as T
-    from moljoint.model import ModelConfig
-    from moljoint.smiles import build_vocabulary
+    import json
+    import stepmem
+    from moljoint import cli
 
     applied = cli._keep_freed_memory()
-    lines = datagen.toy_corpus(200, seed=7, min_atoms=6)
-    vocab = build_vocabulary(lines)
-    dataset = T.encode_corpus(lines, vocab, 32)
-    mcfg = ModelConfig(vocab_size=len(vocab), max_len=32, embed_dim=64, n_layers=2,
-                       n_heads=4, ff_dim=192)
-    cfg = T.TrainConfig(p_task=1.0, batch_size=64, max_iters=8, dropout=0.15, seed=0)
-    before = []
-
-    def after_step(it, loss, task):
-        if it == 2:  # warm-up done: count the last 5 of 8 steps
-            before.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
-
-    T.train(T.Checkpoint.start(vocab, mcfg, cfg), dataset, log_cb=after_step)
-    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before[0]) / 5
-    print(json.dumps({"applied": applied, "faults_per_step": faults}))
+    print(json.dumps({"applied": applied, "faults_per_step": stepmem.minor_faults_per_step()}))
 """)
 
 
 def test_cli_allocator_keeps_training_steps_free_of_page_faults():
     """Freed step memory stays in the process, so later steps fault nothing in."""
     src = str(Path(moljoint.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(Path(__file__).parent)]), OPENBLAS_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP], env=env,
                          capture_output=True, text=True, check=True, timeout=300)
     result = json.loads(out.stdout.splitlines()[-1])

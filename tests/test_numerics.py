@@ -167,6 +167,19 @@ def test_add_gradients_do_not_share_memory():
     np.testing.assert_array_equal(b.grad, np.arange(12.0).reshape(3, 4))
 
 
+def test_add_sums_gradients_over_leading_axes_only():
+    a, b = Tensor(np.ones((3, 4))), Tensor(np.ones(4))
+    with Tape() as tape:
+        loss = nm.sum_all(nm.add(a, b))
+    tape.backward(loss)
+    np.testing.assert_array_equal(b.grad, np.full(4, 3.0))
+    c = Tensor(np.ones((1, 4)))  # its size-1 axis broadcasts, and nothing sums the gradient over it
+    with Tape() as tape:
+        loss = nm.sum_all(nm.add(a, c))
+    with pytest.raises(ValueError):
+        tape.backward(loss)
+
+
 def test_fresh_matmul_input_gradient_is_adopted_not_copied(monkeypatch):
     copied = []
     accum_grad = nm.Slot.accum_grad

@@ -139,6 +139,29 @@ def test_labeled_step_with_empty_mask_leaves_token_head_alone(setup):
     assert np.abs(params["pred.l0.w"].data - phi_before).max() > 0
 
 
+def test_unlabeled_step_with_empty_mask_changes_nothing(setup):
+    """No masked positions and no targets: the loss is 0 and reaches no parameter."""
+    _, _, mcfg, dataset = setup
+    cfg = _cfg(p_task=0.0, mask_rate=0.0, dropout=0.2)
+    params = JointModelParams(mcfg, Rng(4))
+    opt = AdamW(params)
+    rng, ref = Rng(6), Rng(6)
+    batch = T._batch(dataset, rng, cfg)
+    T._batch(dataset, ref, cfg)
+    T.train_step(params, opt, batch, _cfg(p_task=0.0), Rng(0), 4)  # moments and step counts not all zero
+    before = {n: (t.data.copy(), opt.m[n].copy(), opt.v[n].copy()) for n, t in params.tensors.items()}
+    steps = dict(opt.steps)
+    assert any(steps.values())
+    assert T.train_step(params, opt, batch, cfg, rng, 5) == (0.0, Task.PREDICTION)
+    for n, arrays in before.items():
+        for now, then in zip((params[n].data, opt.m[n], opt.v[n]), arrays):
+            np.testing.assert_array_equal(now, then)
+    assert opt.steps == steps
+    ref.random()  # the task switch
+    ref.random(batch[0].shape)  # the mask; no dropout is drawn
+    assert rng.get_state() == ref.get_state()
+
+
 def test_generation_step_leaves_predictor_grads_none(setup):
     _, _, mcfg, dataset = setup
     cfg = _cfg(p_task=1.0)
