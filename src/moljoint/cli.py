@@ -204,9 +204,9 @@ def cmd_finetune(args) -> int:
     base = _load_checkpoint(args.checkpoint)
     _require_path(args.data, "data")  # a missing file is reported before a bad objective
     objective = _objective(args)
+    tcfg = _config(TrainConfig, args)  # every flag is checked before the data is read
     _, dataset = _read_dataset(args.data, "data", base.model_config.max_len, base.vocab,
                                labeled=objective is None, objective=objective)
-    tcfg = _config(TrainConfig, args)
     metrics = json.dumps({"seed": args.seed, "config_hash": _config_hash(asdict(tcfg))}, indent=1, sort_keys=True)
     start = Checkpoint.start(base.vocab, base.model_config, tcfg,
                              weights={n: t.data for n, t in base.params.tensors.items()})
@@ -423,7 +423,7 @@ def main(argv=None) -> int:
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except NonFiniteError as e:
+    except (NonFiniteError, RuntimeWarning) as e:  # numpy's overflow warnings raise under -W error
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ConfigError, ValueError) as e:  # a config dataclass rejects a bad value with ValueError

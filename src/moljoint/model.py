@@ -15,8 +15,8 @@ Losses:
                         prediction -> encoder (+ prediction when labeled)
 
 Packed cells: every trunk pass, for training and inference alike, runs
-its position-wise ops (embedding add, layer norms, feed-forward GEMMs,
-GELU, residual adds, dropout) as one tape op per layer over the batch's
+its position-wise ops (embedding add, layer norms, the feed-forward
+block, residual adds, dropout) as one tape op per layer over the batch's
 non-PAD cells, packed into rows, plus PAD cells as filler up to a
 multiple of ``MIN_GROUP_ROWS`` rows, so that a BLAS kernel that rounds the
 last rows of a call its own way (the layer-norm GEMV does, by row count
@@ -26,10 +26,11 @@ MIN_GROUP_ROWS)`` groups of equal count, and neighbours that trim to the
 same width merge. ``numerics.attention``, one tape op per layer, projects
 every packed row in one q|k|v GEMM and runs each group on a zero-filled
 (rows, width) copy, the group's longest row wide, with the PAD keys
-masked. Every dropout mask is drawn once for the full padded (B, S, ...)
-batch, at the same point of the RNG stream as with one group, and
-gathered at the cells, so masks and RNG use depend on neither the
-grouping nor the packing; only GEMM rounding can. A pass ends with one
+masked. Every dropout mask is a bool array drawn once for the full padded
+(B, S, ...) batch, at the same point of the RNG stream as with one group,
+and gathered at the cells, so masks and RNG use depend on neither the
+grouping nor the packing; only GEMM rounding can. The tape ops keep it as
+bool and build its float multipliers only to use them. A pass ends with one
 gather of the final norm's rows at the cells its caller reads, in
 row-major (row, position) order: ``loss_decoder`` reads the cells with a
 next token, ``loss_encoder`` the masked cells and ``forward_predictor``
@@ -215,12 +216,8 @@ def attention_bias(ids: np.ndarray, causal: bool) -> np.ndarray:
 
 
 def _keep_mask(shape, rate: float, rng: Rng | None) -> np.ndarray | None:
-    """Inverted-dropout multipliers (0, or 1 / (1 - rate)) where a float32 uniform
-    is >= rate; None when dropout is off."""
-    if rate <= 0.0 or rng is None:
-        return None
-    dtype = nm.current_dtype()
-    return np.multiply(rng.random_at_least(shape, rate), dtype(1) / dtype(1.0 - rate), dtype=dtype)
+    """The bool dropout mask, True where a float32 uniform is >= rate; None when dropout is off."""
+    return None if rate <= 0.0 or rng is None else rng.random_at_least(shape, rate)
 
 
 class KVCache:
@@ -317,9 +314,9 @@ def _transformer(
 
     Each row of ``ids`` is one or more non-PAD ids followed only by PAD;
     ValueError otherwise. The position-wise ops run on the packed cells and
-    attention per length group (see "Packed cells"). Dropout masks are drawn
-    for the whole (B, S, ...) batch, S its longest row, and gathered at the
-    cells. ``reads`` is a (B, S_in) bool mask of non-PAD cells, every one by
+    attention per length group (see "Packed cells"). Bool dropout masks are
+    drawn for the whole (B, S, ...) batch, S its longest row, and gathered at
+    the cells. ``reads`` is a (B, S_in) bool mask of non-PAD cells, every one by
     default; given on a bidirectional pass, the last block's queries run only
     there.
     """
@@ -347,7 +344,7 @@ def _transformer(
 
     def drop(x: Tensor) -> Tensor:
         keep = _keep_mask((B, S, cfg.embed_dim), dropout, rng)
-        return x if keep is None else nm.mul(x, keep[at])
+        return x if keep is None else nm.dropout(x, keep[at], dropout)
 
     x = drop(nm.add(nm.embedding(params["tok_emb"], ids[at]), nm.embedding(params["pos_emb"], at[1])))
     queries = None
@@ -363,12 +360,12 @@ def _transformer(
             rows = np.concatenate([np.repeat(g, q.shape[1]) for g, q in zip(groups, pos)])
             at = (rows, np.concatenate([q.ravel() for q in pos]))  # each query row's (row, position)
         y = nm.attention(nm.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"]), *attn, cells, biases,
-                         cfg.n_heads, keeps, queries)
+                         cfg.n_heads, keeps, queries, dropout)
         if queries is not None:
             x = nm.gather(x, number[at])
         x = nm.add(x, drop(y))
-        y = nm.matmul(nm.gelu(nm.matmul(nm.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"]),
-                                        params[p + "ff.w1"])), params[p + "ff.w2"])
+        y = nm.feed_forward(nm.layer_norm(x, params[p + "ln2.g"], params[p + "ln2.b"]), params[p + "ff.w1"],
+                            params[p + "ff.w2"])
         x = nm.add(x, drop(y))
 
     h = nm.layer_norm(x, params["ln_f.g"], params["ln_f.b"])

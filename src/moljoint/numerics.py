@@ -8,14 +8,15 @@ switch to float64 with ``using_dtype``.
 
 Lifetimes: a ``Tensor`` is its values plus a ``Slot`` that holds its
 ``grad``, shape, dtype and name. A backward closure holds its inputs'
-slots and only the arrays its backward reads: ``matmul``'s operands,
-``mul``'s b and, when b is a Tensor, its a, ``gelu``'s input and tanh
-term, ``layer_norm``'s x-hat and 1 / std, ``attention``'s input,
-pre-projection rows and per-group q, k^T, v and probabilities, and
-``cross_entropy``'s probabilities. Any other op output (an ``add``, a
-dropout ``mul``, the logits) is freed as soon as the forward drops its
-last reference to it, so a recording tape holds what backward reads and
-nothing more; whatever the caller still holds stays valid.
+slots and only the arrays its backward reads, in their narrowest form:
+``matmul``'s operands, ``mul``'s b and, when b is a Tensor, its a, GELU's
+input and tanh term (``feed_forward`` keeps its own input too and
+rebuilds the GELU output), ``layer_norm``'s x-hat and 1 / std,
+``attention``'s input, pre-projection rows and per-group q, k^T, v and
+probabilities, ``cross_entropy``'s probabilities, and bool dropout masks.
+Any other op output (an ``add``, a ``dropout``, the logits) is freed as
+soon as the forward drops its last reference to it, and ``Tape.backward``
+drops each closure once it has run; what the caller holds stays valid.
 
 Backward protocol: the tape calls an op's backward with its output's
 gradient, and only when that output received one, so a tensor the loss
@@ -233,10 +234,10 @@ class Tape:
 
     Use as a context manager around the forward pass; ``backward`` then
     replays the recorded ops in exact reverse execution order. Tapes do
-    not nest (single-writer). Each backward holds its inputs' slots and
-    only the arrays it reads (a GEMM's operands, a layer norm's x-hat and
-    1 / std, ...), so while the tape lives it keeps those arrays and every
-    gradient, and no op output that no backward reads.
+    not nest (single-writer), and ``backward`` runs once. Each backward
+    holds its inputs' slots and only the arrays it reads (a GEMM's
+    operands, a layer norm's x-hat and 1 / std, ...), and ``backward``
+    drops it once it has run; ``len`` still counts the recorded ops.
     """
 
     def __init__(self):
@@ -268,8 +269,12 @@ class Tape:
         """
         if loss.data.size != 1:
             raise ValueError(f"backward root must be scalar, got shape {loss.shape}")
+        if self._ops and self._ops[-1][1] is None:
+            raise RuntimeError("backward has already run on this tape")
         loss.grad = np.ones_like(loss.data)
-        for out, bwd in reversed(self._ops):
+        for i in reversed(range(len(self._ops))):
+            out, bwd = self._ops[i]
+            self._ops[i] = (out, None)  # the arrays only this backward reads die once it has run
             if out.grad is not None:
                 bwd(out.grad)
                 out.grad = None  # every consumer ran before this op: the buffer is dead
@@ -347,6 +352,21 @@ def mul(a: Tensor, b) -> Tensor:
         sa.accum_fresh_grad(_unbroadcast(g * bdata, sa.shape))
         if sb is not None:
             sb.accum_fresh_grad(_unbroadcast(g * adata, sb.shape))
+
+    return _record(out, bwd)
+
+
+def _multipliers(keep: np.ndarray | None, rate: float, dtype) -> np.ndarray | None:
+    """Inverted-dropout multipliers of the bool mask ``keep`` (1 / (1 - rate) where True, else 0), or None."""
+    return None if keep is None else np.multiply(keep, dtype(1) / dtype(1.0 - rate), dtype=dtype)
+
+
+def dropout(a: Tensor, keep: np.ndarray, rate: float) -> Tensor:
+    """Inverted dropout by a bool mask of a's shape; backward keeps the mask and builds the multipliers again."""
+    out, sa = Tensor(a.data * _multipliers(keep, rate, _DTYPE), name="dropout"), a.slot
+
+    def bwd(g):
+        sa.accum_fresh_grad(g * _multipliers(keep, rate, g.dtype.type))
 
     return _record(out, bwd)
 
@@ -513,7 +533,7 @@ def attention_fwd(q: np.ndarray, kT: np.ndarray, v: np.ndarray, bias, keep: np.n
 
 def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wo: Tensor, bo: Tensor, cells: list[np.ndarray],
               biases: list, n_heads: int, keeps: list | None = None,
-              queries: list[np.ndarray] | None = None) -> Tensor:
+              queries: list[np.ndarray] | None = None, rate: float = 0.0) -> Tensor:
     """Multi-head attention of the packed normed rows x (N, E), through the output projection.
 
     ``wqkv`` (E, 3E) and ``bqkv`` (3E) hold q, k and v side by side. Group i's
@@ -521,8 +541,8 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wo: Tensor, bo: Tensor, cel
     cell has none; the groups' cells hold each row of x once. One GEMM
     projects every row. Each group then runs the scores, softmax and p.v on
     a (rows, width) copy of its projections, zero at the empty cells, which
-    ``biases[i]`` must mask; ``keeps[i]`` holds its attention-dropout
-    multipliers (see ``attention_fwd``). The output projection is one GEMM,
+    ``biases[i]`` must mask; ``keeps[i]`` is its bool attention-dropout mask
+    at ``rate`` (``attention_fwd`` takes its multipliers). The output projection is one GEMM,
     and the output (N, E) is in x's rows. With ``queries``, group i's
     queries are the (rows, Q) rows of x it lists (a zero row at -1): only
     those rows take the q columns, and the output is (sum of rows * Q, E),
@@ -548,7 +568,7 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wo: Tensor, bo: Tensor, cel
         if queries is not None:
             heads = split_heads(qs[o], len(c), n_heads, E) + heads
         kT = np.ascontiguousarray(heads[1].swapaxes(-1, -2))
-        q, p, yc = attention_fwd(heads[0], kT, heads[2], bias, keep)
+        q, p, yc = attention_fwd(heads[0], kT, heads[2], bias, _multipliers(keep, rate, _DTYPE))
         if _TAPE is not None:  # v copied, so that no view keeps the group's gathered q|k|v rows
             saved.append((q, kT, np.ascontiguousarray(heads[2]), p))
         ys.append(yc)
@@ -573,10 +593,11 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wo: Tensor, bo: Tensor, cel
                 grads.insert(0, dqs[o[0]:o[-1] + 1].reshape(rows, -1, n_heads, hd).transpose(0, 2, 1, 3))
             dq, dk, dv = grads
             dyc = _rows_at(dy, o).reshape(rows, -1, n_heads, hd).transpose(0, 2, 1, 3)
-            np.matmul((p if keep is None else p * keep).swapaxes(-1, -2), dyc, out=dv)
+            m = _multipliers(keep, rate, g.dtype.type)
+            np.matmul((p if m is None else p * m).swapaxes(-1, -2), dyc, out=dv)
             ds = dyc @ v.swapaxes(-1, -2)
-            if keep is not None:
-                ds *= keep
+            if m is not None:
+                ds *= m
             # softmax backward, in place: ds = p * (ds - rowsum(ds * p))
             ds -= np.einsum("...t,...t->...", ds, p)[..., None]
             ds *= p
@@ -684,8 +705,26 @@ def gelu_fwd(x: np.ndarray, out: np.ndarray | None = None):
     return y, t
 
 
+def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g (0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3A x^2)), GELU's backward by ``gelu_fwd``'s tanh term t."""
+    d = np.multiply(x, x)
+    d *= 3.0 * _GELU_A
+    d += 1.0
+    s = np.multiply(t, t)
+    np.subtract(1.0, s, out=s)
+    s *= _GELU_C
+    s *= d
+    s *= x
+    s *= 0.5
+    np.add(t, 1.0, out=d)
+    d *= 0.5
+    s += d
+    s *= g
+    return s
+
+
 def gelu(a: Tensor) -> Tensor:
-    """``gelu_fwd`` as a tape op; backward fills two buffers in place and keeps only the tanh.
+    """``gelu_fwd`` as a tape op; backward keeps the input and the tanh term.
 
     With no tape recording nothing reads the tanh term afterwards, so it is made one
     block of values at a time, and a pass over many rows holds one wide buffer fewer.
@@ -697,25 +736,29 @@ def gelu(a: Tensor) -> Tensor:
             gelu_fwd(flat[i:i + _GELU_BLOCK], y.reshape(-1)[i:i + _GELU_BLOCK])
         return _record(Tensor(y, name="gelu"), None)
     y, t = gelu_fwd(x)
-    out = Tensor(y, name="gelu")
-    sa = a.slot
+    out, sa = Tensor(y, name="gelu"), a.slot
 
     def bwd(g):
-        # g * (0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3A x^2))
-        d = np.multiply(x, x)
-        d *= 3.0 * _GELU_A
-        d += 1.0
-        s = np.multiply(t, t)
-        np.subtract(1.0, s, out=s)
-        s *= _GELU_C
-        s *= d
-        s *= x
-        s *= 0.5
-        np.add(t, 1.0, out=d)
-        d *= 0.5
-        s += d
-        s *= g
-        sa.accum_fresh_grad(s)
+        sa.accum_fresh_grad(_gelu_grad(x, t, g))
+
+    return _record(out, bwd)
+
+
+def feed_forward(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
+    """gelu(x @ w1) @ w2 for x (N, E) as one tape op, checked as those three ops are; backward
+    keeps x, the pre-activation h and the tanh term t, and rebuilds the GELU output from h and t."""
+    if _TAPE is None:  # the three ops: gelu's blocked path, and h dies before the second GEMM
+        return matmul(gelu(matmul(x, w1)), w2)
+    X, W1, W2, sx, s1, s2 = x.data, w1.data, w2.data, x.slot, w1.slot, w2.slot
+    h = check_finite(X @ W1, "matmul")
+    f, t = gelu_fwd(h)
+    out = Tensor(check_finite(f, "gelu") @ W2, name="matmul")
+
+    def bwd(g):
+        s2.accum_fresh_grad(((t + 1.0) * h * 0.5).T @ g)  # the GELU output, in gelu_fwd's op order
+        dh = _gelu_grad(h, t, g @ W2.T)
+        sx.accum_fresh_grad(dh @ W1.T)
+        s1.accum_fresh_grad(X.T @ dh)
 
     return _record(out, bwd)
 

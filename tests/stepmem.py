@@ -8,7 +8,11 @@ dropout 0.15: a generation step at batch 64, or a labeled prediction step
 starts just before the step. It returns, in 10^6 B, the ``tracemalloc``
 peak (``step_peak_mb``) and the current value when the step's
 ``Tape.backward`` starts (``tape_held_mb``): the bytes the forward left
-live, most of them held by the tape for backward.
+live, most of them held by the tape for backward. ``tape_arrays_mb``
+breaks the tape's part down by op and array: "attention.saved" is what
+``attention``'s backward closure holds as ``saved``. Only arrays the step
+allocated count (not the parameters), each buffer once, for the first
+closure on the tape that holds it.
 ``minor_faults_per_step()`` counts the minor page faults per generation
 step in this process after warm-up steps, under whatever allocator
 settings the process has (none, unless it set them). The fault test in
@@ -18,7 +22,7 @@ moves with process state that has nothing to do with the step (the same
 steps read differently from this script and from ``python -c``), so it
 cannot support a claim; the heap figures repeat exactly.
 
-Run as a script in a fresh process to print all five as JSON:
+Run as a script in a fresh process to print them all as JSON:
 
     PYTHONPATH=src python tests/stepmem.py
 """
@@ -26,6 +30,9 @@ Run as a script in a fresh process to print all five as JSON:
 import json
 import resource
 import tracemalloc
+from collections import Counter
+
+import numpy as np
 
 from moljoint import datagen, objectives
 from moljoint import training as T
@@ -60,20 +67,52 @@ def seeded_step(task: str, **model):
     return step
 
 
-def step_memory_mb(task: str, **model) -> tuple[float, float]:
-    """(peak, current at the start of ``Tape.backward``) of one traced step, in 10^6 B."""
+def closure_values(bwd):
+    """(free variable, value) for each value a backward closure holds, with lists and tuples opened."""
+    for name, cell in zip(bwd.__code__.co_freevars, bwd.__closure__ or ()):
+        try:
+            todo = [cell.cell_contents]
+        except ValueError:  # a name the op binds only on another path
+            continue
+        while todo:
+            v = todo.pop()
+            if isinstance(v, (list, tuple)):
+                todo.extend(v)
+            else:
+                yield name, v
+
+
+def tape_arrays(tape: Tape) -> Counter:
+    """Bytes per "op.variable" that the backward closures on ``tape`` hold, in arrays made since tracing
+    started; each buffer counts once, for the first closure holding it."""
+    held, seen = Counter(), set()
+    for _, bwd in tape._ops:
+        for name, v in closure_values(bwd):
+            if isinstance(v, np.ndarray):
+                while isinstance(v.base, np.ndarray):
+                    v = v.base
+                if id(v) not in seen and tracemalloc.get_object_traceback(v) is not None:
+                    seen.add(id(v))
+                    held[f"{bwd.__qualname__.split('.')[0]}.{name}"] += v.nbytes
+    return held
+
+
+def step_memory_mb(task: str, **model) -> tuple[float, float, dict[str, float]]:
+    """(peak, current at the start of ``Tape.backward``, ``tape_arrays`` then) of one traced step, in 10^6 B."""
     step = seeded_step(task, **model)
     held, backward = [], Tape.backward
 
     def hooked(tape, loss):
-        held.append(tracemalloc.get_traced_memory()[0])
+        held.append((tracemalloc.get_traced_memory()[0], tape_arrays(tape)))
         return backward(tape, loss)
 
     Tape.backward = hooked
     tracemalloc.start()
     try:
         step()
-        return tracemalloc.get_traced_memory()[1] / 1e6, held[0] / 1e6
+        current, arrays = held[0]
+        return (tracemalloc.get_traced_memory()[1] / 1e6, current / 1e6,
+                {k: round(n / 1e6, 3) for k, n in arrays.most_common()})
     finally:
         tracemalloc.stop()
         Tape.backward = backward
@@ -97,6 +136,7 @@ if __name__ == "__main__":
     faults = minor_faults_per_step()  # first, before tracemalloc has allocated anything
     report = {}
     for task in BATCH:
-        peak, held = step_memory_mb(task)
+        peak, held, arrays = step_memory_mb(task)
         report[f"{task}_step_peak_mb"], report[f"{task}_tape_held_mb"] = round(peak, 2), round(held, 2)
-    print(json.dumps({**report, "minor_faults_per_generation_step": round(faults)}))
+        report[f"{task}_tape_arrays_mb"] = arrays
+    print(json.dumps({**report, "minor_faults_per_generation_step": round(faults)}, indent=1))

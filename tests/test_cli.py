@@ -536,6 +536,32 @@ def test_numeric_blow_up_exits_3_and_saves_nothing(workdir, tmp_path, capsys, lr
     assert not (out / "checkpoint").exists()
 
 
+def test_numeric_blow_up_under_warnings_as_errors_exits_3(workdir, tmp_path):
+    """Under -W error numpy's overflow warning is raised, from layer_norm_fwd here: a numeric failure too."""
+    out = tmp_path / "run"
+    env = dict(os.environ, PYTHONPATH=str(Path(moljoint.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "moljoint.cli", "pretrain",
+                           "--data", str(workdir / "corpus.txt"), *TRAIN_ARGS, "--max-iters", "3",
+                           "--warmup-iters", "0", "--lr-max", "1e30", "--lr-min", "1e30", "--out-dir", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numeric failure: ") and "Traceback" not in proc.stderr
+    assert not (out / "checkpoint").exists()
+
+
+@pytest.mark.parametrize("objective", [[], ["--objective", "toy_mpo"]], ids=["plain", "objective"])
+def test_finetune_checks_its_flags_before_it_reads_data(workdir, tmp_path, capsys, monkeypatch, objective):
+    """A bad flag exits 1 although plain SMILES without --objective would be a data error (exit 2),
+    and nothing is tokenized or labeled first."""
+    read = []
+    monkeypatch.setattr(cli, "_read_dataset", lambda *args, **kwargs: read.append(args))
+    out = tmp_path / "run"
+    assert main(["finetune", "--checkpoint", str(workdir / "pre" / "checkpoint"), "--data",
+                 str(workdir / "corpus.txt"), *objective, "--max-iters", "-1", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: max_iters")
+    assert read == [] and not out.exists()
+
+
 @pytest.mark.parametrize("line, error", [("CCC\tabc", "bad target 'abc'"), ("CCC", "expected 'SMILES<TAB>float'")],
                          ids=["bad_target", "no_target"])
 def test_bad_line_in_finetune_data_exits_2_naming_it(workdir, tmp_path, capsys, line, error):

@@ -15,7 +15,7 @@ import pytest
 from moljoint import model as M
 from moljoint import numerics as nm
 from moljoint.model import JointModelParams, ModelConfig
-from moljoint.numerics import NonFiniteError, Rng, Tensor
+from moljoint.numerics import NonFiniteError, Rng, Tape, Tensor
 from moljoint.smiles import BOS_ID, MASK_ID
 
 
@@ -127,23 +127,29 @@ def test_tape_ops_return_their_kernels_output_bit_for_bit():
     assert _bits(nm.layer_norm(x, gain, bias).data) == _bits(
         nm.layer_norm_fwd(x.data.reshape(-1, 12), gain.data, bias.data)[0])
     assert _bits(nm.gelu(x).data) == _bits(nm.gelu_fwd(x.data)[0])
+    x2 = Tensor(x.data.reshape(-1, 12))
+    w1, w2 = Tensor(rng.normal((12, 20))), Tensor(rng.normal((20, 12)))
+    want = nm.gelu_fwd(x2.data @ w1.data)[0] @ w2.data
+    assert _bits(nm.feed_forward(x2, w1, w2).data) == _bits(want)
+    with Tape():
+        assert _bits(nm.feed_forward(x2, w1, w2).data) == _bits(want)
 
     wqkv, bqkv, wo, bo = (Tensor(rng.normal(s)) for s in ((12, 36), (36,), (12, 12), (12,)))
     mask = np.triu(np.full((5, 5), M.NEG_BIAS, dtype=np.float32), k=1)
-    keep = (rng.random((3, 4, 5, 5)) >= 0.2).astype(np.float32) / 0.8
-    x2 = Tensor(x.data.reshape(-1, 12))
+    drop = rng.random((3, 4, 5, 5)) >= 0.2
+    keep = nm._multipliers(drop, 0.2, np.float32)
     cells = [np.arange(15).reshape(3, 5)]
 
     for pos in (None, np.array([[4, 1], [2, 0], [4, 0]])):
         if pos is None:  # one fused GEMM for q, k and v
-            want = nm.attention(x2, wqkv, bqkv, wo, bo, cells, [mask], 4, [keep]).data
+            want = nm.attention(x2, wqkv, bqkv, wo, bo, cells, [mask], 4, [drop], None, 0.2).data
             q, k, v = nm.split_heads(nm.linear(x2.data, wqkv.data, bqkv.data), 3, 4, 12)
             bias, kept = mask, keep
         else:  # the query rows on the q columns, every row on the k|v columns
-            bias, kept = (np.take_along_axis(np.broadcast_to(m, (3, 4, 5, 5)), pos[:, None, :, None], 2)
-                          for m in (mask, keep))
+            bias, dropped, kept = (np.take_along_axis(np.broadcast_to(m, (3, 4, 5, 5)), pos[:, None, :, None], 2)
+                                   for m in (mask, drop, keep))
             queries = [cells[0][np.arange(3)[:, None], pos]]
-            want = nm.attention(x2, wqkv, bqkv, wo, bo, cells, [bias], 4, [kept], queries).data
+            want = nm.attention(x2, wqkv, bqkv, wo, bo, cells, [bias], 4, [dropped], queries, 0.2).data
             (q,) = nm.split_heads(nm.linear(x2.data[queries[0].ravel()], wqkv.data[:, :12], bqkv.data[:12]),
                                   3, 4, 12)
             k, v = nm.split_heads(nm.linear(x2.data, wqkv.data[:, 12:], bqkv.data[12:]), 3, 4, 12)

@@ -1,10 +1,11 @@
 """Dropout masks drawn from raw PCG64 words against the float32-uniform path, bit for bit.
 
 ``model._keep_mask`` compares the raw 32-bit halves of the generator's words
-against an integer threshold instead of drawing float32 uniforms. The masks,
-and the generator state after the draw (``rng.json`` holds all of it), must
-equal the float path's: ``(u >= rate) / (1 - rate)`` from
-``rng.random(shape, float32)``.
+against an integer threshold instead of drawing float32 uniforms, and returns
+a bool mask; the dropout ops build their multipliers from it with
+``numerics._multipliers``. Those multipliers, and the generator state after
+the draw (``rng.json`` holds all of it), must equal the float path's:
+``(u >= rate) / (1 - rate)`` from ``rng.random(shape, float32)``.
 """
 
 import numpy as np
@@ -30,8 +31,10 @@ def test_keep_mask_matches_the_float_path(rate, shape, pending, dtype):
     if pending:  # one float32 draw leaves the high half of a word buffered
         got_rng.random(1, dtype=np.float32), want_rng.random(1, dtype=np.float32)
     with nm.using_dtype(dtype):
-        got = M._keep_mask(shape, rate, got_rng)
+        keep = M._keep_mask(shape, rate, got_rng)
+        got = nm._multipliers(keep, rate, nm.current_dtype())
         want = _float_path(shape, rate, want_rng)
+    assert keep.dtype == np.bool_
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert got_rng.get_state() == want_rng.get_state()

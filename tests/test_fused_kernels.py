@@ -98,7 +98,7 @@ def test_cached_decoding_matches_unfused(monkeypatch):
     np.testing.assert_allclose(np.concatenate(got, axis=1)[real], want[real], rtol=0, atol=FWD_TOL)
 
 
-@pytest.mark.parametrize("op", ["layer_norm", "gelu", "embedding"])
+@pytest.mark.parametrize("op", ["layer_norm", "gelu", "embedding", "feed_forward", "dropout"])
 def test_single_kernels_match_unfused(op):
     rng = Rng(4)
 
@@ -109,6 +109,9 @@ def test_single_kernels_match_unfused(op):
                 "layer_norm": lambda: (a, Tensor(rng.normal((64,))), Tensor(rng.normal((64,)))),
                 "gelu": lambda: (a,),
                 "embedding": lambda: (Tensor(rng.normal((12, 64))), rng.integers(0, 12, (5, 7))),
+                "feed_forward": lambda: (Tensor(a.data.reshape(35, 64)), Tensor(rng.normal((64, 24), std=0.1)),
+                                         Tensor(rng.normal((24, 64), std=0.1))),
+                "dropout": lambda: (a, rng.random((5, 7, 64)) >= 0.3, 0.3),
             }[op]()
             proj = rng.normal((5, 7, 64))
             for t in args:
@@ -116,7 +119,7 @@ def test_single_kernels_match_unfused(op):
                     t.grad = None
             with Tape() as tape:
                 out = fn(*args)
-                loss = nm.sum_all(nm.mul(out, proj))
+                loss = nm.sum_all(nm.mul(out, proj.reshape(out.shape)))
             tape.backward(loss)
             return out.data, [t.grad for t in args if isinstance(t, Tensor)]
 

@@ -313,7 +313,7 @@ def _check(build_out, tensors, proj, case_tag, blocks=None):
 RANDOM_GRAD_CASES = [
     "add", "sub", "mul", "matmul", "softmax_rows", "layer_norm", "layer_norm_extent2",
     "gelu", "embedding", "reshape", "transpose", "take", "pad_cols", "sum_all", "mean_all",
-    "cross_entropy", "attention", "attention_kv", "gather",
+    "cross_entropy", "attention", "attention_kv", "gather", "feed_forward", "dropout",
 ]
 
 
@@ -431,9 +431,9 @@ def test_randomized_gradients(op_name):
                     Q = [int(rng.integers(1, c.shape[1] + 1)) for c in cells]
                     queries = [np.stack([r[rng.permutation(len(r))[:q]] for r in c]) for c, q in zip(cells, Q)]
                 keeps = None if case % 4 < 2 else [
-                    (rng.random((len(c), n_heads, q.shape[1], c.shape[1])) >= 0.3) / 0.7
+                    rng.random((len(c), n_heads, q.shape[1], c.shape[1])) >= 0.3
                     for c, q in zip(cells, queries or cells)]
-                out = lambda: nm.attention(x, *params, cells, biases, n_heads, keeps, queries)
+                out = lambda: nm.attention(x, *params, cells, biases, n_heads, keeps, queries, 0.3)
                 tensors = [x, *params]
                 # wqkv and bqkv block by block, but not the k block of bqkv: it shifts a row
                 # of scores by a constant, which the softmax ignores, so its gradient is 0
@@ -448,6 +448,17 @@ def test_randomized_gradients(op_name):
                 idx = np.where(rng.random(shape) < 0.3, -1, np.resize(rng.permutation(max(N, 6)), shape))
                 idx[idx >= N] = -1
                 out = lambda: nm.gather(a, idx)
+                tensors = [a]
+            elif op_name == "feed_forward":
+                n, e, f = (int(rng.integers(1, 6)) for _ in range(3))
+                x, w1, w2 = Tensor(rng.normal((n, e))), Tensor(rng.normal((e, f))), Tensor(rng.normal((f, e)))
+                out = lambda: nm.feed_forward(x, w1, w2)
+                tensors = [x, w1, w2]
+            elif op_name == "dropout":
+                shape = _random_shape(rng)
+                rate = float(rng.random()) * 0.9
+                a, keep = Tensor(rng.normal(shape)), rng.random(shape) >= rate
+                out = lambda: nm.dropout(a, keep, rate)
                 tensors = [a]
             else:  # pragma: no cover
                 raise AssertionError(op_name)

@@ -5,8 +5,10 @@ ops (matmul, add, reshape, transpose, mul, softmax_rows), run one length
 group at a time on rows it gathers, with the q, k and v projections taken
 as column blocks of the fused weights; ``layer_norm``,
 ``gelu`` and ``embedding`` are the former single ops, with numpy
-reductions and a scatter-add backward. Each takes the signature of the
-fused op it stands for, so ``install`` can swap all four into
+reductions and a scatter-add backward. ``feed_forward`` is the former
+``matmul``, ``gelu``, ``matmul`` chain, and ``dropout`` the former ``mul``
+by float multipliers, which the tape then keeps. Each takes the signature
+of the fused op it stands for, so ``install`` can swap all six into
 ``moljoint.numerics`` and every model function then runs the unfused trunk.
 """
 
@@ -33,7 +35,12 @@ def _columns(a, lo, hi):
     return _record(out, bwd)
 
 
-def attention(x, wqkv, bqkv, wo, bo, cells, biases, n_heads, keeps=None, queries=None):
+def _scale(keep, rate):
+    """Float inverted-dropout multipliers of the bool mask ``keep``."""
+    return np.where(keep, 1.0 / (1.0 - rate), 0.0)
+
+
+def attention(x, wqkv, bqkv, wo, bo, cells, biases, n_heads, keeps=None, queries=None, rate=0.0):
     """One length group at a time: its rows gathered into (rows, width, E), the former
     composition, and its output rows gathered back into place and summed over the groups."""
     E = x.shape[1]
@@ -55,7 +62,7 @@ def attention(x, wqkv, bqkv, wo, bo, cells, biases, n_heads, keeps=None, queries
         att = nm.mul(nm.matmul(q, nm.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
         att = nm.softmax_rows(nm.add(att, bias))
         if keeps is not None:
-            att = nm.mul(att, keeps[i])
+            att = nm.mul(att, _scale(keeps[i], rate))
         y = nm.reshape(nm.transpose(nm.matmul(att, v), (0, 2, 1, 3)), (B * S, E))
         o = nm.add(nm.matmul(y, wo), bo)
         back = np.full(n_out, -1)  # each output row's row of o, or -1 outside this group
@@ -116,7 +123,15 @@ def embedding(table, ids):
     return _record(out, bwd)
 
 
+def feed_forward(x, w1, w2):
+    return nm.matmul(gelu(nm.matmul(x, w1)), w2)
+
+
+def dropout(a, keep, rate):
+    return nm.mul(a, _scale(keep, rate))
+
+
 def install(monkeypatch) -> None:
     """Replace the fused ops in ``moljoint.numerics`` with these for one test."""
-    for name in ("attention", "layer_norm", "gelu", "embedding"):
+    for name in ("attention", "layer_norm", "gelu", "embedding", "feed_forward", "dropout"):
         monkeypatch.setattr(nm, name, globals()[name])
