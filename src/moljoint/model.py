@@ -14,39 +14,40 @@ Losses:
   * ``loss_joint``      per-step branch: generation -> decoder loss,
                         prediction -> encoder (+ prediction when labeled)
 
-Packed cells: every trunk pass, for training and inference alike, runs
-its position-wise ops (embedding add, layer norms, the feed-forward
-block, residual adds, dropout) as one tape op per layer over the batch's
-non-PAD cells, packed into rows, plus PAD cells as filler up to a
-multiple of ``MIN_GROUP_ROWS`` rows, so that a BLAS kernel that rounds the
-last rows of a call its own way (the layer-norm GEMV does, by row count
-mod 4) meets no real row there. Attention runs per length group: rows
-are sorted by non-PAD length (stable) and cut into ``min(MAX_GROUPS, B //
-MIN_GROUP_ROWS)`` groups of equal count, and neighbours that trim to the
-same width merge. ``numerics.attention``, one tape op per layer, projects
-every packed row in one q|k|v GEMM and runs each group on a zero-filled
-(rows, width) copy, the group's longest row wide, with the PAD keys
-masked. Every dropout mask is a bool array drawn once for the full padded
-(B, S, ...) batch, at the same point of the RNG stream as with one group,
-and gathered at the cells, so masks and RNG use depend on neither the
-grouping nor the packing; only GEMM rounding can. The tape ops keep it as
-bool and build its float multipliers only to use them. A pass ends with one
-gather of the final norm's rows at the cells its caller reads, in
-row-major (row, position) order: ``loss_decoder`` reads the cells with a
-next token, ``loss_encoder`` the masked cells and ``forward_predictor``
-position 0, so the token head, ``cross_entropy`` and the predictor MLP
-see only rows that are scored. Nothing after the last attention mixes
-positions, so a bidirectional pass given reads runs that block's queries,
-the rest of the block and the final norm only at each row's reads, padded
-per group with the row's first other positions (a zero row at a PAD
-cell). A causal pass runs its whole last block (its bias is not sliced).
-``forward_decoder`` and ``forward_encoder`` run the head on every
-non-PAD cell's row and gather its logits into (B, S, V), zero at PAD.
+Packed cells: every trunk pass, for training and inference alike, runs its
+position-wise ops (embedding add, layer norms, the feed-forward block,
+residual adds, dropout) as one tape op per layer over the batch's non-PAD
+cells, packed into rows, plus PAD cells as filler up to a multiple of
+``MIN_GROUP_ROWS`` rows, so that a BLAS kernel that rounds the last rows of
+a call its own way (the layer-norm GEMV does, by row count mod 4) meets no
+real row there. Attention runs per length group: rows are sorted by non-PAD
+length (stable) and cut into ``min(MAX_GROUPS, B // MIN_GROUP_ROWS)`` groups
+of equal count, and neighbours that trim to the same width merge.
+``numerics.attention``, one tape op per layer, projects every packed row in
+one q|k|v GEMM and runs each group on a zero-filled (rows, width) copy, the
+group's longest row wide. Its cells are -1 at every PAD cell, filler
+included, and attention masks such cells as keys itself, as it does each
+query's later keys on a causal pass. Every dropout mask is a bool array
+drawn once for the full padded (B, S, ...) batch, at the same point of the
+RNG stream as with one group, and gathered at the cells, so masks and RNG
+use depend on neither the grouping nor the packing; only GEMM rounding can.
+The tape ops keep it as bool and build its float multipliers only to use
+them. A pass ends with one gather of the final norm's rows at the cells its
+caller reads, in row-major (row, position) order: ``loss_decoder`` reads the
+cells with a next token, ``loss_encoder`` the masked cells and
+``forward_predictor`` position 0, so the token head, ``cross_entropy`` and
+the predictor MLP see only rows that are scored. Nothing after the last
+attention mixes positions, so a bidirectional pass given reads runs that
+block's queries, the rest of the block and the final norm only at each row's
+reads, padded per group with the row's first other positions (a zero row at
+a PAD cell). A causal pass runs its whole last block (its triangle takes no
+query rows). ``forward_decoder`` and ``forward_encoder`` run the head on
+every non-PAD cell's row and gather its logits into (B, S, V), zero at PAD.
 ``predict_target`` is ``forward_predictor`` with no tape recording.
 
 Decoding: ``forward_decoder`` with a ``KVCache`` runs ``_decode_step`` on
 the new columns only, one group without dropout (one new column needs no
-bias), on plain arrays: the ``numerics`` kernels the tape ops run, with
+causal mask), on plain arrays: the ``numerics`` kernels the tape ops run, with
 no Tensor but the logits and every check the tape ops make. Each step
 reads the live parameter arrays by name (q|k|v is one GEMM on a block's
 ``attn.wqkv``). A cache serves the params and rows it was made for, in
@@ -67,7 +68,6 @@ from . import numerics as nm
 from .numerics import Rng, Tensor
 from .smiles import MASK_ID, PAD_ID, TokenSequence
 
-NEG_BIAS = -1e9  # additive attention bias for disallowed key positions
 # length groups per trunk pass: at most MAX_GROUPS, each of at least MIN_GROUP_ROWS
 # rows (a group's per-op overhead outweighs the PAD cells it saves on fewer)
 MAX_GROUPS = 4
@@ -164,7 +164,7 @@ class JointModelParams:
             zeros(p + "attn.bo", E)
             ones(p + "ln2.g", E)
             zeros(p + "ln2.b", E)
-            w(p + "ff.w1", E, F)  # feed-forward carries no biases
+            w(p + "ff.w1", E, F)  # feed-forward carries no bias terms
             w(p + "ff.w2", F, E)
         ones("ln_f.g", E)
         zeros("ln_f.b", E)
@@ -200,19 +200,6 @@ def sample_mask_vector(ids: np.ndarray, mask_rate: float, rng: Rng) -> np.ndarra
     """Per-position Bernoulli(mask_rate) mask; specials are never masked."""
     maskable = ids > MASK_ID  # specials sit at fixed ids 0..3
     return (rng.random(ids.shape) < mask_rate) & maskable
-
-
-def attention_bias(ids: np.ndarray, causal: bool) -> np.ndarray:
-    """Additive attention bias: 0 where attending is allowed, else NEG_BIAS.
-
-    PAD keys are excluded in both modes: (B, 1, 1, S), broadcast over the
-    queries. Causal mode additionally hides positions j > i: (B, 1, S, S).
-    """
-    S = ids.shape[1]
-    bias = np.where(ids[:, None, None, :] != PAD_ID, 0.0, NEG_BIAS)
-    if causal:
-        bias = bias + np.triu(np.full((S, S), NEG_BIAS), k=1)
-    return np.ascontiguousarray(bias, dtype=nm.current_dtype())
 
 
 def _keep_mask(shape, rate: float, rng: Rng | None) -> np.ndarray | None:
@@ -314,11 +301,10 @@ def _transformer(
 
     Each row of ``ids`` is one or more non-PAD ids followed only by PAD;
     ValueError otherwise. The position-wise ops run on the packed cells and
-    attention per length group (see "Packed cells"). Bool dropout masks are
-    drawn for the whole (B, S, ...) batch, S its longest row, and gathered at
-    the cells. ``reads`` is a (B, S_in) bool mask of non-PAD cells, every one by
-    default; given on a bidirectional pass, the last block's queries run only
-    there.
+    attention per length group, with dropout masks drawn for the whole batch
+    (see "Packed cells"). ``reads`` is a (B, S_in) bool mask of non-PAD cells,
+    every one by default; given on a bidirectional pass, the last block's
+    queries run only there.
     """
     cfg = params.config
     B, S_in = ids.shape
@@ -338,9 +324,8 @@ def _transformer(
         run[g, :w] = True
     run.flat[np.flatnonzero(run & ~real)[(-int(lengths.sum())) % MIN_GROUP_ROWS:]] = False
     number = _row_numbers(run)  # each cell's packed row, or -1
-    cells = [number[g, :w] for g, w in zip(groups, widths)]
+    cells = [np.where(real, number, -1)[g, :w] for g, w in zip(groups, widths)]  # PAD filler is no key
     at = np.nonzero(run)  # each packed row's (row, position)
-    biases = [attention_bias(ids[g, :w], causal) for g, w in zip(groups, widths)]
 
     def drop(x: Tensor) -> Tensor:
         keep = _keep_mask((B, S, cfg.embed_dim), dropout, rng)
@@ -359,8 +344,8 @@ def _transformer(
             keeps = keeps and [np.take_along_axis(k, q[:, None, :, None], 2) for k, q in zip(keeps, pos)]
             rows = np.concatenate([np.repeat(g, q.shape[1]) for g, q in zip(groups, pos)])
             at = (rows, np.concatenate([q.ravel() for q in pos]))  # each query row's (row, position)
-        y = nm.attention(nm.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"]), *attn, cells, biases,
-                         cfg.n_heads, keeps, queries, dropout)
+        y = nm.attention(nm.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"]), *attn, cells, causal,
+                         cfg.n_heads, keeps, queries=queries, rate=dropout)
         if queries is not None:
             x = nm.gather(x, number[at])
         x = nm.add(x, drop(y))
@@ -388,7 +373,7 @@ def _decode_step(params: JointModelParams, ids: np.ndarray, cache: KVCache) -> T
         raise ValueError(f"a step of {B} rows on a KV cache of {cache.rows} live rows")
     w = {n: t.data for n, t in params.tensors.items()}
     ok = nm.check_finite  # every output the tape ops would check, under the same names
-    bias = None if S == 1 else np.triu(np.full((S, t0 + S), NEG_BIAS, dtype=nm.current_dtype()), k=t0 + 1)
+    bias = None if S == 1 else nm.causal_mask(S, t0 + S, nm.current_dtype())
     x = ok(ok(w["tok_emb"][ids], "embedding") + ok(w["pos_emb"][t0:t0 + S], "embedding"), "add")
     x = x.reshape(B * S, -1)
     for i in range(cfg.n_layers):

@@ -69,6 +69,7 @@ _TAPE: "Tape | None" = None
 _GELU_C = 0.7978845608028654
 _GELU_A = 0.044715
 _GELU_BLOCK = 1 << 15  # values per block of a tape-free gelu
+NEG_BIAS = -1e9  # additive attention bias for a key a query may not see
 
 
 class NonFiniteError(FloatingPointError):
@@ -505,6 +506,11 @@ def split_heads(o: np.ndarray, B: int, n_heads: int, E: int) -> list[np.ndarray]
     return list(o.reshape(B, -1, o.shape[1] // E, n_heads, E // n_heads).transpose(2, 0, 3, 1, 4))
 
 
+def causal_mask(S: int, T: int, dtype) -> np.ndarray:
+    """(S, T) additive bias for S queries at the last S of T keys: NEG_BIAS at each query's later keys, else 0."""
+    return np.triu(np.full((S, T), NEG_BIAS, dtype=dtype), k=T - S + 1)
+
+
 def attention_fwd(q: np.ndarray, kT: np.ndarray, v: np.ndarray, bias, keep: np.ndarray | None = None):
     """Attention of the query heads q (B, h, S, hd) over kT (B, h, hd, T) and v (B, h, T, hd).
 
@@ -532,23 +538,24 @@ def attention_fwd(q: np.ndarray, kT: np.ndarray, v: np.ndarray, bias, keep: np.n
 
 
 def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wo: Tensor, bo: Tensor, cells: list[np.ndarray],
-              biases: list, n_heads: int, keeps: list | None = None,
+              causal: bool, n_heads: int, keeps: list | None = None,
               queries: list[np.ndarray] | None = None, rate: float = 0.0) -> Tensor:
     """Multi-head attention of the packed normed rows x (N, E), through the output projection.
 
     ``wqkv`` (E, 3E) and ``bqkv`` (3E) hold q, k and v side by side. Group i's
-    ``cells`` are a (rows, width) int array of x's row numbers, -1 where a
-    cell has none; the groups' cells hold each row of x once. One GEMM
-    projects every row. Each group then runs the scores, softmax and p.v on
-    a (rows, width) copy of its projections, zero at the empty cells, which
-    ``biases[i]`` must mask; ``keeps[i]`` is its bool attention-dropout mask
-    at ``rate`` (``attention_fwd`` takes its multipliers). The output projection is one GEMM,
-    and the output (N, E) is in x's rows. With ``queries``, group i's
-    queries are the (rows, Q) rows of x it lists (a zero row at -1): only
-    those rows take the q columns, and the output is (sum of rows * Q, E),
-    group after group. One tape op: backward writes each GEMM's gradient
-    into its columns.
+    ``cells`` are a (rows, width) int array of x's row numbers, -1 at a cell
+    without a token; each row of x is in at most one cell. One GEMM projects
+    every row. Each group then runs the scores, softmax and p.v on a (rows,
+    width) copy of its projections, zero at the empty cells, which are never
+    keys, nor with ``causal`` is a later cell; ``keeps[i]`` is its bool
+    attention-dropout mask at ``rate``. The output projection is one GEMM;
+    the output (N, E) is in x's rows (y zero at a row in no cell). With
+    ``queries`` (ValueError if ``causal``), group i's queries are the (rows,
+    Q) rows of x it lists (zero at -1), which alone take the q columns, and
+    the output is (sum of rows * Q, E), group after group. One tape op.
     """
+    if causal and queries is not None:
+        raise ValueError("causal attention takes no queries: its triangle follows the cells' own order")
     N, E = x.shape
     hd = E // n_heads
     keeps = keeps or [None] * len(cells)
@@ -563,16 +570,18 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wo: Tensor, bo: Tensor, cel
         qs = linear(xq, wqkv.data[:, :E], bqkv.data[:E])
         outs = np.split(np.arange(len(at)), np.cumsum([q.size for q in queries])[:-1])
     saved, ys = [], []  # what backward needs, kept only while a tape records
-    for c, o, bias, keep in zip(cells, outs, biases, keeps):
+    for c, o, keep in zip(cells, outs, keeps):
         heads = split_heads(_rows_at(kv, c.ravel()), len(c), n_heads, E)  # q, k, v; or k, v
         if queries is not None:
             heads = split_heads(qs[o], len(c), n_heads, E) + heads
         kT = np.ascontiguousarray(heads[1].swapaxes(-1, -2))
+        w = c.shape[1]  # an empty cell is no key, nor is a later one when causal
+        bias = np.where(c[:, None, None] < 0, NEG_BIAS, causal_mask(w, w, _DTYPE) if causal else _DTYPE(0))
         q, p, yc = attention_fwd(heads[0], kT, heads[2], bias, _multipliers(keep, rate, _DTYPE))
         if _TAPE is not None:  # v copied, so that no view keeps the group's gathered q|k|v rows
             saved.append((q, kT, np.ascontiguousarray(heads[2]), p))
         ys.append(yc)
-    y = np.empty((N if queries is None else len(at), E), x.data.dtype)
+    y = np.zeros((N if queries is None else len(at), E), x.data.dtype)
     for o, yc in zip(outs, ys):
         y[o[o >= 0]] = yc[o >= 0]
     out = Tensor(linear(y, wo.data, bo.data), name="attention")
@@ -583,7 +592,7 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wo: Tensor, bo: Tensor, cel
         swo.accum_fresh_grad(y.T @ g)
         sbo.accum_fresh_grad(np.ones(len(g), g.dtype) @ g)
         dy = g @ Wo.T
-        dkv = np.empty((N, kv_width), g.dtype)
+        dkv = np.zeros((N, kv_width), g.dtype)
         dqs = None if queries is None else np.empty((len(at), E), g.dtype)
         for c, o, keep, (q, kT, v, p) in zip(cells, outs, keeps, saved):
             rows, width = c.shape
@@ -686,6 +695,14 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _record(out, bwd)
 
 
+def _gelu_out(x: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """GELU's output 0.5 x (1 + t) by its tanh term t, into ``out`` if given, in the one op order of every use."""
+    y = np.add(t, 1.0, out=out)
+    y *= x
+    y *= 0.5
+    return y
+
+
 def gelu_fwd(x: np.ndarray, out: np.ndarray | None = None):
     """Gaussian-error linear unit, tanh approximation; returns (output, tanh term).
 
@@ -699,10 +716,7 @@ def gelu_fwd(x: np.ndarray, out: np.ndarray | None = None):
     y = np.multiply(x, _GELU_C, out=out)
     t *= y
     np.tanh(t, out=t)
-    np.add(t, 1.0, out=y)
-    y *= x
-    y *= 0.5
-    return y, t
+    return _gelu_out(x, t, y), t
 
 
 def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -755,7 +769,7 @@ def feed_forward(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     out = Tensor(check_finite(f, "gelu") @ W2, name="matmul")
 
     def bwd(g):
-        s2.accum_fresh_grad(((t + 1.0) * h * 0.5).T @ g)  # the GELU output, in gelu_fwd's op order
+        s2.accum_fresh_grad(_gelu_out(h, t).T @ g)
         dh = _gelu_grad(h, t, g @ W2.T)
         sx.accum_fresh_grad(dh @ W1.T)
         s1.accum_fresh_grad(X.T @ dh)

@@ -239,7 +239,7 @@ def train_step(
         names = [n for n, t in params.tensors.items() if t.grad is not None]
         clip_gradients(params, names, cfg.grad_clip)
         opt.step(params, cfg, lr_at(it, cfg), names)
-    except NonFiniteError as e:
+    except (NonFiniteError, RuntimeWarning) as e:  # numpy's overflow warnings raise under -W error
         raise NonFiniteError(f"training aborted at iter {it} ({task.value} step): {e}") from None
     return value, task
 

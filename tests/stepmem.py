@@ -13,6 +13,9 @@ breaks the tape's part down by op and array: "attention.saved" is what
 ``attention``'s backward closure holds as ``saved``. Only arrays the step
 allocated count (not the parameters), each buffer once, for the first
 closure on the tape that holds it.
+``inference_peak_mb()`` is the ``tracemalloc`` peak, in 10^6 B, of one
+``predict_target`` (no tape) on the benchmark fixture (README size) over
+its 64-draw chunk decoded at sampler seed 1, after one untraced call.
 ``minor_faults_per_step()`` counts the minor page faults per generation
 step in this process after warm-up steps, under whatever allocator
 settings the process has (none, unless it set them). The fault test in
@@ -31,17 +34,20 @@ import json
 import resource
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
 from moljoint import datagen, objectives
+from moljoint import generation as G
 from moljoint import training as T
-from moljoint.model import ModelConfig
+from moljoint.model import ModelConfig, predict_target
 from moljoint.numerics import Rng, Tape
 from moljoint.smiles import build_vocabulary
 
 BATCH = {"generation": 64, "prediction": 32}
 README_MODEL = dict(max_len=32, embed_dim=64, n_layers=2, n_heads=4, ff_dim=192)
+FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "checkpoint"
 
 
 def seeded_step(task: str, **model):
@@ -122,6 +128,18 @@ def step_peak_mb(task: str, **model) -> float:
     return step_memory_mb(task, **model)[0]
 
 
+def inference_peak_mb() -> float:
+    params = T.Checkpoint.load(FIXTURE).params
+    ids = G._decode_chunk(params, G.SamplerConfig(seed=1), 64, Rng(1))[0]
+    predict_target(params, ids)  # first-call caches out of the trace
+    tracemalloc.start()
+    try:
+        predict_target(params, ids)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def minor_faults_per_step(steps: int = 16, warmup: int = 3) -> float:
     step = seeded_step("generation")
     for _ in range(warmup):
@@ -139,4 +157,5 @@ if __name__ == "__main__":
         peak, held, arrays = step_memory_mb(task)
         report[f"{task}_step_peak_mb"], report[f"{task}_tape_held_mb"] = round(peak, 2), round(held, 2)
         report[f"{task}_tape_arrays_mb"] = arrays
+    report["inference_peak_mb"] = round(inference_peak_mb(), 2)
     print(json.dumps({**report, "minor_faults_per_generation_step": round(faults)}, indent=1))

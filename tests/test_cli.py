@@ -537,7 +537,8 @@ def test_numeric_blow_up_exits_3_and_saves_nothing(workdir, tmp_path, capsys, lr
 
 
 def test_numeric_blow_up_under_warnings_as_errors_exits_3(workdir, tmp_path):
-    """Under -W error numpy's overflow warning is raised, from layer_norm_fwd here: a numeric failure too."""
+    """Under -W error numpy's overflow warning is raised, from layer_norm_fwd here: a numeric failure too,
+    reported with the iteration and branch as a NonFiniteError is."""
     out = tmp_path / "run"
     env = dict(os.environ, PYTHONPATH=str(Path(moljoint.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "moljoint.cli", "pretrain",
@@ -545,7 +546,8 @@ def test_numeric_blow_up_under_warnings_as_errors_exits_3(workdir, tmp_path):
                            "--warmup-iters", "0", "--lr-max", "1e30", "--lr-min", "1e30", "--out-dir", str(out)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("numeric failure: ") and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("numeric failure: training aborted at iter 1 (generation step): overflow")
+    assert "Traceback" not in proc.stderr
     assert not (out / "checkpoint").exists()
 
 

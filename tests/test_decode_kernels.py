@@ -135,21 +135,20 @@ def test_tape_ops_return_their_kernels_output_bit_for_bit():
         assert _bits(nm.feed_forward(x2, w1, w2).data) == _bits(want)
 
     wqkv, bqkv, wo, bo = (Tensor(rng.normal(s)) for s in ((12, 36), (36,), (12, 12), (12,)))
-    mask = np.triu(np.full((5, 5), M.NEG_BIAS, dtype=np.float32), k=1)
     drop = rng.random((3, 4, 5, 5)) >= 0.2
     keep = nm._multipliers(drop, 0.2, np.float32)
     cells = [np.arange(15).reshape(3, 5)]
 
     for pos in (None, np.array([[4, 1], [2, 0], [4, 0]])):
-        if pos is None:  # one fused GEMM for q, k and v
-            want = nm.attention(x2, wqkv, bqkv, wo, bo, cells, [mask], 4, [drop], None, 0.2).data
+        if pos is None:  # one fused GEMM for q, k and v, causal
+            want = nm.attention(x2, wqkv, bqkv, wo, bo, cells, True, 4, [drop], None, 0.2).data
             q, k, v = nm.split_heads(nm.linear(x2.data, wqkv.data, bqkv.data), 3, 4, 12)
-            bias, kept = mask, keep
-        else:  # the query rows on the q columns, every row on the k|v columns
-            bias, dropped, kept = (np.take_along_axis(np.broadcast_to(m, (3, 4, 5, 5)), pos[:, None, :, None], 2)
-                                   for m in (mask, drop, keep))
+            bias, kept = nm.causal_mask(5, 5, np.float32), keep
+        else:  # the query rows on the q columns, every row on the k|v columns; no cell is empty
+            dropped, kept = (np.take_along_axis(m, pos[:, None, :, None], 2) for m in (drop, keep))
             queries = [cells[0][np.arange(3)[:, None], pos]]
-            want = nm.attention(x2, wqkv, bqkv, wo, bo, cells, [bias], 4, [dropped], queries, 0.2).data
+            want = nm.attention(x2, wqkv, bqkv, wo, bo, cells, False, 4, [dropped], queries, 0.2).data
+            bias = None
             (q,) = nm.split_heads(nm.linear(x2.data[queries[0].ravel()], wqkv.data[:, :12], bqkv.data[:12]),
                                   3, 4, 12)
             k, v = nm.split_heads(nm.linear(x2.data, wqkv.data[:, 12:], bqkv.data[12:]), 3, 4, 12)

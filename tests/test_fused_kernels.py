@@ -151,9 +151,9 @@ def test_attention_softmax_is_stable_at_large_scores():
     eye = np.eye(4) * 30.0
     args = [np.hstack([eye, eye, np.eye(4)]), np.zeros(12), np.eye(4), np.zeros(4)]
     x, cells = x.reshape(18, 4), [np.arange(18).reshape(3, 6)]
-    got = nm.attention(Tensor(x), *map(Tensor, args), cells, [np.zeros((3, 1, 6, 6), np.float32)], 1)
+    got = nm.attention(Tensor(x), *map(Tensor, args), cells, False, 1)
     with nm.using_dtype(np.float64):
-        want = unfused.attention(Tensor(x), *map(Tensor, args), cells, [np.zeros((3, 1, 6, 6))], 1)
+        want = unfused.attention(Tensor(x), *map(Tensor, args), cells, False, 1)
     np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-4)
 
 
@@ -166,6 +166,5 @@ def test_non_finite_input_raises_from_attention(where, value):
     wqkv = Tensor(np.hstack([rng.normal((E, E)) for _ in range(3)]))
     params = [wqkv, Tensor(np.zeros(3 * E)), Tensor(rng.normal((E, E))), Tensor(np.zeros(E))]
     (x if where == "x" else wqkv).data[1, 2] = value  # "wq": a weight in the q block
-    bias = np.triu(np.full((5, 5), M.NEG_BIAS, dtype=np.float32), k=1)
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NonFiniteError):
-        nm.attention(x, *params, [np.arange(10).reshape(2, 5)], [bias], n_heads)
+        nm.attention(x, *params, [np.arange(10).reshape(2, 5)], True, n_heads)

@@ -138,7 +138,7 @@ def test_position_wise_ops_run_once_over_the_packed_cells(monkeypatch):
     assert [out.name for out in ops].count("attention") == params.config.n_layers
 
     seen, attention = [], nm.attention
-    monkeypatch.setattr(nm, "attention", lambda *a: seen.append(a[9]) or attention(*a))
+    monkeypatch.setattr(nm, "attention", lambda *a, **k: seen.append(k["queries"]) or attention(*a, **k))
     mask = M.sample_mask_vector(ids, 0.3, Rng(2))
     with Tape():
         M.loss_encoder(params, ids, mask, dropout=0.1, rng=Rng(0))

@@ -227,27 +227,32 @@ def test_gather_picks_rows_zero_fills_and_scatters_back():
 
 def test_attention_key_value_sources_agree():
     """Every cell, the cells as queries, a query subset, another packing order, an empty
-    cell and a KV cache give the same rows."""
+    cell at the end or in mid-row, causal or not, and a KV cache give the same rows."""
     rng = Rng(12)
     E, n_heads = 6, 2
     x = Tensor(rng.normal((10, E)))
     params = [Tensor(rng.normal((E, 3 * E))), Tensor(rng.normal((3 * E,))),
               Tensor(rng.normal((E, E))), Tensor(rng.normal((E,)))]
-    cells, bias = [np.arange(10).reshape(2, 5)], [np.zeros((2, 1, 1, 5))]
-    full = nm.attention(x, *params, cells, bias, n_heads).data
+    cells = [np.arange(10).reshape(2, 5)]
+    full = nm.attention(x, *params, cells, False, n_heads).data
     close = lambda got, want: np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)  # noqa: E731
-    close(nm.attention(x, *params, cells, bias, n_heads, queries=cells).data, full)
+    close(nm.attention(x, *params, cells, False, n_heads, queries=cells).data, full)
     some = [np.array([[4, 1], [5, 8]])]
-    close(nm.attention(x, *params, cells, bias, n_heads, queries=some).data, full[some[0].ravel()])
+    close(nm.attention(x, *params, cells, False, n_heads, queries=some).data, full[some[0].ravel()])
     order = rng.permutation(10)  # packed row n holds the cell of row order[n]
-    moved = nm.attention(Tensor(x.data[order]), *params, [np.argsort(order)[cells[0]]], bias, n_heads).data
+    moved = nm.attention(Tensor(x.data[order]), *params, [np.argsort(order)[cells[0]]], False, n_heads).data
     close(moved, full[order])
-    # the second row one cell shorter, in a group of its own: the bias masks its empty cell
-    short = nm.attention(Tensor(x.data[5:9]), *params, [np.arange(4)[None]], [np.zeros((1, 1, 1, 4))], n_heads)
-    masked = np.where(np.arange(5) < 4, 0.0, -1e9)[None, None, None]
-    split = nm.attention(Tensor(x.data[:9]), *params, [cells[0][:1], np.append(np.arange(5, 9), -1)[None]],
-                         [bias[0][:1], masked], n_heads).data
-    close(split, np.concatenate([full[:5], short.data]))
+    # the second row one cell shorter, in a group of its own; its empty cell, last or in mid-row,
+    # is no key, so the rows agree with the short row's own group, and x's row 9, in no cell,
+    # reads attention zero: the output bias
+    for causal in (False, True):
+        short = nm.attention(Tensor(x.data[5:9]), *params, [np.arange(4)[None]], causal, n_heads).data
+        for row in ([5, 6, 7, 8, -1], [5, 6, -1, 7, 8]):
+            split = nm.attention(x, *params, [cells[0][:1], np.array([row])], causal, n_heads).data
+            if not causal:
+                close(split[:5], full[:5])
+            close(split[5:9], short)
+            close(split[9], params[3].data)
     # a KV cache filled by columns 0..3 answers the last column's query over all five,
     # through the array kernels the decode step runs
     cache = KVCache(JointModelParams(ModelConfig(vocab_size=1, max_len=5, embed_dim=E, n_layers=1,
@@ -257,8 +262,17 @@ def test_attention_key_value_sources_agree():
         q, k, v = nm.split_heads(nm.linear(x.data.reshape(2, 5, E)[:, cols].reshape(-1, E), wqkv, bqkv),
                                  2, n_heads, E)
         k, v = cache.extend(0, k, v)
-    last = nm.linear(nm.attention_fwd(q, k.swapaxes(-1, -2), v, bias[0])[2], wo, bo)
+    last = nm.linear(nm.attention_fwd(q, k.swapaxes(-1, -2), v, None)[2], wo, bo)
     close(last, full.reshape(2, 5, E)[:, 4])
+
+
+def test_causal_attention_refuses_query_rows():
+    """The causal triangle follows the cells' order, which query rows may not keep."""
+    x = Tensor(Rng(13).normal((4, 4)))
+    params = [Tensor(np.ones((4, 12))), Tensor(np.zeros(12)), Tensor(np.eye(4)), Tensor(np.zeros(4))]
+    cells = [np.arange(4).reshape(1, 4)]
+    with pytest.raises(ValueError, match="causal"):
+        nm.attention(x, *params, cells, True, 2, queries=[np.array([[3, 0]])])
 
 
 def test_rng_determinism_bitwise():
@@ -406,26 +420,20 @@ def test_randomized_gradients(op_name):
                 out = lambda: nm.cross_entropy(logits, targets[select])
                 tensors = [logits]
             elif op_name in ("attention", "attention_kv"):
-                # 1-2 groups of packed rows in a random order, each row's trailing cells
-                # possibly empty; attention cycles through causal/bidirectional, each with and
+                # 1-2 groups of packed rows in a random order, any of each row's cells but the
+                # first possibly empty (so no row is all masked), and one last row of x in no cell
+                # (as PAD filler is); attention cycles through causal/bidirectional, each with and
                 # without dropout; attention_kv queries Q of each row's cells, empty ones included
                 n_heads = int(rng.integers(1, 3))
                 E = n_heads * int(rng.integers(1, 3))
                 shapes = [(int(rng.integers(1, 3)), int(rng.integers(1, 4))) for _ in range(int(rng.integers(1, 3)))]
-                full = [np.arange(w) < rng.integers(1, w + 1, (b, 1)) for b, w in shapes]
+                full = [(rng.random((b, w)) < 0.6) | (np.arange(w) == 0) for b, w in shapes]
                 rows = iter(rng.permutation(sum(int(f.sum()) for f in full)))
                 cells = [np.array([[next(rows) if c else -1 for c in r] for r in f]) for f in full]
-                x = Tensor(rng.normal((sum(int(f.sum()) for f in full), E)))
+                x = Tensor(rng.normal((sum(int(f.sum()) for f in full) + 1, E)))
                 params = [Tensor(rng.normal((E, 3 * E))), Tensor(rng.normal((3 * E,))),
                           Tensor(rng.normal((E, E))), Tensor(rng.normal((E,)))]
-                biases = []
-                for f in full:  # empty cells masked; key 0 stays visible, so no row is all masked
-                    bias = np.where(f, 0.0, -1e9)[:, None, None, :]
-                    if op_name == "attention" and case % 2:
-                        bias = bias + np.triu(np.full((f.shape[1],) * 2, -1e9), k=1)
-                    else:
-                        bias = bias + np.where(rng.random(bias.shape) < 0.3, -1e9, 0.0) * (np.arange(f.shape[1]) > 0)
-                    biases.append(bias)
+                causal = op_name == "attention" and case % 2 == 1
                 queries = None
                 if op_name == "attention_kv":
                     Q = [int(rng.integers(1, c.shape[1] + 1)) for c in cells]
@@ -433,7 +441,7 @@ def test_randomized_gradients(op_name):
                 keeps = None if case % 4 < 2 else [
                     rng.random((len(c), n_heads, q.shape[1], c.shape[1])) >= 0.3
                     for c, q in zip(cells, queries or cells)]
-                out = lambda: nm.attention(x, *params, cells, biases, n_heads, keeps, queries, 0.3)
+                out = lambda: nm.attention(x, *params, cells, causal, n_heads, keeps, queries, 0.3)
                 tensors = [x, *params]
                 # wqkv and bqkv block by block, but not the k block of bqkv: it shifts a row
                 # of scores by a constant, which the softmax ignores, so its gradient is 0

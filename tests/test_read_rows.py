@@ -81,7 +81,8 @@ def test_read_rows_match_the_full_last_block_in_float64(labeled, grouped, monkey
 
 
 def test_predict_target_matches_the_full_last_block(monkeypatch):
-    """predict_target runs the array kernels; its reference is the tape predictor with the full last block."""
+    """predict_target runs the packed tape ops with no tape recording, its last block at position 0 only;
+    its reference is the tape predictor with the full last block."""
     params, ids = _random_model()
     with nm.using_dtype(np.float64):
         got = M.predict_target(params, ids)

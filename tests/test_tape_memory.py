@@ -190,7 +190,9 @@ def test_attention_saves_arrays_of_its_own(dropout):
 
 # this code peaks at 13.06 and 9.31 MB; float dropout multipliers, a kept GELU output and closures
 # that live until the tape dies peaked at 17.16 and 13.15, a tape that kept every op output at 23.75
-# and 18.12; each bound leaves about 10% over the first
-@pytest.mark.parametrize("task, bound_mb", [("generation", 14.4), ("prediction", 10.3)])
+# and 18.12; each bound leaves about 10% over the first. Tape-free inference peaks at 3.35 MB, and at
+# 3.76 without gelu's blocked path and feed_forward's three-op path; its bound sits between the two
+@pytest.mark.parametrize("task, bound_mb", [("generation", 14.4), ("prediction", 10.3), ("inference", 3.55)])
 def test_one_readme_size_step_stays_under_its_heap_bound(task, bound_mb):
-    assert stepmem.step_peak_mb(task) < bound_mb
+    peak = stepmem.inference_peak_mb() if task == "inference" else stepmem.step_peak_mb(task)
+    assert peak < bound_mb

@@ -40,16 +40,20 @@ def _scale(keep, rate):
     return np.where(keep, 1.0 / (1.0 - rate), 0.0)
 
 
-def attention(x, wqkv, bqkv, wo, bo, cells, biases, n_heads, keeps=None, queries=None, rate=0.0):
+def attention(x, wqkv, bqkv, wo, bo, cells, causal, n_heads, keeps=None, queries=None, rate=0.0):
     """One length group at a time: its rows gathered into (rows, width, E), the former
-    composition, and its output rows gathered back into place and summed over the groups."""
+    composition under a bias that hides the empty cells' keys (and, when ``causal``, each
+    query's later keys), and its output rows gathered back into place and summed over the groups."""
     E = x.shape[1]
     hd = E // n_heads
     wq, wk, wv, bq, bk, bv = (_columns(t, i * E, (i + 1) * E) for t in (wqkv, bqkv) for i in range(3))
     n_out = x.shape[0] if queries is None else sum(q.size for q in queries)
     out, start = None, 0
-    for i, (c, bias) in enumerate(zip(cells, biases)):
-        B = len(c)
+    for i, c in enumerate(cells):
+        B, width = c.shape
+        bias = np.where(c < 0, -1e9, 0.0)[:, None, None, :]
+        if causal:
+            bias = bias + np.triu(np.full((width, width), -1e9), k=1)
         src = nm.gather(x, c)  # (B, width, E), zero rows at empty cells
         xq = src if queries is None else nm.gather(x, queries[i])
         S = xq.shape[1]
