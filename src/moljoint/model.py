@@ -17,22 +17,22 @@ Losses:
 Packed cells: every trunk pass, for training and inference alike, runs its
 position-wise ops (embedding add, layer norms, the feed-forward block,
 residual adds, dropout) as one tape op per layer over the batch's non-PAD
-cells, packed into rows, plus PAD cells as filler up to a multiple of
-``MIN_GROUP_ROWS`` rows, so that a BLAS kernel that rounds the last rows of
-a call its own way (the layer-norm GEMV does, by row count mod 4) meets no
-real row there. Attention runs per length group: rows are sorted by non-PAD
-length (stable) and cut into ``min(MAX_GROUPS, B // MIN_GROUP_ROWS)`` groups
-of equal count, and neighbours that trim to the same width merge.
+cells, packed into rows in row-major (row, position) order, and nothing
+else. Attention runs per length group: rows are sorted by non-PAD length
+(stable) and cut into ``min(MAX_GROUPS, B // MIN_GROUP_ROWS)`` groups of
+equal count, and neighbours that trim to the same width merge.
 ``numerics.attention``, one tape op per layer, projects every packed row in
 one q|k|v GEMM and runs each group on a zero-filled (rows, width) copy, the
-group's longest row wide. Its cells are -1 at every PAD cell, filler
-included, and attention masks such cells as keys itself, as it does each
-query's later keys on a causal pass. Every dropout mask is a bool array
-drawn once for the full padded (B, S, ...) batch, at the same point of the
-RNG stream as with one group, and gathered at the cells, so masks and RNG
-use depend on neither the grouping nor the packing; only GEMM rounding can.
-The tape ops keep it as bool and build its float multipliers only to use
-them. A pass ends with one gather of the final norm's rows at the cells its
+group's longest row wide. Its cells are -1 at every PAD cell, and attention
+masks such cells as keys itself, as it does each query's later keys on a
+causal pass. Every dropout mask is a bool array drawn per token cell, in
+the packed order: (tokens, E) for each residual dropout, and (tokens,
+n_heads, S) for each layer's attention, one row per query token over every
+head and the batch's S keys, which each group gathers at its query cells.
+Draw counts depend only on the token count and S, so masks and RNG use
+depend on neither the grouping nor the packing; only GEMM rounding can.
+The tape ops keep each mask as bool and build its float multipliers only to
+use them. A pass ends with one gather of the final norm's rows at the cells its
 caller reads, in row-major (row, position) order: ``loss_decoder`` reads the
 cells with a next token, ``loss_encoder`` the masked cells and
 ``forward_predictor`` position 0, so the token head, ``cross_entropy`` and
@@ -300,14 +300,13 @@ def _transformer(
     """Run the trunk; returns the final-normed rows (N, E) at the cells ``reads``, in row-major order.
 
     Each row of ``ids`` is one or more non-PAD ids followed only by PAD;
-    ValueError otherwise. The position-wise ops run on the packed cells and
-    attention per length group, with dropout masks drawn for the whole batch
+    ValueError otherwise. The position-wise ops run on the token cells and
+    attention per length group, with dropout masks drawn per token cell
     (see "Packed cells"). ``reads`` is a (B, S_in) bool mask of non-PAD cells,
     every one by default; given on a bidirectional pass, the last block's
-    queries run only there.
+    queries run only there, with the masks of the cells they sit at.
     """
-    cfg = params.config
-    B, S_in = ids.shape
+    cfg, S_in = params.config, ids.shape[1]
     if S_in > cfg.max_len:
         raise ValueError(f"sequence length {S_in} exceeds max_len {cfg.max_len}")
     real = ids != PAD_ID
@@ -317,33 +316,27 @@ def _transformer(
     S = int(lengths.max())
     groups = _length_groups(lengths)
     widths = [int(lengths[g].max()) for g in groups]
-    # the packed cells: the non-PAD ones, then PAD ones inside a group's width up to a multiple
-    # of MIN_GROUP_ROWS, where there are enough
-    run = np.zeros_like(real)
-    for g, w in zip(groups, widths):
-        run[g, :w] = True
-    run.flat[np.flatnonzero(run & ~real)[(-int(lengths.sum())) % MIN_GROUP_ROWS:]] = False
-    number = _row_numbers(run)  # each cell's packed row, or -1
-    cells = [np.where(real, number, -1)[g, :w] for g, w in zip(groups, widths)]  # PAD filler is no key
-    at = np.nonzero(run)  # each packed row's (row, position)
+    number = _row_numbers(real)  # each cell's packed row, or -1
+    cells = [number[g, :w] for g, w in zip(groups, widths)]
+    at = np.nonzero(real)  # each packed row's (row, position)
+    tokens, queries = len(at[0]), None
 
-    def drop(x: Tensor) -> Tensor:
-        keep = _keep_mask((B, S, cfg.embed_dim), dropout, rng)
-        return x if keep is None else nm.dropout(x, keep[at], dropout)
+    def drop(x: Tensor) -> Tensor:  # the last block's query rows take the masks of their cells
+        keep = _keep_mask((tokens, cfg.embed_dim), dropout, rng)
+        return x if keep is None else nm.dropout(x, keep if queries is None else keep[number[at]], dropout)
 
     x = drop(nm.add(nm.embedding(params["tok_emb"], ids[at]), nm.embedding(params["pos_emb"], at[1])))
-    queries = None
     for i in range(cfg.n_layers):
         p = f"h{i}."
         attn = [params[p + "attn." + n] for n in ("wqkv", "bqkv", "wo", "bo")]
-        keep = _keep_mask((B, cfg.n_heads, S, S), dropout, rng)
-        keeps = None if keep is None else [keep[g, :, :w, :w] for g, w in zip(groups, widths)]
+        keep = _keep_mask((tokens, cfg.n_heads, S), dropout, rng)  # one row per query token
         if reads is not None and not causal and i == cfg.n_layers - 1:  # nothing later mixes positions
             pos = [_read_positions(reads[g]) for g in groups]  # each group's (rows, Q) query positions
             queries = [number[g[:, None], q] for g, q in zip(groups, pos)]
-            keeps = keeps and [np.take_along_axis(k, q[:, None, :, None], 2) for k, q in zip(keeps, pos)]
             rows = np.concatenate([np.repeat(g, q.shape[1]) for g, q in zip(groups, pos)])
             at = (rows, np.concatenate([q.ravel() for q in pos]))  # each query row's (row, position)
+        keeps = None if keep is None else [
+            np.ascontiguousarray(keep[q, :, :w].transpose(0, 2, 1, 3)) for q, w in zip(queries or cells, widths)]
         y = nm.attention(nm.layer_norm(x, params[p + "ln1.g"], params[p + "ln1.b"]), *attn, cells, causal,
                          cfg.n_heads, keeps, queries=queries, rate=dropout)
         if queries is not None:

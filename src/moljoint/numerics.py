@@ -139,9 +139,6 @@ class Rng:
     def integers(self, low, high, shape=None):
         return self._gen.integers(low, high, size=shape)
 
-    def permutation(self, n: int):
-        return self._gen.permutation(n)
-
     def get_state(self) -> dict:
         return self._gen.bit_generator.state
 

@@ -16,6 +16,9 @@ closure on the tape that holds it.
 ``inference_peak_mb()`` is the ``tracemalloc`` peak, in 10^6 B, of one
 ``predict_target`` (no tape) on the benchmark fixture (README size) over
 its 64-draw chunk decoded at sampler seed 1, after one untraced call.
+``dropout_draws_per_step(task)`` is the mean number of dropout-mask values
+``model._keep_mask`` draws per ``train_step`` of ``task`` over 20 seeded
+steps; like the heap figures, it repeats exactly.
 ``minor_faults_per_step()`` counts the minor page faults per generation
 step in this process after warm-up steps, under whatever allocator
 settings the process has (none, unless it set them). The fault test in
@@ -40,6 +43,7 @@ import numpy as np
 
 from moljoint import datagen, objectives
 from moljoint import generation as G
+from moljoint import model as M
 from moljoint import training as T
 from moljoint.model import ModelConfig, predict_target
 from moljoint.numerics import Rng, Tape
@@ -140,6 +144,17 @@ def inference_peak_mb() -> float:
         tracemalloc.stop()
 
 
+def dropout_draws_per_step(task: str, steps: int = 20) -> float:
+    step, drawn, keep_mask = seeded_step(task), [], M._keep_mask
+    M._keep_mask = lambda shape, *a: drawn.append(int(np.prod(shape))) or keep_mask(shape, *a)
+    try:
+        for _ in range(steps):
+            step()
+        return sum(drawn) / steps
+    finally:
+        M._keep_mask = keep_mask
+
+
 def minor_faults_per_step(steps: int = 16, warmup: int = 3) -> float:
     step = seeded_step("generation")
     for _ in range(warmup):
@@ -157,5 +172,6 @@ if __name__ == "__main__":
         peak, held, arrays = step_memory_mb(task)
         report[f"{task}_step_peak_mb"], report[f"{task}_tape_held_mb"] = round(peak, 2), round(held, 2)
         report[f"{task}_tape_arrays_mb"] = arrays
+        report[f"{task}_dropout_draws_per_step"] = round(dropout_draws_per_step(task))
     report["inference_peak_mb"] = round(inference_peak_mb(), 2)
     print(json.dumps({**report, "minor_faults_per_generation_step": round(faults)}, indent=1))

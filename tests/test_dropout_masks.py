@@ -11,9 +11,12 @@ the draw (``rng.json`` holds all of it), must equal the float path's:
 import numpy as np
 import pytest
 
+from moljoint import datagen
 from moljoint import model as M
 from moljoint import numerics as nm
-from moljoint.numerics import Rng
+from moljoint.model import JointModelParams, ModelConfig
+from moljoint.numerics import Rng, Tape
+from moljoint.smiles import PAD_ID, build_vocabulary, tokenize
 
 
 def _float_path(shape, rate, rng):
@@ -53,3 +56,27 @@ def test_the_threshold_splits_two_neighbouring_uniforms():
         assert float(np.float32(threshold)) == threshold
         assert Rng(seed).random_at_least((2,), threshold)[0] == kept
         assert (Rng(seed).random(2, dtype=np.float32)[0] >= threshold) == kept
+
+
+def test_a_pass_draws_its_masks_at_the_token_cells(monkeypatch):
+    """A training pass draws each dropout mask once, at the non-PAD cells only: (tokens, E) for the
+    embeddings and each residual dropout, (tokens, n_heads, S) for each layer's attention, S the longest
+    row; a causal pass and a bidirectional pass that reads only its masked cells draw the same."""
+    lines = datagen.toy_corpus(64, seed=23, min_atoms=4)
+    vocab = build_vocabulary(lines)
+    cfg = ModelConfig(vocab_size=len(vocab), max_len=40, embed_dim=8, n_layers=2, n_heads=2, ff_dim=12,
+                      predictor_hidden_dim=4)
+    params = JointModelParams(cfg, Rng(3))
+    ids = M.pad_batch([tokenize(s, vocab, 40) for s in lines])
+    assert (ids == PAD_ID).any()
+    tokens, S, E, H = int((ids != PAD_ID).sum()), ids.shape[1], cfg.embed_dim, cfg.n_heads
+    want = [(tokens, E)] + [(tokens, H, S), (tokens, E), (tokens, E)] * cfg.n_layers
+    shapes, keep_mask = [], M._keep_mask
+    monkeypatch.setattr(M, "_keep_mask", lambda shape, *a: shapes.append(tuple(shape)) or keep_mask(shape, *a))
+    with Tape():
+        M.loss_decoder(params, ids, dropout=0.1, rng=Rng(0))
+    assert shapes == want
+    shapes.clear()
+    with Tape():
+        M.loss_encoder(params, ids, M.sample_mask_vector(ids, 0.3, Rng(2)), dropout=0.1, rng=Rng(0))
+    assert shapes == want

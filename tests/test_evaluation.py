@@ -50,7 +50,7 @@ def test_metrics_permutation_invariant():
     samples = ["CCO", "CCN", "C1CC1", "CCO", "CCCC"]
     ref = ["CCO", "CCC", "C1CC1O"]
     for _ in range(5):
-        perm = [samples[i] for i in rng.permutation(len(samples))]
+        perm = [samples[i] for i in rng._gen.permutation(len(samples))]
         assert E.validity(perm) == E.validity(samples)
         assert E.uniqueness(perm) == E.uniqueness(samples)
         assert E.novelty(perm, ref) == E.novelty(samples, ref)

@@ -124,13 +124,12 @@ def test_grouped_loss_and_gradients_match_one_group_in_float64(task, labeled, mo
 
 
 def test_position_wise_ops_run_once_over_the_packed_cells(monkeypatch):
-    """A grouped training pass runs each layer norm, GEMM and GELU on the non-PAD cells plus PAD
-    filler up to a multiple of MIN_GROUP_ROWS, and one attention op per layer over every group;
-    the last block's query rows of a read pass never repeat a cell."""
+    """A grouped training pass runs each layer norm, GEMM and GELU on exactly the non-PAD cells, and
+    one attention op per layer over every group; the last block's query rows of a read pass never
+    repeat a cell."""
     params, ids = _fixture_model()
     assert len(_groups(ids)) == M.MAX_GROUPS == 4
-    real = int((ids != PAD_ID).sum())
-    packed = real + (-real) % M.MIN_GROUP_ROWS
+    packed = int((ids != PAD_ID).sum())
     with Tape() as tape:
         M._transformer(params, ids, causal=True, dropout=0.1, rng=Rng(0))
     ops = [out for out, _ in tape._ops]

@@ -239,7 +239,7 @@ def test_attention_key_value_sources_agree():
     close(nm.attention(x, *params, cells, False, n_heads, queries=cells).data, full)
     some = [np.array([[4, 1], [5, 8]])]
     close(nm.attention(x, *params, cells, False, n_heads, queries=some).data, full[some[0].ravel()])
-    order = rng.permutation(10)  # packed row n holds the cell of row order[n]
+    order = rng._gen.permutation(10)  # packed row n holds the cell of row order[n]
     moved = nm.attention(Tensor(x.data[order]), *params, [np.argsort(order)[cells[0]]], False, n_heads).data
     close(moved, full[order])
     # the second row one cell shorter, in a group of its own; its empty cell, last or in mid-row,
@@ -422,13 +422,13 @@ def test_randomized_gradients(op_name):
             elif op_name in ("attention", "attention_kv"):
                 # 1-2 groups of packed rows in a random order, any of each row's cells but the
                 # first possibly empty (so no row is all masked), and one last row of x in no cell
-                # (as PAD filler is); attention cycles through causal/bidirectional, each with and
+                # (as a row no cell lists is); attention cycles through causal/bidirectional, each with and
                 # without dropout; attention_kv queries Q of each row's cells, empty ones included
                 n_heads = int(rng.integers(1, 3))
                 E = n_heads * int(rng.integers(1, 3))
                 shapes = [(int(rng.integers(1, 3)), int(rng.integers(1, 4))) for _ in range(int(rng.integers(1, 3)))]
                 full = [(rng.random((b, w)) < 0.6) | (np.arange(w) == 0) for b, w in shapes]
-                rows = iter(rng.permutation(sum(int(f.sum()) for f in full)))
+                rows = iter(rng._gen.permutation(sum(int(f.sum()) for f in full)))
                 cells = [np.array([[next(rows) if c else -1 for c in r] for r in f]) for f in full]
                 x = Tensor(rng.normal((sum(int(f.sum()) for f in full) + 1, E)))
                 params = [Tensor(rng.normal((E, 3 * E))), Tensor(rng.normal((3 * E,))),
@@ -437,7 +437,7 @@ def test_randomized_gradients(op_name):
                 queries = None
                 if op_name == "attention_kv":
                     Q = [int(rng.integers(1, c.shape[1] + 1)) for c in cells]
-                    queries = [np.stack([r[rng.permutation(len(r))[:q]] for r in c]) for c, q in zip(cells, Q)]
+                    queries = [np.stack([r[rng._gen.permutation(len(r))[:q]] for r in c]) for c, q in zip(cells, Q)]
                 keeps = None if case % 4 < 2 else [
                     rng.random((len(c), n_heads, q.shape[1], c.shape[1])) >= 0.3
                     for c, q in zip(cells, queries or cells)]
@@ -453,7 +453,7 @@ def test_randomized_gradients(op_name):
                 N, E = int(rng.integers(1, 6)), int(rng.integers(1, 4))
                 a = Tensor(rng.normal((N, E)))
                 shape = (int(rng.integers(1, 3)), int(rng.integers(1, 4)))
-                idx = np.where(rng.random(shape) < 0.3, -1, np.resize(rng.permutation(max(N, 6)), shape))
+                idx = np.where(rng.random(shape) < 0.3, -1, np.resize(rng._gen.permutation(max(N, 6)), shape))
                 idx[idx >= N] = -1
                 out = lambda: nm.gather(a, idx)
                 tensors = [a]

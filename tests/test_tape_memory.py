@@ -176,7 +176,7 @@ def test_no_backward_holds_a_tensor(task):
 def test_attention_saves_arrays_of_its_own(dropout):
     """q, k^T, v and the probabilities of each group own their values: no view keeps the group's
     gathered q|k|v rows, three times as wide as v. So does each group's block of the bool
-    attention-dropout mask: none keeps the full (B, n_heads, S, S) mask alive."""
+    attention-dropout mask: none keeps the full (tokens, n_heads, S) mask alive."""
     params, ids = _small_model()
     with Tape() as tape:
         M.loss_decoder(params, ids, dropout=dropout, rng=Rng(0))
