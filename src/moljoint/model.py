@@ -17,33 +17,34 @@ Losses:
 Packed cells: every trunk pass, for training and inference alike, runs its
 position-wise ops (embedding add, layer norms, the feed-forward block,
 residual adds, dropout) as one tape op per layer over the batch's non-PAD
-cells, packed into rows in row-major (row, position) order, and nothing
-else. Attention runs per length group: rows are sorted by non-PAD length
-(stable) and cut into ``min(MAX_GROUPS, B // MIN_GROUP_ROWS)`` groups of
-equal count, and neighbours that trim to the same width merge.
-``numerics.attention``, one tape op per layer, projects every packed row in
-one q|k|v GEMM and runs each group on a zero-filled (rows, width) copy, the
-group's longest row wide. Its cells are -1 at every PAD cell, and attention
-masks such cells as keys itself, as it does each query's later keys on a
-causal pass. Every dropout mask is a bool array drawn per token cell, in
-the packed order: (tokens, E) for each residual dropout, and (tokens,
-n_heads, S) for each layer's attention, one row per query token over every
-head and the batch's S keys, which each group gathers at its query cells.
-Draw counts depend only on the token count and S, so masks and RNG use
-depend on neither the grouping nor the packing; only GEMM rounding can.
-The tape ops keep each mask as bool and build its float multipliers only to
-use them. A pass ends with one gather of the final norm's rows at the cells its
-caller reads, in row-major (row, position) order: ``loss_decoder`` reads the
-cells with a next token, ``loss_encoder`` the masked cells and
-``forward_predictor`` position 0, so the token head, ``cross_entropy`` and
-the predictor MLP see only rows that are scored. Nothing after the last
-attention mixes positions, so a bidirectional pass given reads runs that
-block's queries, the rest of the block and the final norm only at each row's
-reads, padded per group with the row's first other positions (a zero row at
-a PAD cell). A causal pass runs its whole last block (its triangle takes no
-query rows). ``forward_decoder`` and ``forward_encoder`` run the head on
-every non-PAD cell's row and gather its logits into (B, S, V), zero at PAD.
-``predict_target`` is ``forward_predictor`` with no tape recording.
+cells, packed into rows in row-major (row, position) order, and nothing else.
+Attention runs per length group: rows are sorted by non-PAD length (stable)
+and cut into ``min(MAX_GROUPS, B // MIN_GROUP_ROWS)`` groups of equal count,
+and neighbours that trim to the same width merge. ``numerics.attention``, one
+tape op per layer, projects every packed row in one q|k|v GEMM and runs each
+group on a zero-filled (rows, width) copy, the group's longest row wide. Its
+cells, -1 at PAD after each row's tokens, hold every packed row once, a layout
+attention takes as given: a causal pass adds only the shared triangle, which
+hides a row's PAD cells behind its tokens, and a bidirectional one masks PAD
+keys. Every dropout mask is a bool array drawn per token cell, in the packed
+order: (tokens, E) for each residual dropout, and (tokens, n_heads, S) for
+each layer's attention, one row per query token over every head and the
+batch's S keys, which each group gathers at its query cells. Draw counts
+depend only on the token count and S, so masks and RNG use depend on neither
+the grouping nor the packing; only GEMM rounding can. The tape ops keep each
+mask as bool and build its float multipliers only to use them. A pass ends
+with one gather of the final norm's rows at the cells its caller reads, in
+row-major (row, position) order: ``loss_decoder`` reads the cells with a next
+token, ``loss_encoder`` the masked cells and ``forward_predictor`` position 0,
+so the token head, ``cross_entropy`` and the predictor MLP see only rows that
+are scored. Nothing after the last attention mixes positions, so a
+bidirectional pass given reads runs that block's queries, the rest of the
+block and the final norm only at each row's reads, padded per group with the
+row's first other positions (a zero row at a PAD cell). A causal pass runs its
+whole last block (its triangle takes no query rows). ``forward_decoder`` and
+``forward_encoder`` run the head on every non-PAD cell's row and gather its
+logits into (B, S, V), zero at PAD. ``predict_target`` is
+``forward_predictor`` with no tape recording.
 
 Decoding: ``forward_decoder`` with a ``KVCache`` runs ``_decode_step`` on
 the new columns only, one group without dropout (one new column needs no

@@ -42,15 +42,17 @@ math is array-level (``layer_norm_fwd``, ``gelu_fwd``, ``linear``,
 ``split_heads``, ``attention_fwd``), shared by the tape ops, which keep
 what it returns for backward while a tape records, and by the model's
 tape-free decode step. ``attention`` runs over packed rows, one length
-group at a time, and never over a cache; ``gather`` picks rows, a zero
-row where a cell has none. Inside ``attention_fwd`` q, k, v, the
-probabilities and y carry no check of their own; the scores (q k^T plus
-the bias) and the output do. That loses nothing: any NaN or Inf in q or
-k makes a score non-finite; probabilities of finite scores are finite;
-every row of y sums over every key's v, and a non-finite y entry makes
-its output row non-finite through the wo GEMM (Inf * 0 and Inf - Inf are
-NaN). The scores keep their check because an overflow to -Inf there
-would read as a masked key, not as NaN.
+group at a time, and never over a cache. It takes ``model._transformer``'s
+layout as given (each row's -1 cells follow its tokens; each row of x is
+in exactly one cell), so a causal pass adds only the cached, read-only
+``causal_mask``. ``gather`` picks rows, a zero row where a cell has none.
+Inside ``attention_fwd`` q, k, v, the probabilities and y carry no check
+of their own; the scores (q k^T plus the bias) and the output do. That
+loses nothing: any NaN or Inf in q or k makes a score non-finite;
+probabilities of finite scores are finite; every row of y sums over every
+key's v, and a non-finite y entry makes its output row non-finite through
+the wo GEMM (Inf * 0 and Inf - Inf are NaN). The scores keep their check
+because an overflow to -Inf there would read as a masked key, not as NaN.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ _TAPE: "Tape | None" = None
 # tanh-form GELU constant sqrt(2/pi)
 _GELU_C = 0.7978845608028654
 _GELU_A = 0.044715
-_GELU_BLOCK = 1 << 15  # values per block of a tape-free gelu
+_GELU_BLOCK = 1 << 15  # values per block of a tape-free feed_forward's GELU
 NEG_BIAS = -1e9  # additive attention bias for a key a query may not see
 
 
@@ -503,9 +505,12 @@ def split_heads(o: np.ndarray, B: int, n_heads: int, E: int) -> list[np.ndarray]
     return list(o.reshape(B, -1, o.shape[1] // E, n_heads, E // n_heads).transpose(2, 0, 3, 1, 4))
 
 
+@lru_cache(maxsize=256)  # every query and key count up to max_len, per dtype
 def causal_mask(S: int, T: int, dtype) -> np.ndarray:
     """(S, T) additive bias for S queries at the last S of T keys: NEG_BIAS at each query's later keys, else 0."""
-    return np.triu(np.full((S, T), NEG_BIAS, dtype=dtype), k=T - S + 1)
+    m = np.triu(np.full((S, T), NEG_BIAS, dtype=dtype), k=T - S + 1)
+    m.flags.writeable = False  # cached: every group, layer and decode prefill of a shape shares it
+    return m
 
 
 def attention_fwd(q: np.ndarray, kT: np.ndarray, v: np.ndarray, bias, keep: np.ndarray | None = None):
@@ -541,15 +546,17 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wo: Tensor, bo: Tensor, cel
 
     ``wqkv`` (E, 3E) and ``bqkv`` (3E) hold q, k and v side by side. Group i's
     ``cells`` are a (rows, width) int array of x's row numbers, -1 at a cell
-    without a token; each row of x is in at most one cell. One GEMM projects
-    every row. Each group then runs the scores, softmax and p.v on a (rows,
-    width) copy of its projections, zero at the empty cells, which are never
-    keys, nor with ``causal`` is a later cell; ``keeps[i]`` is its bool
-    attention-dropout mask at ``rate``. The output projection is one GEMM;
-    the output (N, E) is in x's rows (y zero at a row in no cell). With
-    ``queries`` (ValueError if ``causal``), group i's queries are the (rows,
-    Q) rows of x it lists (zero at -1), which alone take the q columns, and
-    the output is (sum of rows * Q, E), group after group. One tape op.
+    without a token. Precondition, unchecked (``model._transformer``'s layout):
+    each row's -1 cells follow its tokens, and each row of x is in exactly one
+    cell. One GEMM projects every row. Each group then runs the scores, softmax
+    and p.v on a (rows, width) copy of its projections, zero at the empty cells;
+    a causal pass adds ``causal_mask`` alone, which hides each token's later
+    cells, empty ones too (a query at an empty cell is dropped), and a
+    bidirectional one masks the empty keys. ``keeps[i]`` is its bool dropout
+    mask at ``rate``. The output projection is one GEMM, into x's rows (N, E).
+    With ``queries`` (ValueError if ``causal``), group i's queries are the
+    (rows, Q) rows of x it lists (zero at -1), which alone take the q columns,
+    and the output is (sum of rows * Q, E), group after group. One tape op.
     """
     if causal and queries is not None:
         raise ValueError("causal attention takes no queries: its triangle follows the cells' own order")
@@ -572,13 +579,13 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wo: Tensor, bo: Tensor, cel
         if queries is not None:
             heads = split_heads(qs[o], len(c), n_heads, E) + heads
         kT = np.ascontiguousarray(heads[1].swapaxes(-1, -2))
-        w = c.shape[1]  # an empty cell is no key, nor is a later one when causal
-        bias = np.where(c[:, None, None] < 0, NEG_BIAS, causal_mask(w, w, _DTYPE) if causal else _DTYPE(0))
+        w = c.shape[1]  # causal: the triangle alone, as every -1 cell follows its row's tokens
+        bias = causal_mask(w, w, _DTYPE) if causal else np.where(c[:, None, None] < 0, NEG_BIAS, _DTYPE(0))
         q, p, yc = attention_fwd(heads[0], kT, heads[2], bias, _multipliers(keep, rate, _DTYPE))
         if _TAPE is not None:  # v copied, so that no view keeps the group's gathered q|k|v rows
             saved.append((q, kT, np.ascontiguousarray(heads[2]), p))
         ys.append(yc)
-    y = np.zeros((N if queries is None else len(at), E), x.data.dtype)
+    y = np.empty((N if queries is None else len(at), E), x.data.dtype)  # each row is some cell's output
     for o, yc in zip(outs, ys):
         y[o[o >= 0]] = yc[o >= 0]
     out = Tensor(linear(y, wo.data, bo.data), name="attention")
@@ -589,7 +596,7 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wo: Tensor, bo: Tensor, cel
         swo.accum_fresh_grad(y.T @ g)
         sbo.accum_fresh_grad(np.ones(len(g), g.dtype) @ g)
         dy = g @ Wo.T
-        dkv = np.zeros((N, kv_width), g.dtype)
+        dkv = np.empty((N, kv_width), g.dtype)
         dqs = None if queries is None else np.empty((len(at), E), g.dtype)
         for c, o, keep, (q, kT, v, p) in zip(cells, outs, keeps, saved):
             rows, width = c.shape
@@ -610,8 +617,7 @@ def attention(x: Tensor, wqkv: Tensor, bqkv: Tensor, wo: Tensor, bo: Tensor, cel
             np.matmul(ds, kT.swapaxes(-1, -2), out=dq)
             dq *= float(1.0 / np.sqrt(hd))
             np.matmul(ds.swapaxes(-1, -2), q, out=dk)
-            has = c.ravel() >= 0
-            dkv[c.ravel()[has]] = d.reshape(rows * width, -1)[has]
+            dkv[c[c >= 0]] = d.reshape(rows, width, -1)[c >= 0]
         dw, db = np.empty_like(W), np.empty(sb.shape, sb.dtype)
         np.matmul(X.T, dkv, out=dw[:, kv_cols])
         np.matmul(np.ones(N, g.dtype), dkv, out=db[kv_cols])
@@ -735,17 +741,8 @@ def _gelu_grad(x: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """``gelu_fwd`` as a tape op; backward keeps the input and the tanh term.
-
-    With no tape recording nothing reads the tanh term afterwards, so it is made one
-    block of values at a time, and a pass over many rows holds one wide buffer fewer.
-    """
+    """``gelu_fwd`` as a tape op; backward keeps the input and the tanh term."""
     x = a.data
-    if _TAPE is None:
-        y, flat = np.empty_like(x), x.reshape(-1)
-        for i in range(0, flat.size, _GELU_BLOCK):
-            gelu_fwd(flat[i:i + _GELU_BLOCK], y.reshape(-1)[i:i + _GELU_BLOCK])
-        return _record(Tensor(y, name="gelu"), None)
     y, t = gelu_fwd(x)
     out, sa = Tensor(y, name="gelu"), a.slot
 
@@ -758,10 +755,12 @@ def gelu(a: Tensor) -> Tensor:
 def feed_forward(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
     """gelu(x @ w1) @ w2 for x (N, E) as one tape op, checked as those three ops are; backward
     keeps x, the pre-activation h and the tanh term t, and rebuilds the GELU output from h and t."""
-    if _TAPE is None:  # the three ops: gelu's blocked path, and h dies before the second GEMM
-        return matmul(gelu(matmul(x, w1)), w2)
     X, W1, W2, sx, s1, s2 = x.data, w1.data, w2.data, x.slot, w1.slot, w2.slot
     h = check_finite(X @ W1, "matmul")
+    if _TAPE is None:  # GELU overwrites h one block of values at a time, and no t is kept
+        for block in np.split(h.reshape(-1), range(_GELU_BLOCK, h.size, _GELU_BLOCK)):
+            block[...] = gelu_fwd(block)[0]
+        return _record(Tensor(check_finite(h, "gelu") @ W2, name="matmul"), None)
     f, t = gelu_fwd(h)
     out = Tensor(check_finite(f, "gelu") @ W2, name="matmul")
 

@@ -8,7 +8,7 @@ grouped or not. The grouped losses and gradients must match the
 single-group pass to 1e-8 relative in float64, with dropout on. The
 single-group reference replaces ``_length_groups``. Every position-wise
 op runs once per layer over the packed cells, and attention once per
-layer over all the groups.
+layer over all the groups, each time on the cell layout it takes as given.
 """
 
 from pathlib import Path
@@ -22,7 +22,7 @@ from moljoint import model as M
 from moljoint import numerics as nm
 from moljoint.model import JointModelParams, ModelConfig, Task
 from moljoint.numerics import Rng, Tape
-from moljoint.smiles import PAD_ID, build_vocabulary, tokenize
+from moljoint.smiles import MASK_ID, PAD_ID, build_vocabulary, tokenize
 from moljoint.training import Checkpoint
 
 ROW_TOL = 1e-6  # float64, absolute
@@ -145,3 +145,34 @@ def test_position_wise_ops_run_once_over_the_packed_cells(monkeypatch):
     rows = np.concatenate([q.ravel() for q in seen[-1]])
     rows = rows[rows >= 0]
     assert len(np.unique(rows)) == len(rows) >= mask.sum()
+
+
+def test_every_pass_hands_attention_the_layout_it_takes_as_given(monkeypatch):
+    """``numerics.attention`` assumes, unchecked, that each row of every cell array is its tokens
+    followed by -1s, and that the cells hold every row of x exactly once: the decoder loss, the
+    encoder loss with its reads and the predictor pass must hand it that layout."""
+    params = _random_model()[0]
+    seen, attention = [], nm.attention
+
+    def spy(x, wqkv, bqkv, wo, bo, cells, *args, **kwargs):
+        seen.append((len(x.data), cells))
+        return attention(x, wqkv, bqkv, wo, bo, cells, *args, **kwargs)
+
+    monkeypatch.setattr(nm, "attention", spy)
+    rng = np.random.default_rng(31)
+    for B in (1, 3, 16, 33, 64, 80):
+        lengths = rng.integers(1, 13, B)
+        lengths[0] = max(lengths[0], 2)  # one next token for the decoder loss to score
+        ids = np.where(np.arange(12) < lengths[:, None], rng.integers(MASK_ID + 1, params.config.vocab_size,
+                                                                      (B, 12)), PAD_ID)
+        mask = M.sample_mask_vector(ids, 0.3, Rng(B))
+        mask[0, 0] = True
+        M.loss_decoder(params, ids)
+        M.loss_encoder(params, ids, mask)
+        M.forward_predictor(params, ids)
+    assert len(seen) == 6 * 3 * params.config.n_layers
+    for n, cells in seen:
+        assert np.array_equal(np.sort(np.concatenate([c[c >= 0] for c in cells])), np.arange(n))
+        for c in cells:
+            tokens = (c >= 0).sum(axis=1)
+            assert tokens.min() >= 1 and np.array_equal(c >= 0, np.arange(c.shape[1]) < tokens[:, None])

@@ -227,7 +227,7 @@ def test_gather_picks_rows_zero_fills_and_scatters_back():
 
 def test_attention_key_value_sources_agree():
     """Every cell, the cells as queries, a query subset, another packing order, an empty
-    cell at the end or in mid-row, causal or not, and a KV cache give the same rows."""
+    cell at the end (or, bidirectional, in mid-row), causal or not, and a KV cache give the same rows."""
     rng = Rng(12)
     E, n_heads = 6, 2
     x = Tensor(rng.normal((10, E)))
@@ -242,17 +242,17 @@ def test_attention_key_value_sources_agree():
     order = rng._gen.permutation(10)  # packed row n holds the cell of row order[n]
     moved = nm.attention(Tensor(x.data[order]), *params, [np.argsort(order)[cells[0]]], False, n_heads).data
     close(moved, full[order])
-    # the second row one cell shorter, in a group of its own; its empty cell, last or in mid-row,
-    # is no key, so the rows agree with the short row's own group, and x's row 9, in no cell,
-    # reads attention zero: the output bias
+    # the second row one cell shorter, in a group of its own, and x's rows 0..8 each in one cell;
+    # its empty cell, last (or in mid-row on a bidirectional pass), is no key, so the rows agree
+    # with the short row's own group
     for causal in (False, True):
         short = nm.attention(Tensor(x.data[5:9]), *params, [np.arange(4)[None]], causal, n_heads).data
-        for row in ([5, 6, 7, 8, -1], [5, 6, -1, 7, 8]):
-            split = nm.attention(x, *params, [cells[0][:1], np.array([row])], causal, n_heads).data
+        for row in [[5, 6, 7, 8, -1]] + [[5, 6, -1, 7, 8]] * (not causal):
+            split = nm.attention(Tensor(x.data[:9]), *params, [cells[0][:1], np.array([row])], causal,
+                                 n_heads).data
             if not causal:
                 close(split[:5], full[:5])
             close(split[5:9], short)
-            close(split[9], params[3].data)
     # a KV cache filled by columns 0..3 answers the last column's query over all five,
     # through the array kernels the decode step runs
     cache = KVCache(JointModelParams(ModelConfig(vocab_size=1, max_len=5, embed_dim=E, n_layers=1,
@@ -420,17 +420,17 @@ def test_randomized_gradients(op_name):
                 out = lambda: nm.cross_entropy(logits, targets[select])
                 tensors = [logits]
             elif op_name in ("attention", "attention_kv"):
-                # 1-2 groups of packed rows in a random order, any of each row's cells but the
-                # first possibly empty (so no row is all masked), and one last row of x in no cell
-                # (as a row no cell lists is); attention cycles through causal/bidirectional, each with and
-                # without dropout; attention_kv queries Q of each row's cells, empty ones included
+                # 1-2 groups of packed rows in a random order, each row one or more tokens and then
+                # empty cells, every row of x in one cell (attention's precondition); attention cycles
+                # through causal/bidirectional, each with and without dropout; attention_kv queries Q
+                # of each row's cells, empty ones included
                 n_heads = int(rng.integers(1, 3))
                 E = n_heads * int(rng.integers(1, 3))
                 shapes = [(int(rng.integers(1, 3)), int(rng.integers(1, 4))) for _ in range(int(rng.integers(1, 3)))]
-                full = [(rng.random((b, w)) < 0.6) | (np.arange(w) == 0) for b, w in shapes]
+                full = [np.sort((rng.random((b, w)) < 0.6) | (np.arange(w) == 0))[:, ::-1] for b, w in shapes]
                 rows = iter(rng._gen.permutation(sum(int(f.sum()) for f in full)))
                 cells = [np.array([[next(rows) if c else -1 for c in r] for r in f]) for f in full]
-                x = Tensor(rng.normal((sum(int(f.sum()) for f in full) + 1, E)))
+                x = Tensor(rng.normal((sum(int(f.sum()) for f in full), E)))
                 params = [Tensor(rng.normal((E, 3 * E))), Tensor(rng.normal((3 * E,))),
                           Tensor(rng.normal((E, E))), Tensor(rng.normal((E,)))]
                 causal = op_name == "attention" and case % 2 == 1
