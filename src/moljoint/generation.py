@@ -1,11 +1,11 @@
 """Sampling and budgeted optimization on top of a trained model.
 
-A draw is two-step: ancestral token-by-token decoding of a string, then
-a target value from the predictor head (the predictive mean by default;
-optionally a unit-variance Gaussian draw). The optimization loop draws
-until either the sampling budget is spent or enough samples have been
-accepted, accepting on predicted target >= threshold; accepted samples
-can be re-scored with the true objective afterwards.
+A draw is two-step: ancestral token-by-token decoding of a string, each
+token a Gumbel-max pick, then a target value from the predictor head (the
+predictive mean by default; optionally a unit-variance Gaussian draw). The
+optimization loop draws until either the sampling budget is spent or enough
+samples have been accepted, accepting on predicted target >= threshold;
+accepted samples can be re-scored with the true objective afterwards.
 
 Decoding is incremental: each step runs only the newest column through
 the trunk's tape-free decode step, over a ``model.KVCache`` made once per
@@ -28,7 +28,6 @@ from .numerics import Rng
 from .smiles import BOS_ID, EOS_ID, MASK_ID, PAD_ID, Vocabulary, detokenize, validate
 
 DRAW_CHUNK = 64  # rows decoded together by sample_batch, and draws per optimization round
-_NEVER_SAMPLED = np.array([BOS_ID, PAD_ID, MASK_ID])  # special ids other than EOS
 
 
 @dataclass
@@ -69,36 +68,24 @@ class Sample:
 
 
 def _next_token_ids(logits: np.ndarray, cfg: SamplerConfig, rng: Rng) -> np.ndarray:
-    """Sample one token id per row from last-position logits (B, V)."""
+    """Sample one token id per row from last-position logits (B, V) by Gumbel-max.
+
+    argmax(z / T + G), with Gumbel noise G = -log(-log u) from one uniform u per
+    (row, id), draws from softmax(z / T). Rows peak at 0 before the division, so a
+    tiny T overflows only to -inf, and u = 0 is raised to the smallest normal
+    float, so G is finite: the argmax runs over finite entries only, with no clamp.
+    """
     z = logits.astype(np.float64)
-    z[:, _NEVER_SAMPLED] = -np.inf
+    z[:, [BOS_ID, PAD_ID, MASK_ID]] = -np.inf  # the specials other than EOS are never sampled
     if cfg.temperature == 0.0:
         return z.argmax(axis=-1)
-    scaled = z
-    if cfg.temperature != 1.0:  # z / 1.0 is z, bit for bit, and only a division overflows finite logits
-        with np.errstate(over="ignore"):
-            scaled = z / cfg.temperature
-        cold = ~np.isfinite(scaled.max(axis=-1))
-        if cold.any():  # overflowed rows take their argmax, the limit as the temperature goes to 0
-            scaled[cold] = np.where(np.arange(z.shape[-1]) == z[cold].argmax(axis=-1)[:, None], 0.0, -np.inf)
-    z = scaled
-    peak = z.max(axis=-1, keepdims=True)  # top-k below keeps each row's peak
-    if cfg.top_k > 0 and cfg.top_k < z.shape[-1]:
-        kth = np.sort(z, axis=-1)[:, -cfg.top_k][:, None]
-        z = np.where(z >= kth, z, -np.inf)
-    z -= peak
-    p = np.exp(z)
-    p /= p.sum(axis=-1, keepdims=True)
-    u = rng.random(z.shape[0])
-    ids = (p.cumsum(axis=-1) < u[:, None]).sum(axis=-1)
-    # rounding can leave the summed mass below u (id V or a zero-mass tail
-    # id) and u = 0 picks id 0; clamp each row to its nonzero-mass span
-    nonzero = p > 0
-    if (ids < p.shape[-1]).all() and nonzero[np.arange(len(ids)), ids].all():
-        return ids  # every pick has mass: the clamp would keep it
-    first = nonzero.argmax(axis=-1)
-    last = p.shape[-1] - 1 - nonzero[:, ::-1].argmax(axis=-1)
-    return np.minimum(np.maximum(ids, first), last)
+    if 0 < cfg.top_k < z.shape[-1]:  # ties at the k-th largest are kept
+        z[z < np.sort(z, axis=-1)[:, -cfg.top_k, None]] = -np.inf
+    z -= z.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        z /= cfg.temperature
+    u = np.maximum(rng.random(z.shape), np.finfo(np.float64).tiny)
+    return (z - np.log(-np.log(u))).argmax(axis=-1)
 
 
 def _decode_chunk(
@@ -208,19 +195,16 @@ def pbbo_optimize(
     rng = Rng(sampler.seed)
     trace: list[DrawRecord] = []
     accepted: list[DrawRecord] = []
-    draws = 0
-    while draws < cfg.sample_budget and len(accepted) < cfg.eval_budget:
-        chunk = min(DRAW_CHUNK, cfg.sample_budget - draws)
+    while len(trace) < cfg.sample_budget and len(accepted) < cfg.eval_budget:
+        chunk = min(DRAW_CHUNK, cfg.sample_budget - len(trace))
         for s in sample_batch(params, vocab, sampler, chunk, rng):
             if len(accepted) >= cfg.eval_budget:
                 break
-            draws += 1
             ok = s.y >= cfg.y_c and bool(validate(s.smiles))
-            rec = DrawRecord(draws, s.smiles, s.y, ok)
-            trace.append(rec)
+            trace.append(DrawRecord(len(trace) + 1, s.smiles, s.y, ok))
             if ok:
-                accepted.append(rec)
+                accepted.append(trace[-1])
     if objective is not None:
         for rec in accepted:
             rec.oracle = float(objective(rec.smiles))
-    return OptimizationResult(accepted, draws, trace)
+    return OptimizationResult(accepted, len(trace), trace)

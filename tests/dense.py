@@ -1,4 +1,4 @@
-"""A dense float64 reference of the trunk, written from the model description alone.
+"""A dense float64 reference of the trunk and its token head, written from the model description alone.
 
 The trunk is a pre-norm transformer over token plus position embeddings:
 each block adds multi-head self-attention of its first layer norm, then a
@@ -7,7 +7,7 @@ closes the pass. Here it runs on the padded (B, S) batch as it is: no length
 groups, no packed rows and no reads. Attention takes a full (B, H, S, S)
 mask. A key is visible when it holds a token and, on a causal pass, when it
 is not after the query. The hidden states come back at every cell, PAD cells
-included.
+included. The token head is one bias-free linear map of them to the vocabulary.
 """
 
 import numpy as np
@@ -54,3 +54,8 @@ def trunk(w: dict, ids: np.ndarray, lengths: np.ndarray, causal: bool, n_heads: 
         x = x + y @ w[p + "attn.wo"] + w[p + "attn.bo"]
         x = x + gelu(layer_norm(x, w[p + "ln2.g"], w[p + "ln2.b"]) @ w[p + "ff.w1"]) @ w[p + "ff.w2"]
     return layer_norm(x, w["ln_f.g"], w["ln_f.b"])
+
+
+def causal_logits(w: dict, ids: np.ndarray, lengths: np.ndarray, n_heads: int) -> np.ndarray:
+    """Next-token logits (B, S, V) of a causal pass: the token head over ``trunk``'s hidden states."""
+    return trunk(w, ids, lengths, True, n_heads) @ w["head.w"]

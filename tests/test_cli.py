@@ -22,6 +22,7 @@ from moljoint.checkpoint import load_bundle, save_bundle
 from moljoint.cli import build_parser, main
 from moljoint.generation import PbboConfig, SamplerConfig
 from moljoint.model import ModelConfig
+from moljoint.smiles import validate
 from moljoint.training import Checkpoint, TrainConfig
 
 FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixture" / "checkpoint"  # split q|k|v tensors
@@ -388,8 +389,9 @@ def test_evaluate_draws_once_for_sample_metrics_and_sampled_mae(workdir, tmp_pat
     sample_batch = cli.gen.sample_batch
 
     def spy(params, vocab, cfg, n, *args, **kwargs):
-        calls.append((n, cfg.seed))
-        return sample_batch(params, vocab, cfg, n, *args, **kwargs)
+        draws = sample_batch(params, vocab, cfg, n, *args, **kwargs)
+        calls.append((n, cfg.seed, draws))
+        return draws
 
     for mod in list(sys.modules.values()):  # every module that bound the sampler
         if mod.__name__.startswith("moljoint") and vars(mod).get("sample_batch") is sample_batch:
@@ -398,9 +400,11 @@ def test_evaluate_draws_once_for_sample_metrics_and_sampled_mae(workdir, tmp_pat
     assert main(["evaluate", "--checkpoint", str(workdir / "pre" / "checkpoint"),
                  "--objective", "toy_mpo", "--n-samples", "16", "--seed", "3",
                  "--out-dir", str(out)]) == 0
-    assert calls == [(16, 3)]
+    assert [(n, seed) for n, seed, _ in calls] == [(16, 3)]
+    valid = sum(bool(validate(s.smiles)) for s in calls[0][2])
     report = json.loads((out / "metrics.json").read_text())
-    assert report["sample_count"] == 16 and report["mae_sampled"] is not None
+    assert report["sample_count"] == 16 and report["mae_sampled_retained"] == valid
+    assert (report["mae_sampled"] is None) == (valid == 0)
 
 
 def test_evaluate_reports_draws_with_no_valid_string(workdir, tmp_path, monkeypatch):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from moljoint import generation as G
 from moljoint.generation import PbboConfig, SamplerConfig, pbbo_optimize, sample_batch
@@ -190,36 +192,66 @@ def test_tiny_temperature_takes_the_argmax(temperature, top_k):
         np.testing.assert_array_equal(ids, allowed.argmax(axis=1))
 
 
-def test_finite_scaled_logits_keep_their_draws():
-    rows = Rng(4).normal((16, 12), std=3.0)
-    for temperature in (1e-3, 0.7, 1.3):
-        cfg = SamplerConfig(temperature=temperature)
-        got = G._next_token_ids(rows, cfg, Rng(6))
-        z = rows / temperature
-        z[:, [BOS_ID, PAD_ID, MASK_ID]] = -np.inf
-        p = np.exp(z - z.max(axis=1, keepdims=True))
-        p /= p.sum(axis=1, keepdims=True)
-        want = (p.cumsum(axis=1) < Rng(6).random(16)[:, None]).sum(axis=1)
-        np.testing.assert_array_equal(got, want)
-
-
 @pytest.mark.parametrize("top_k", [0, 3])
-def test_temperature_one_skips_the_division_and_keeps_the_draws(top_k):
-    """Temperature 1 takes a shortcut past the division; the draws and the RNG use stay."""
-    rows = Rng(7).normal((32, 12), std=3.0).astype(np.float32)
-    rng, want_rng = Rng(8), Rng(8)
-    got = G._next_token_ids(rows, SamplerConfig(temperature=1.0, top_k=top_k), rng)
+def test_draws_are_the_gumbel_max_of_the_scaled_logits(top_k):
+    """argmax(z / T + G) on the unshifted logits, with G = -log(-log u) and u from Rng(s).random((B, V))."""
+    rows = Rng(4).normal((16, 12), std=3.0).astype(np.float32)
     z = rows.astype(np.float64)
     z[:, [BOS_ID, PAD_ID, MASK_ID]] = -np.inf
-    with np.errstate(over="ignore"):
-        z = z / 1.0
     if top_k:
         z = np.where(z >= np.sort(z, axis=1)[:, -top_k][:, None], z, -np.inf)
-    p = np.exp(z - z.max(axis=1, keepdims=True))
-    p /= p.sum(axis=1, keepdims=True)
-    want = (p.cumsum(axis=1) < want_rng.random(32)[:, None]).sum(axis=1)
-    np.testing.assert_array_equal(got, want)
-    assert rng.get_state() == want_rng.get_state()
+    for seed, temperature in enumerate((1e-3, 0.7, 1.0, 1.3)):
+        rng, want_rng = Rng(seed), Rng(seed)
+        got = G._next_token_ids(rows, SamplerConfig(temperature=temperature, top_k=top_k), rng)
+        gumbel = -np.log(-np.log(want_rng.random(z.shape)))
+        np.testing.assert_array_equal(got, (z / temperature + gumbel).argmax(axis=1))
+        assert rng.get_state() == want_rng.get_state()  # exactly B * V uniforms
+    rng = Rng(9)
+    G._next_token_ids(rows, SamplerConfig(temperature=0.0, top_k=top_k), rng)
+    assert rng.get_state() == Rng(9).get_state()  # argmax decoding draws nothing
+
+
+@pytest.mark.parametrize("temperature, top_k", [(1.0, 0), (0.7, 5), (2.5, 0)])
+def test_draw_frequencies_follow_the_softmax(temperature, top_k):
+    from scipy.stats import chi2
+
+    row = Rng(11).normal(12, std=1.0)
+    allowed = row.copy()
+    allowed[[BOS_ID, PAD_ID, MASK_ID]] = -np.inf
+    if top_k:
+        allowed[allowed < np.sort(allowed)[-top_k]] = -np.inf
+    p = np.exp((allowed - allowed.max()) / temperature)
+    p /= p.sum()
+    rng, cfg, counts = Rng(12), SamplerConfig(temperature=temperature, top_k=top_k), np.zeros(12)
+    for _ in range(10):  # 200,000 draws in chunks of 20,000 rows
+        counts += np.bincount(G._next_token_ids(np.tile(row, (20_000, 1)), cfg, rng), minlength=12)
+    kept = p > 0
+    assert counts[~kept].sum() == 0
+    expected = p[kept] * counts.sum()
+    stat = ((counts[kept] - expected) ** 2 / expected).sum()
+    assert stat < chi2.ppf(0.999, kept.sum() - 1)
+
+
+_TEMPERATURES = [0.0, 5e-324, 1e-310, 1e-3, 1.0, 7.5, 1e300]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(data=st.data(), B=st.integers(1, 9), V=st.integers(5, 14), temperature=st.sampled_from(_TEMPERATURES),
+       top_k=st.integers(0, 16), seed=st.integers(0, 2 ** 32 - 1))
+def test_every_draw_is_an_allowed_id_within_its_top_k(data, B, V, temperature, top_k, seed):
+    rows = data.draw(hnp.arrays(np.float32, (B, V), elements=st.floats(width=32, allow_nan=False,
+                                                                        allow_infinity=False)))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        ids = G._next_token_ids(rows, SamplerConfig(temperature=temperature, top_k=top_k), Rng(seed))
+    allowed = rows.astype(np.float64)
+    allowed[:, [BOS_ID, PAD_ID, MASK_ID]] = -np.inf
+    assert ids.shape == (B,) and ((0 <= ids) & (ids < V)).all()
+    assert not np.isin(ids, [BOS_ID, PAD_ID, MASK_ID]).any()
+    picked = allowed[np.arange(B), ids]
+    if 0 < top_k < V:
+        assert (picked >= np.sort(allowed, axis=1)[:, -top_k]).all()
+    if temperature == 0.0:
+        np.testing.assert_array_equal(ids, allowed.argmax(axis=1))
 
 
 def test_pbbo_impossible_threshold_empties(memorized):
