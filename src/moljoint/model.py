@@ -40,11 +40,13 @@ so the token head, ``cross_entropy`` and the predictor MLP see only rows that
 are scored. Nothing after the last attention mixes positions, so a
 bidirectional pass given reads runs that block's queries, the rest of the
 block and the final norm only at each row's reads, padded per group with the
-row's first other positions (a zero row at a PAD cell). A causal pass runs its
-whole last block (its triangle takes no query rows). ``forward_decoder`` and
-``forward_encoder`` run the head on every non-PAD cell's row and gather its
-logits into (B, S, V), zero at PAD. ``predict_target`` is
-``forward_predictor`` with no tape recording.
+row's first other positions (a zero row at a PAD cell). A causal pass given
+reads first drops every cell after its row's last read and every row with no
+read, before it groups and packs: no query reads them. So ``loss_decoder``
+never runs a row's last token, and draws its masks over the cells that stay.
+``forward_decoder`` and ``forward_encoder`` run the head on every non-PAD
+cell's row and gather its logits into (B, S, V), zero at PAD.
+``predict_target`` is ``forward_predictor`` with no tape recording.
 
 Decoding: ``forward_decoder`` with a ``KVCache`` runs ``_decode_step`` on
 the new columns only, one group without dropout (one new column needs no
@@ -304,8 +306,10 @@ def _transformer(
     ValueError otherwise. The position-wise ops run on the token cells and
     attention per length group, with dropout masks drawn per token cell
     (see "Packed cells"). ``reads`` is a (B, S_in) bool mask of non-PAD cells,
-    every one by default; given on a bidirectional pass, the last block's
-    queries run only there, with the masks of the cells they sit at.
+    every one by default; N is 0 when it holds none. Given on a causal pass,
+    the pass runs only the cells up to each row's last read, in the rows with
+    one; on a bidirectional pass, the last block's queries run only there,
+    with the masks of the cells they sit at.
     """
     cfg, S_in = params.config, ids.shape[1]
     if S_in > cfg.max_len:
@@ -314,6 +318,13 @@ def _transformer(
     lengths = real.sum(axis=1)
     if not (lengths.all() and np.array_equal(real, np.arange(S_in) < lengths[:, None])):
         raise ValueError("each id row must hold one or more non-PAD ids followed only by PAD")
+    if causal and reads is not None:  # no query reads a cell after its row's last read
+        last = np.where(reads, np.arange(S_in), -1).max(axis=1)  # each row's last read, or -1
+        if last.max() < 0:
+            return Tensor(np.zeros((0, cfg.embed_dim)))
+        kept, w = last >= 0, int(last.max()) + 1  # the rows with a read, and the cells up to the last one
+        real, ids, reads = (a[kept, :w] for a in (real & (np.arange(S_in) <= last[:, None]), ids, reads))
+        lengths = real.sum(axis=1)
     S = int(lengths.max())
     groups = _length_groups(lengths)
     widths = [int(lengths[g].max()) for g in groups]

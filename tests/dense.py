@@ -8,6 +8,8 @@ groups, no packed rows and no reads. Attention takes a full (B, H, S, S)
 mask. A key is visible when it holds a token and, on a causal pass, when it
 is not after the query. The hidden states come back at every cell, PAD cells
 included. The token head is one bias-free linear map of them to the vocabulary.
+The decoder loss is the mean next-token NLL of the head's causal logits over
+every cell whose row holds a token after it.
 """
 
 import numpy as np
@@ -59,3 +61,12 @@ def trunk(w: dict, ids: np.ndarray, lengths: np.ndarray, causal: bool, n_heads: 
 def causal_logits(w: dict, ids: np.ndarray, lengths: np.ndarray, n_heads: int) -> np.ndarray:
     """Next-token logits (B, S, V) of a causal pass: the token head over ``trunk``'s hidden states."""
     return trunk(w, ids, lengths, True, n_heads) @ w["head.w"]
+
+
+def loss_decoder(w: dict, ids: np.ndarray, lengths: np.ndarray, n_heads: int) -> float:
+    """Mean next-token NLL of ``causal_logits`` at the cells (b, t) with t + 1 < lengths[b]; at least one."""
+    logits = causal_logits(w, ids, lengths, n_heads)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    b, t = np.nonzero(np.arange(ids.shape[1]) + 1 < lengths[:, None])
+    return float(-logp[b, t, ids[b, t + 1]].mean())

@@ -59,24 +59,29 @@ def test_the_threshold_splits_two_neighbouring_uniforms():
 
 
 def test_a_pass_draws_its_masks_at_the_token_cells(monkeypatch):
-    """A training pass draws each dropout mask once, at the non-PAD cells only: (tokens, E) for the
+    """A training pass draws each dropout mask once, at the token cells it runs only: (tokens, E) for the
     embeddings and each residual dropout, (tokens, n_heads, S) for each layer's attention, S the longest
-    row; a causal pass and a bidirectional pass that reads only its masked cells draw the same."""
+    row. A bidirectional pass that reads only its masked cells runs every non-PAD cell; the causal pass
+    of ``loss_decoder`` runs them all but each row's last token, which no query reads."""
     lines = datagen.toy_corpus(64, seed=23, min_atoms=4)
     vocab = build_vocabulary(lines)
     cfg = ModelConfig(vocab_size=len(vocab), max_len=40, embed_dim=8, n_layers=2, n_heads=2, ff_dim=12,
                       predictor_hidden_dim=4)
     params = JointModelParams(cfg, Rng(3))
     ids = M.pad_batch([tokenize(s, vocab, 40) for s in lines])
-    assert (ids == PAD_ID).any()
-    tokens, S, E, H = int((ids != PAD_ID).sum()), ids.shape[1], cfg.embed_dim, cfg.n_heads
-    want = [(tokens, E)] + [(tokens, H, S), (tokens, E), (tokens, E)] * cfg.n_layers
+    lengths = (ids != PAD_ID).sum(axis=1)
+    assert (ids == PAD_ID).any() and (lengths >= 2).all()
+    tokens, S, E, H = int(lengths.sum()), ids.shape[1], cfg.embed_dim, cfg.n_heads
+
+    def want(tokens, S):
+        return [(tokens, E)] + [(tokens, H, S), (tokens, E), (tokens, E)] * cfg.n_layers
+
     shapes, keep_mask = [], M._keep_mask
     monkeypatch.setattr(M, "_keep_mask", lambda shape, *a: shapes.append(tuple(shape)) or keep_mask(shape, *a))
     with Tape():
         M.loss_decoder(params, ids, dropout=0.1, rng=Rng(0))
-    assert shapes == want
+    assert shapes == want(tokens - len(ids), S - 1)
     shapes.clear()
     with Tape():
         M.loss_encoder(params, ids, M.sample_mask_vector(ids, 0.3, Rng(2)), dropout=0.1, rng=Rng(0))
-    assert shapes == want
+    assert shapes == want(tokens, S)
